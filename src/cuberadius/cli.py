@@ -4,7 +4,7 @@ Subcommands: radius, bn, threshold-scan, majority-scan, spectrum, verify,
 gamma, tn.  Scalar results are emitted as JSON, scans as CSV (17 significant
 digits), all byte-deterministic for a fixed (command, seed, workers); numeric
 content is independent of the worker count.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+1 verification failure, 2 usage, input or work-cap error.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _build_family(args):
         return families.dictator(args.n, 1)
     if name == "parity":
         m = args.m if args.m is not None else args.n
+        if m < 0:
+            raise ValueError(f"--m must be >= 0, got {m}")
         return families.parity(args.n, range(1, m + 1))
     if name == "threshold":
         if args.alpha is None:
@@ -265,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"cuberadius: error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import MAX_DENSE_N, BooleanFunction, Spectrum, inverse_walsh, subset_levels, sup_norm
+from .cube import (
+    MAX_DENSE_N,
+    BooleanFunction,
+    Spectrum,
+    _validate_dimension,
+    inverse_walsh,
+    subset_levels,
+    sup_norm,
+)
 
 #: Sup-norm factor 6 sqrt(log 2) sqrt(N) in the random-signs existence bound.
 SALEM_ZYGMUND_FACTOR = 6.0 * math.sqrt(math.log(2.0))
@@ -47,6 +55,7 @@ def extremal_indicator_flip(N: int) -> BooleanFunction:
 
 def dictator(N: int, i: int) -> BooleanFunction:
     """f(x) = x_i (coordinates are 1-based)."""
+    _validate_dimension(N)
     if not 1 <= i <= N:
         raise ValueError(f"coordinate must lie in [1, {N}]")
     bits = (np.arange(2**N, dtype=np.uint32) >> (i - 1)) & 1
@@ -55,6 +64,7 @@ def dictator(N: int, i: int) -> BooleanFunction:
 
 def parity(N: int, S) -> BooleanFunction:
     """f(x) = x^S = prod_{k in S} x_k; the empty set gives the constant 1."""
+    _validate_dimension(N)
     S = sorted(set(int(k) for k in S))
     if S and not (1 <= S[0] and S[-1] <= N):
         raise ValueError(f"subset members must lie in [1, {N}]")

@@ -1,33 +1,33 @@
 """Machine verification of the spectral inequalities over constructed and random functions.
 
-Every check takes a single function and returns a one-sample report with the
-margin RHS - LHS (negative beyond the numerical slack counts as a failure);
-``run_suite`` drives the checks over the named families plus seeded random
-draws and merges the reports.  Proven inequalities must come back with zero
-failures; the Bohnenblust-Hille-type quantity and the degree-d Wiener ratio
-are open-constant scans and are reported, never asserted.
+Each check is written once, over a block of truth tables shaped
+``(rows, 2^n)``, and returns the margin RHS - LHS of every row (negative
+beyond the numerical slack counts as a failure).  The public per-function
+checks call it on a block of one row and return a one-sample report.
+``run_suite`` stacks the named families and the seeded random draws of each
+dimension into blocks, transforms every block once and evaluates each
+requested suite on it as array margins; under ``all`` the suites share the
+blocks.  Proven inequalities must come back with zero failures; the
+Bohnenblust-Hille-type quantity and the degree-d Wiener ratio are
+open-constant scans and are reported, never asserted.
+
+A row's margins do not depend on the block it sits in: every per-row
+reduction runs in the order of the one-function arithmetic (sums over a
+coefficient subset are taken over a contiguous copy in bitmask order) and
+every scalar power goes through libm ``pow`` one row at a time, because
+numpy's vectorised power can differ from it in the last ulp.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
-from .cube import (
-    BooleanFunction,
-    Spectrum,
-    degree,
-    expectation,
-    inverse_walsh,
-    p_norm,
-    subset_levels,
-    sup_norm,
-    walsh_transform,
-)
+from .cube import ZERO_TOL, BooleanFunction, Spectrum, _fwht_inplace, subset_levels, walsh_transform
 from .families import (
     biased_indicator,
     dictator,
@@ -41,6 +41,12 @@ from .radius import boolean_radius, level_profile
 
 #: Numerical slack: sides are sums of at most 2^14 double terms.
 SLACK = 1e-9
+
+#: Most doubles in one block of truth tables (128 KiB).  A block's working
+#: set is a few arrays of this size, whatever n_max and samples are.  Blocks
+#: of 2^20 ran a suite pass about 10 % faster but raised its peak memory by
+#: about 3 MB.
+BLOCK_DOUBLES = 2**14
 
 RANDOM_MODES = ("table_uniform", "boolean_pm1", "spectral_random", "low_degree")
 
@@ -73,13 +79,141 @@ class InequalityReport:
     witness: Optional[BooleanFunction]
 
 
-def _slack(*vals: float) -> float:
-    return SLACK * max(1.0, *(abs(v) for v in vals))
+# -- blocks of truth tables ---------------------------------------------------
 
 
-def _report(suite, margin, f, rhs=0.0, lhs=0.0) -> InequalityReport:
-    fail = 1 if margin < -_slack(lhs, rhs) else 0
-    return InequalityReport(suite, 1, fail, float(margin), f)
+class _Tables:
+    """A block of truth tables on {-1,+1}^n, one function per row, with the
+    per-row quantities the checks share, each computed once on demand."""
+
+    def __init__(self, n: int, values: np.ndarray):
+        self.n = n
+        self.values = values
+
+    @classmethod
+    def of(cls, f: BooleanFunction) -> "_Tables":
+        """A block of one function, whose coefficients come from its own transform."""
+        t = cls(f.n, f.values[None, :])
+        t.coeffs = walsh_transform(f).coeffs[None, :]
+        return t
+
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
+
+    def take(self, rows) -> "_Tables":
+        """The selected rows, keeping every quantity already computed."""
+        out = _Tables(self.n, self.values[rows])
+        for name, value in vars(self).items():
+            if name not in ("n", "values", "levels"):
+                setattr(out, name, value[rows])
+        return out
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """|S| of every coefficient column."""
+        return subset_levels(self.n)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Fourier-Walsh coefficients: one normalised butterfly over the block."""
+        a = _fwht_inplace(self.values.copy())
+        a /= 2**self.n
+        return a
+
+    @cached_property
+    def sup(self) -> np.ndarray:
+        return np.max(np.abs(self.values), axis=1)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return np.mean(self.values, axis=1)
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """Largest |S| with |fhat(S)| above ZERO_TOL; 0 for constants."""
+        return np.max(np.where(np.abs(self.coeffs) > ZERO_TOL, self.levels, 0), axis=1)
+
+    @cached_property
+    def constant(self) -> np.ndarray:
+        return np.ptp(self.values, axis=1) == 0.0
+
+
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    return np.array([v**e for v in x.tolist()], dtype=float)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    return np.array([math.exp(v) for v in x.tolist()], dtype=float)
+
+
+def _p_norms(values: np.ndarray, p: float) -> np.ndarray:
+    """Per-row L_p norms E[|f|^p]^{1/p} under the uniform measure."""
+    return _pow(np.mean(np.abs(values) ** p, axis=1), 1.0 / p)
+
+
+def _level_sums(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(rows, n + 1) sums of x over each level |S| = m."""
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels[order], np.arange(levels.max() + 2))
+    s = np.take(x, order, axis=1)
+    return np.stack([np.sum(s[:, a:b], axis=1) for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
+
+
+def _degree_groups(levels: np.ndarray, d: np.ndarray, lowest: int):
+    """(rows, columns, cap) per distinct cap in d: the rows with that cap and the
+    subsets with lowest <= |S| <= cap, in bitmask order."""
+    for cap in np.unique(d).tolist():
+        yield np.flatnonzero(d == cap), np.flatnonzero((levels >= lowest) & (levels <= cap)), cap
+
+
+def _require(ok: np.ndarray, message: str) -> None:
+    if not np.all(ok):
+        raise ValueError(message)
+
+
+def _require_degree(t: _Tables, d: np.ndarray, message: str) -> None:
+    bad = np.flatnonzero(t.degree > d)
+    if bad.size:
+        raise ValueError(message.format(degree=t.degree[bad[0]], d=d[bad[0]]))
+
+
+def _check(rhs, lhs):
+    """Margins RHS - LHS and whether each falls short by more than the slack."""
+    margin = rhs - lhs
+    return margin, margin < -SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
+def _single(suite: str, f: BooleanFunction, checked) -> InequalityReport:
+    margin, fail = checked
+    return InequalityReport(suite, 1, int(fail[0, 0]), float(margin[0, 0]), f)
+
+
+# -- draws ----------------------------------------------------------------------
+
+
+def _draw_tables(N: int, seeds, mode: str, d: int) -> np.ndarray:
+    """One row per seed, drawn as ``random_bounded_function`` describes; the
+    spectral modes share one butterfly."""
+    size = 2**N
+    out = np.zeros((len(seeds), size))
+    support = np.flatnonzero(subset_levels(N) <= min(d, N))
+    for row, seed in zip(out, seeds):
+        rng = np.random.default_rng(seed)
+        if mode == "boolean_pm1":
+            row[:] = rng.choice([-1.0, 1.0], size=size)
+        elif mode == "table_uniform":
+            row[:] = rng.uniform(-1.0, 1.0, size=size)
+        elif mode == "spectral_random":
+            row[:] = rng.normal(size=size)
+        else:
+            row[support] = rng.normal(size=support.size)
+    if mode == "boolean_pm1":
+        return out
+    if mode in ("spectral_random", "low_degree"):
+        _fwht_inplace(out)
+    top = np.max(np.abs(out), axis=1, keepdims=True)
+    return np.divide(out, top, out=out, where=top > 0)
 
 
 def random_bounded_function(N: int, seed, mode: str, d: int = 3) -> BooleanFunction:
@@ -93,21 +227,16 @@ def random_bounded_function(N: int, seed, mode: str, d: int = 3) -> BooleanFunct
         raise ValueError("random draws are capped at N <= 14")
     if mode not in RANDOM_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    size = 2**N
-    if mode == "boolean_pm1":
-        return BooleanFunction(N, rng.choice([-1.0, 1.0], size=size))
-    if mode == "table_uniform":
-        values = rng.uniform(-1.0, 1.0, size=size)
-    elif mode == "spectral_random":
-        values = inverse_walsh(Spectrum(N, rng.normal(size=size))).values
-    else:
-        coeffs = np.zeros(size)
-        mask = subset_levels(N) <= min(d, N)
-        coeffs[mask] = rng.normal(size=int(mask.sum()))
-        values = inverse_walsh(Spectrum(N, coeffs)).values
-    m = np.max(np.abs(values))
-    return BooleanFunction(N, values / m if m > 0 else values)
+    return BooleanFunction(N, _draw_tables(N, [seed], mode, d)[0])
+
+
+# -- the checks, each over a block ------------------------------------------------
+
+
+def _wiener(t: _Tables):
+    _require(t.sup <= 1.0 + SLACK, "wiener pair check needs ||f||_inf <= 1")
+    top = np.partition(np.abs(t.coeffs), t.values.shape[1] - 2, axis=1)[:, -2:]
+    return _check(1.0, (top[:, 0] + top[:, 1])[:, None])
 
 
 def wiener_pair_check(f: BooleanFunction) -> InequalityReport:
@@ -115,33 +244,31 @@ def wiener_pair_check(f: BooleanFunction) -> InequalityReport:
 
     The max over pairs is the sum of the two largest absolute coefficients.
     """
-    if sup_norm(f) > 1.0 + _slack(1.0):
-        raise ValueError("wiener pair check needs ||f||_inf <= 1")
-    a = np.abs(walsh_transform(f).coeffs)
-    if a.size < 2:
-        return _report("wiener", 1.0 - a[0], f, 1.0, a[0])
-    top = np.partition(a, a.size - 2)[-2:]
-    lhs = float(top.sum())
-    return _report("wiener", 1.0 - lhs, f, 1.0, lhs)
+    return _single("wiener", f, _wiener(_Tables.of(f)))
+
+
+def _split(t: _Tables):
+    c0 = t.mean[:, None]
+    half = 0.5 * (t.values - c0)
+    lhs = np.max(np.abs(c0 + half) + np.abs(half), axis=1)
+    return _check(t.sup[:, None], lhs[:, None])
 
 
 def split_pointwise_check(f: BooleanFunction) -> InequalityReport:
     """|fhat({}) + h(x)| + |h(x)| <= ||f||_inf at every x, h = (f - fhat({}))/2."""
-    c0 = expectation(f)
-    sup = sup_norm(f)
-    half = 0.5 * (f.values - c0)
-    lhs = float(np.max(np.abs(c0 + half) + np.abs(half)))
-    return _report("split", sup - lhs, f, sup, lhs)
+    return _single("split", f, _split(_Tables.of(f)))
+
+
+def _caratheodory(t: _Tables):
+    _require(t.sup <= 1.0 + SLACK, "caratheodory check needs ||f||_inf <= 1")
+    lhs = np.mean(np.abs(t.values - t.mean[:, None]), axis=1)
+    rhs = 2.0 * (1.0 - np.abs(t.mean))
+    return _check(rhs[:, None], lhs[:, None])
 
 
 def caratheodory_check(f: BooleanFunction) -> InequalityReport:
     """E|f - fhat({})| <= 2 (1 - |fhat({})|) for ||f||_inf <= 1."""
-    if sup_norm(f) > 1.0 + _slack(1.0):
-        raise ValueError("caratheodory check needs ||f||_inf <= 1")
-    c0 = expectation(f)
-    lhs = float(np.mean(np.abs(f.values - c0)))
-    rhs = 2.0 * (1.0 - abs(c0))
-    return _report("caratheodory", rhs - lhs, f, rhs, lhs)
+    return _single("caratheodory", f, _caratheodory(_Tables.of(f)))
 
 
 def caratheodory_sharpness(lambdas, p: float):
@@ -159,26 +286,30 @@ def caratheodory_sharpness(lambdas, p: float):
     return rows
 
 
+def _degree_l2(t: _Tables, d: np.ndarray):
+    _require(t.sup <= 1.0 + SLACK, "degree-l2 check needs ||f||_inf <= 1")
+    _require_degree(t, d, "function has degree {degree} > d = {d}")
+    energy = np.empty(t.rows)
+    for rows, cols, _ in _degree_groups(t.levels, d, 1):
+        energy[rows] = np.sum(np.take(t.coeffs[rows], cols, axis=1) ** 2, axis=1)
+    rhs = 2.0 * _exp(d) * (1.0 - np.abs(t.coeffs[:, 0]))
+    return _check(rhs[:, None], np.sqrt(energy)[:, None])
+
+
 def degree_l2_check(f: BooleanFunction, d: int) -> InequalityReport:
     """(sum_{0<|S|<=d} fhat(S)^2)^{1/2} <= 2 e^d (1 - |fhat({})|) for ||f||_inf <= 1."""
-    if sup_norm(f) > 1.0 + _slack(1.0):
-        raise ValueError("degree-l2 check needs ||f||_inf <= 1")
-    s = walsh_transform(f)
-    if degree(s) > d:
-        raise ValueError(f"function has degree {degree(s)} > d = {d}")
-    lv = subset_levels(f.n)
-    lhs = math.sqrt(float(np.sum(s.coeffs[(lv > 0) & (lv <= d)] ** 2)))
-    rhs = 2.0 * math.exp(d) * (1.0 - abs(s.coeffs[0]))
-    return _report("degree-l2", rhs - lhs, f, rhs, lhs)
+    return _single("degree-l2", f, _degree_l2(_Tables.of(f), np.array([d])))
+
+
+def _norm_comparison(t: _Tables, d: np.ndarray):
+    _require_degree(t, d, "degree exceeds d")
+    rhs = _exp(d) * _p_norms(t.values, 1.0)
+    return _check(rhs[:, None], _p_norms(t.values, 2.0)[:, None])
 
 
 def norm_comparison_check(f: BooleanFunction, d: int) -> InequalityReport:
     """||f||_2 <= e^d ||f||_1 for functions of degree at most d."""
-    if degree(walsh_transform(f)) > d:
-        raise ValueError("degree exceeds d")
-    lhs = p_norm(f, 2.0)
-    rhs = math.exp(d) * p_norm(f, 1.0)
-    return _report("norm-comparison", rhs - lhs, f, rhs, lhs)
+    return _single("norm-comparison", f, _norm_comparison(_Tables.of(f), np.array([d])))
 
 
 def hypercontractive_bound(p: float, q: float) -> float:
@@ -188,16 +319,47 @@ def hypercontractive_bound(p: float, q: float) -> float:
     return 1.0 if p == q else math.sqrt((p - 1.0) / (q - 1.0))
 
 
+#: (p, q, rho) checks of the hypercontractivity suite: rho at 0, half and all
+#: of the admissible bound for each pair of HYPER_GRID.
+HYPER_CHECKS = tuple(
+    (p, q, rho)
+    for p, q in HYPER_GRID
+    for rho in (0.0, 0.5 * hypercontractive_bound(p, q), hypercontractive_bound(p, q))
+)
+
+
+def _hyper(t: _Tables, checks):
+    """One column per (p, q, rho); one inverse butterfly per distinct rho."""
+    for p, q, rho in checks:
+        bound = hypercontractive_bound(p, q)
+        if not 0.0 <= rho <= bound + 1e-12:
+            raise ValueError(f"rho = {rho} exceeds the admissible bound {bound} for ({p}, {q})")
+    norms = {p: _p_norms(t.values, p) for p in dict.fromkeys(p for p, _, _ in checks)}
+    lhs = np.empty((t.rows, len(checks)))
+    rhs = np.empty_like(lhs)
+    for rho in dict.fromkeys(rho for _, _, rho in checks):
+        smoothed = _fwht_inplace(t.coeffs * rho**t.levels)
+        for i, (p, q, r) in enumerate(checks):
+            if r == rho:
+                lhs[:, i] = _p_norms(smoothed, q)
+                rhs[:, i] = norms[p]
+    return _check(rhs, lhs)
+
+
 def hypercontractivity_check(f: BooleanFunction, p: float, q: float, rho: float) -> InequalityReport:
     """||T_rho f||_q <= ||f||_p for rho within the admissible bound."""
-    bound = hypercontractive_bound(p, q)
-    if not 0.0 <= rho <= bound + 1e-12:
-        raise ValueError(f"rho = {rho} exceeds the admissible bound {bound} for ({p}, {q})")
-    s = walsh_transform(f)
-    smoothed = inverse_walsh(Spectrum(f.n, s.coeffs * rho ** subset_levels(f.n)))
-    lhs = p_norm(smoothed, q)
-    rhs = p_norm(f, p)
-    return _report("hyper", rhs - lhs, f, rhs, lhs)
+    return _single("hyper", f, _hyper(_Tables.of(f), [(p, q, rho)]))
+
+
+def _bh(t: _Tables, d: np.ndarray) -> np.ndarray:
+    _require_degree(t, d, "degree exceeds d")
+    _require(t.sup != 0, "zero function has no ratio")
+    ratio = np.empty(t.rows)
+    for rows, cols, cap in _degree_groups(t.levels, d, 0):
+        e = 2.0 * cap / (cap + 1.0)
+        total = np.sum(np.abs(np.take(t.coeffs[rows], cols, axis=1)) ** e, axis=1)
+        ratio[rows] = _pow(total, 1.0 / e) / t.sup[rows]
+    return ratio
 
 
 def bh_ratio(f: BooleanFunction, d: int) -> float:
@@ -206,15 +368,13 @@ def bh_ratio(f: BooleanFunction, d: int) -> float:
     Profiling quantity for the degree-d coefficient inequality; the constant
     there is existential, so the ratio is reported, never asserted.
     """
-    s = walsh_transform(f)
-    if degree(s) > d:
-        raise ValueError("degree exceeds d")
-    sup = sup_norm(f)
-    if sup == 0:
-        raise ValueError("zero function has no ratio")
-    e = 2.0 * d / (d + 1.0)
-    lhs = float(np.sum(np.abs(s.coeffs[subset_levels(f.n) <= d]) ** e)) ** (1.0 / e)
-    return lhs / sup
+    return float(_bh(_Tables.of(f), np.array([d]))[0])
+
+
+def _cd_ratio(t: _Tables) -> np.ndarray:
+    den = 1.0 - np.abs(t.mean)
+    _require(den > 1e-12, "constant functions have no ratio")
+    return np.max(np.abs(t.values - t.mean[:, None]), axis=1) / den
 
 
 def wiener_degree_ratio(f: BooleanFunction) -> float:
@@ -223,11 +383,25 @@ def wiener_degree_ratio(f: BooleanFunction) -> float:
     Whether this admits a degree-dependent constant is open; exploratory scan
     material only.
     """
-    c0 = expectation(f)
-    den = 1.0 - abs(c0)
-    if den <= 1e-12:
-        raise ValueError("constant functions have no ratio")
-    return float(np.max(np.abs(f.values - c0))) / den
+    return float(_cd_ratio(_Tables.of(f))[0])
+
+
+def _level_m(t: _Tables, ms, epsilons):
+    """One column per (m, epsilon), m-major."""
+    if not all(0.0 < eps < 1.0 for eps in epsilons):
+        raise ValueError("need 0 < epsilon < 1")
+    if not all(1 <= m <= t.n for m in ms):
+        raise ValueError("need 1 <= m <= n")
+    _require(np.abs(t.sup - 1.0) <= 1e-9, "normalize to ||f||_inf = 1 first")
+    c0 = t.coeffs[:, 0]
+    _require(c0 >= -1e-12, "normalize so that E[f] >= 0 first")
+    delta = 1.0 - c0
+    _require(delta > 1e-12, "constant-one function excluded (delta = 0)")
+    energy = np.sqrt(_level_sums(t.coeffs**2, t.levels))[:, list(ms)]
+    scale = np.array([[2.0 * eps ** (-m / 2.0) for eps in epsilons] for m in ms])
+    bias = np.stack([_pow(delta / 2.0, 1.0 / (1.0 + eps)) for eps in epsilons], axis=1)
+    rhs = (scale[None, :, :] * bias[:, None, :]).reshape(t.rows, -1)
+    return _check(rhs, np.repeat(energy, len(epsilons), axis=1))
 
 
 def level_m_bound_check(f: BooleanFunction, m: int, epsilon: float) -> InequalityReport:
@@ -238,21 +412,17 @@ def level_m_bound_check(f: BooleanFunction, m: int, epsilon: float) -> Inequalit
     fails for fhat (its proof substitutes g = (1-f)/2, which only matches f
     on nonempty sets).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("need 0 < epsilon < 1")
-    if not 1 <= m <= f.n:
-        raise ValueError("need 1 <= m <= n")
-    if abs(sup_norm(f) - 1.0) > 1e-9:
-        raise ValueError("normalize to ||f||_inf = 1 first")
-    c = walsh_transform(f).coeffs
-    if c[0] < -1e-12:
-        raise ValueError("normalize so that E[f] >= 0 first")
-    delta = 1.0 - c[0]
-    if delta <= 1e-12:
-        raise ValueError("constant-one function excluded (delta = 0)")
-    lhs = math.sqrt(float(np.sum(c[subset_levels(f.n) == m] ** 2)))
-    rhs = 2.0 * epsilon ** (-m / 2.0) * (delta / 2.0) ** (1.0 / (1.0 + epsilon))
-    return _report("level-m", rhs - lhs, f, rhs, lhs)
+    return _single("level-m", f, _level_m(_Tables.of(f), [m], [epsilon]))
+
+
+def _biased_radius(t: _Tables):
+    _require(t.sup != 0, "zero function excluded")
+    delta = 1.0 - np.abs(t.mean) / t.sup
+    _require(delta > 1e-12, "constant functions excluded (delta = 0)")
+    profiles = (level_profile(Spectrum(t.n, c), s) for c, s in zip(t.coeffs, t.sup.tolist()))
+    rho = np.array([boolean_radius(p).radius for p in profiles])
+    bound = np.array([1.0 / (5.0 * math.sqrt(t.n) * math.sqrt(math.log(2.0 / x))) for x in delta.tolist()])
+    return _check(rho[:, None], bound[:, None])
 
 
 def biased_radius_lower_check(f: BooleanFunction) -> InequalityReport:
@@ -261,15 +431,7 @@ def biased_radius_lower_check(f: BooleanFunction) -> InequalityReport:
     delta is the largest value with |E f| <= (1 - delta) ||f||_inf; constants
     (delta = 0) are excluded.
     """
-    sup = sup_norm(f)
-    if sup == 0:
-        raise ValueError("zero function excluded")
-    delta = 1.0 - abs(expectation(f)) / sup
-    if delta <= 1e-12:
-        raise ValueError("constant functions excluded (delta = 0)")
-    rho = boolean_radius(level_profile(walsh_transform(f), sup)).radius
-    bound = 1.0 / (5.0 * math.sqrt(f.n) * math.sqrt(math.log(2.0 / delta)))
-    return _report("biased-radius", rho - bound, f, rho, bound)
+    return _single("biased-radius", f, _biased_radius(_Tables.of(f)))
 
 
 # -- suite driver ------------------------------------------------------------
@@ -296,82 +458,117 @@ def family_functions(N: int):
     return out
 
 
-def _is_constant(f: BooleanFunction) -> bool:
-    return float(np.ptp(f.values)) == 0.0
+def _normalized_nonneg(t: _Tables) -> _Tables:
+    """Rows scaled to sup norm 1 and negated where needed so that E >= 0."""
+    g = t.values / t.sup[:, None]
+    flip = np.mean(g, axis=1) < 0
+    g[flip] = -g[flip]
+    return _Tables(t.n, g)
 
 
-def _normalized_nonneg(f: BooleanFunction) -> BooleanFunction:
-    sup = sup_norm(f)
-    values = f.values / sup
-    if np.mean(values) < 0:
-        values = -values
-    return BooleanFunction(f.n, values)
+def _report_only(ratio: np.ndarray):
+    return ratio[:, None], np.zeros((ratio.size, 1), dtype=bool)
 
 
-def _run_checks_on(suite: str, f: BooleanFunction):
-    """Reports contributed by one function to one suite (may be empty if inapplicable)."""
-    if suite == "wiener":
-        return [wiener_pair_check(f)]
-    if suite == "split":
-        return [split_pointwise_check(f)]
-    if suite == "caratheodory":
-        return [caratheodory_check(f)]
-    if suite == "degree-l2":
-        return [degree_l2_check(f, max(degree(walsh_transform(f)), 1))]
-    if suite == "norm-comparison":
-        return [norm_comparison_check(f, max(degree(walsh_transform(f)), 1))]
-    if suite == "hyper":
-        out = []
-        for p, q in HYPER_GRID:
-            b = hypercontractive_bound(p, q)
-            for rho in (0.0, 0.5 * b, b):
-                out.append(hypercontractivity_check(f, p, q, rho))
-        return out
-    if suite == "level-m":
-        if _is_constant(f):
-            return []
-        g = _normalized_nonneg(f)
-        return [level_m_bound_check(g, m, eps) for m in range(1, g.n + 1) for eps in EPSILON_GRID]
-    if suite == "biased-radius":
-        if _is_constant(f):
-            return []
-        return [biased_radius_lower_check(f)]
-    if suite == "bh":
-        if sup_norm(f) == 0:
-            return []
-        d = max(degree(walsh_transform(f)), 1)
-        return [InequalityReport("bh", 1, 0, bh_ratio(f, d), f)]
-    if suite == "cd-ratio":
-        if _is_constant(f):
-            return []
-        return [InequalityReport("cd-ratio", 1, 0, wiener_degree_ratio(f), f)]
-    raise ValueError(f"unknown suite {suite!r}")
+#: Suite -> (margins, failures), each shaped (rows, checks per row), of a block.
+_SUITE_CHECKS = {
+    "wiener": _wiener,
+    "split": _split,
+    "caratheodory": _caratheodory,
+    "degree-l2": lambda t: _degree_l2(t, np.maximum(t.degree, 1)),
+    "norm-comparison": lambda t: _norm_comparison(t, np.maximum(t.degree, 1)),
+    "hyper": lambda t: _hyper(t, HYPER_CHECKS),
+    "level-m": lambda t: _level_m(_normalized_nonneg(t), range(1, t.n + 1), EPSILON_GRID),
+    "biased-radius": _biased_radius,
+    "bh": lambda t: _report_only(_bh(t, np.maximum(t.degree, 1))),
+    "cd-ratio": lambda t: _report_only(_cd_ratio(t)),
+}
+
+#: Suites whose checks exclude constant functions.
+_NONCONSTANT_SUITES = ("level-m", "biased-radius", "cd-ratio")
 
 
-def _merge(suite: str, frags, maximize: bool) -> InequalityReport:
-    samples = sum(n for n, *_ in frags)
-    failures = sum(k for _, k, *_ in frags)
-    worst, witness = (-math.inf, None) if maximize else (math.inf, None)
-    for _, _, margin, f in frags:
-        if margin is None:
-            continue
-        if (maximize and margin > worst) or (not maximize and margin < worst):
-            worst, witness = margin, f
-    if witness is None:
-        worst = 0.0
-    return InequalityReport(suite, samples, failures, worst, witness)
+def _suite_rows(suite: str, t: _Tables):
+    """Per-row (samples, failures, margin) of one suite over a block.
+
+    A row's margin is its worst check (largest ratio for report suites); rows
+    the suite does not apply to get 0 samples and a NaN margin.
+    """
+    if suite in _NONCONSTANT_SUITES:
+        keep = ~t.constant
+    elif suite == "bh":
+        keep = t.sup != 0
+    else:
+        keep = np.ones(t.rows, dtype=bool)
+    samples = np.zeros(t.rows, dtype=np.int64)
+    failures = np.zeros(t.rows, dtype=np.int64)
+    margin = np.full(t.rows, np.nan)
+    if keep.any():
+        margins, fails = _SUITE_CHECKS[suite](t if keep.all() else t.take(keep))
+        samples[keep] = margins.shape[1]
+        failures[keep] = fails.sum(axis=1)
+        margin[keep] = margins.max(axis=1) if suite in REPORT_SUITES else margins.min(axis=1)
+    return samples, failures, margin
 
 
-def _suite_items(n_max: int, samples: int):
-    items = []
-    for N in range(1, min(n_max, 10) + 1):
-        for name, f in family_functions(N):
-            items.append(("family", N, name, f))
-    for N in range(2, n_max + 1):
-        for mode_idx, mode in enumerate(RANDOM_MODES):
-            for idx in range(samples):
-                items.append(("random", N, (mode_idx, mode), idx))
-    return items
+class _Merge:
+    """Merge of one suite's rows: sample and failure sums, and the worst margin
+    (the largest for report suites) with the first item attaining it as witness."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.maximize = suite in REPORT_SUITES
+        self.samples = self.failures = 0
+        self.worst = self.key = self.witness = None
+
+    def add(self, t: _Tables, key_of, samples, failures, margin) -> None:
+        self.samples += int(samples.sum())
+        self.failures += int(failures.sum())
+        rows = np.flatnonzero(~np.isnan(margin))
+        if not rows.size:
+            return
+        i = int(rows[(np.argmax if self.maximize else np.argmin)(margin[rows])])
+        value, key = float(margin[i]), key_of(i)
+        if (
+            self.worst is None
+            or (value > self.worst if self.maximize else value < self.worst)
+            or (value == self.worst and key < self.key)
+        ):
+            self.worst, self.key, self.witness = value, key, BooleanFunction(t.n, t.values[i])
+
+    def report(self) -> InequalityReport:
+        worst = 0.0 if self.witness is None else self.worst
+        return InequalityReport(self.suite, self.samples, self.failures, worst, self.witness)
+
+
+def _item_key(N: int, families: int, first: int, i: int):
+    row = first + i
+    return (0, N, row) if row < families else (1, N, row - families)
+
+
+def _blocks(n_max: int, samples: int, seed: int, d: int):
+    """Blocks of at most BLOCK_DOUBLES table values, each with its rows' item keys.
+
+    Per N the rows are the named families (N <= 10), then the draws of
+    substreams (seed, N, mode index, index) by mode and index, each drawn once.
+    Item keys order the rows as the suite items run: every family, then every
+    draw.
+    """
+    for N in range(1, n_max + 1):
+        fams = [f.values for _, f in family_functions(N)] if N <= 10 else []
+        draws = [len(fams) + k * samples for k in range(len(RANDOM_MODES) + 1)] if N >= 2 else [len(fams)]
+        step = max(1, BLOCK_DOUBLES >> N)
+        for a in range(0, draws[-1], step):
+            b = min(a + step, draws[-1])
+            tables = np.empty((b - a, 2**N))
+            if a < len(fams):
+                tables[: len(fams) - a] = fams[a:b]
+            for k, mode in enumerate(RANDOM_MODES[: len(draws) - 1]):
+                lo, hi = max(a, draws[k]), min(b, draws[k + 1])
+                if lo < hi:
+                    seeds = [[seed, N, k, r - draws[k]] for r in range(lo, hi)]
+                    tables[lo - a : hi - a] = _draw_tables(N, seeds, mode, d)
+            yield _Tables(N, tables), partial(_item_key, N, len(fams), a)
 
 
 def run_suite(
@@ -380,49 +577,33 @@ def run_suite(
     """Drive one suite (or ``all``) over the families and seeded random draws.
 
     ``d`` caps the spectrum level of the low-degree draw mode.  Random draws
-    use substreams keyed by (seed, N, mode, index), so the report is
-    identical for any worker count; chunks merge by (failure sum, worst
-    margin with first-item tie-break).  Report-only suites (bh, cd-ratio)
-    carry the maximum observed ratio in ``worst_margin`` and never fail.
+    use substreams keyed by (seed, N, mode, index), each drawn once and shared
+    by every suite under ``all``.  The report merges by failure sum and worst
+    margin, ties going to the first item (families N <= 10, then draws by N,
+    mode, index).  Report-only suites (bh, cd-ratio) carry the maximum
+    observed ratio in ``worst_margin`` and never fail.  ``workers`` is
+    accepted and starts no threads: the batched suites run fastest on one.
     """
-    if suite == "all":
-        parts = [run_suite(s, n_max, samples, seed, workers, d) for s in ASSERTABLE_SUITES]
-        worst = min(parts, key=lambda r: r.worst_margin)
-        return InequalityReport(
-            "all",
-            sum(p.samples for p in parts),
-            sum(p.failures for p in parts),
-            worst.worst_margin,
-            worst.witness,
-        )
-    if suite not in ASSERTABLE_SUITES + REPORT_SUITES:
+    if suite != "all" and suite not in ASSERTABLE_SUITES + REPORT_SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if not 2 <= n_max <= 14:
         raise ValueError("need 2 <= n_max <= 14")
     if d < 1:
         raise ValueError("need d >= 1 for the low-degree draw mode")
-    maximize = suite in REPORT_SUITES
-    items = _suite_items(n_max, samples)
-
-    def eval_item(item):
-        kind, N, tag, payload = item
-        if kind == "family":
-            f = payload
-        else:
-            mode_idx, mode = tag
-            f = random_bounded_function(N, [seed, N, mode_idx, payload], mode, d=d)
-        reports = _run_checks_on(suite, f)
-        if not reports:
-            return (0, 0, None, None)
-        fails = sum(r.failures for r in reports)
-        margins = [r.worst_margin for r in reports]
-        margin = max(margins) if maximize else min(margins)
-        return (len(reports), fails, margin, f)
-
-    workers = max(1, int(workers))
-    if workers == 1:
-        frags = [eval_item(it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            frags = list(pool.map(eval_item, items))
-    return _merge(suite, frags, maximize)
+    if samples < 1:
+        raise ValueError(f"need samples >= 1 random draws per mode and dimension, got {samples}")
+    merges = [_Merge(s) for s in (ASSERTABLE_SUITES if suite == "all" else (suite,))]
+    for t, key_of in _blocks(n_max, samples, seed, d):
+        for merge in merges:
+            merge.add(t, key_of, *_suite_rows(merge.suite, t))
+    parts = [merge.report() for merge in merges]
+    if suite != "all":
+        return parts[0]
+    worst = min(parts, key=lambda r: r.worst_margin)
+    return InequalityReport(
+        "all",
+        sum(p.samples for p in parts),
+        sum(p.failures for p in parts),
+        worst.worst_margin,
+        worst.witness,
+    )

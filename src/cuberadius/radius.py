@@ -33,6 +33,7 @@ from .cube import (
     BooleanFunction,
     Spectrum,
     SymmetricSpectrum,
+    _fwht_inplace,
     inverse_walsh,
     log_abs_fraction,
     subset_levels,
@@ -244,7 +245,7 @@ BRUTE_FORCE_MAX_N = 4
 def _radius_batch(tables: np.ndarray, n: int) -> np.ndarray:
     """Vectorized radii of a batch of +-1 tables (rows).  Constants get +inf."""
     count = tables.shape[0]
-    coeffs = _batch_walsh(tables)
+    coeffs = _fwht_inplace(tables.astype(float)) / 2**n
     lv = subset_levels(n)
     w = np.zeros((count, n + 1))
     for m in range(n + 1):
@@ -263,20 +264,6 @@ def _radius_batch(tables: np.ndarray, n: int) -> np.ndarray:
     rho = np.where(tail.sum(axis=1) <= target * (1.0 + UNIT_RADIUS_TOL), 1.0, rho)
     rho = np.where(tail.sum(axis=1) == 0.0, math.inf, rho)
     return rho
-
-
-def _batch_walsh(tables: np.ndarray) -> np.ndarray:
-    a = tables.astype(float).copy()
-    size = a.shape[1]
-    h = 1
-    while h < size:
-        b = a.reshape(a.shape[0], -1, 2 * h)
-        x = b[:, :, :h].copy()
-        y = b[:, :, h:].copy()
-        b[:, :, :h] = x + y
-        b[:, :, h:] = x - y
-        h *= 2
-    return a / size
 
 
 def _brute_chunk(n: int, start: int, stop: int):

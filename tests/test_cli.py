@@ -55,6 +55,10 @@ class TestRadiusCommand:
         code, _ = run_cli(["radius", "--n", "3"], capsys)
         assert code == 2
 
+    def test_negative_parity_size_exits_2(self, capsys):
+        assert main(["radius", "--family", "parity", "--n", "3", "--m", "-1"]) == 2
+        assert "--m must be >= 0" in capsys.readouterr().err
+
     def test_family_without_n_exits_2(self, capsys):
         code, _ = run_cli(["radius", "--family", "extremal"], capsys)
         assert code == 2
@@ -90,6 +94,13 @@ class TestScanCommands:
         assert lines[0] == "n,alpha,radius,ratio,mckay_c,sandwich_ok,y_value"
         assert len(lines) == 4  # (3,0), (3,1), (9,0), (9,2): sqrt tokens canonicalized
         assert all(line.split(",")[5] == "true" for line in lines[1:])
+
+    def test_quadrature_cap_exits_2(self, monkeypatch, capsys):
+        from cuberadius import threshold
+
+        monkeypatch.setattr(threshold, "QUAD_MAX_EVALS", 1)
+        assert main(["threshold-scan", "--n-list", "9", "--alphas", "0"]) == 2
+        assert "subdivision cap" in capsys.readouterr().err
 
     def test_threshold_scan_rejects_bad_alpha(self, capsys):
         code, _ = run_cli(["threshold-scan", "--n-list", "3", "--alphas", "7"], capsys)
@@ -159,6 +170,10 @@ class TestVerifyCommand:
                     "--seed", "5", "--workers", w, "--output", str(p)]
             assert main(args) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_nonpositive_samples_exit_2(self, capsys):
+        assert main(["verify", "--suite", "wiener", "--n-max", "4", "--samples", "-3"]) == 2
+        assert "samples >= 1" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

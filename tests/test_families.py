@@ -62,6 +62,11 @@ class TestDictatorParity:
         with pytest.raises(ValueError):
             parity(3, [0])
 
+    @pytest.mark.parametrize("build", [lambda N: dictator(N, 1), lambda N: parity(N, [1])])
+    def test_dimension_checked_before_allocating(self, build):
+        with pytest.raises(ValueError, match="capped at n <= 24"):
+            build(64)
+
 
 class TestThreshold:
     def test_majority3_equals_threshold_at_zero(self):

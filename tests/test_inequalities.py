@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberadius.cube import degree, from_truth_table, sup_norm, walsh_transform
+from cuberadius import inequalities
+from cuberadius.cube import BooleanFunction, degree, from_truth_table, sup_norm, walsh_transform
 from cuberadius.families import (
     biased_indicator,
     dictator,
@@ -15,6 +16,11 @@ from cuberadius.families import (
 )
 from cuberadius.inequalities import (
     ASSERTABLE_SUITES,
+    EPSILON_GRID,
+    HYPER_GRID,
+    RANDOM_MODES,
+    REPORT_SUITES,
+    InequalityReport,
     bh_ratio,
     biased_radius_lower_check,
     caratheodory_check,
@@ -314,6 +320,89 @@ class TestRunSuite:
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("nope", 5, 5, seed=0)
+
+    def test_rejects_nonpositive_samples(self):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            run_suite("wiener", 5, 0, seed=0)
+
+    @pytest.mark.parametrize("suite", ASSERTABLE_SUITES + REPORT_SUITES)
+    @pytest.mark.parametrize("seed", [4, 20240601])
+    def test_matches_the_per_function_checks(self, suite, seed):
+        rep = run_suite(suite, n_max=5, samples=6, seed=seed)
+        samples, failures, worst, witness = reference_suite(suite, n_max=5, samples=6, seed=seed)
+        assert (rep.samples, rep.failures) == (samples, failures)
+        assert rep.worst_margin == pytest.approx(worst, rel=1e-12, abs=0.0)
+        assert rep.witness.n == witness.n
+        assert np.array_equal(rep.witness.values, witness.values)
+
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch):
+        def reports():
+            return [run_suite(s, 6, 5, seed=9) for s in ASSERTABLE_SUITES + REPORT_SUITES + ("all",)]
+
+        whole = reports()
+        monkeypatch.setattr(inequalities, "BLOCK_DOUBLES", 2**6)  # one to eight rows per block
+        for a, b in zip(whole, reports()):
+            assert (a.suite, a.samples, a.failures) == (b.suite, b.samples, b.failures)
+            assert a.worst_margin == b.worst_margin
+            assert np.array_equal(a.witness.values, b.witness.values)
+
+
+def reference_checks(suite, f):
+    """The reports one function contributes to a suite, from the public checks."""
+    constant = float(np.ptp(f.values)) == 0.0
+    d = max(degree(walsh_transform(f)), 1)
+    if suite == "wiener":
+        return [wiener_pair_check(f)]
+    if suite == "split":
+        return [split_pointwise_check(f)]
+    if suite == "caratheodory":
+        return [caratheodory_check(f)]
+    if suite == "degree-l2":
+        return [degree_l2_check(f, d)]
+    if suite == "norm-comparison":
+        return [norm_comparison_check(f, d)]
+    if suite == "hyper":
+        return [
+            hypercontractivity_check(f, p, q, rho)
+            for p, q in HYPER_GRID
+            for rho in (0.0, 0.5 * hypercontractive_bound(p, q), hypercontractive_bound(p, q))
+        ]
+    if suite == "bh":
+        return [] if sup_norm(f) == 0 else [InequalityReport("bh", 1, 0, bh_ratio(f, d), f)]
+    if constant:
+        return []
+    if suite == "level-m":
+        g = f.values / sup_norm(f)
+        g = BooleanFunction(f.n, -g if np.mean(g) < 0 else g)
+        return [level_m_bound_check(g, m, eps) for m in range(1, f.n + 1) for eps in EPSILON_GRID]
+    if suite == "biased-radius":
+        return [biased_radius_lower_check(f)]
+    return [InequalityReport("cd-ratio", 1, 0, wiener_degree_ratio(f), f)]
+
+
+def reference_suite(suite, n_max, samples, seed, d=3):
+    """(samples, failures, worst margin, witness) merged item by item: every family
+    for N <= 10, then every draw by (N, mode, index); the first worst item wins."""
+    items = [f for N in range(1, min(n_max, 10) + 1) for _, f in family_functions(N)]
+    items += [
+        random_bounded_function(N, [seed, N, k, idx], mode, d=d)
+        for N in range(2, n_max + 1)
+        for k, mode in enumerate(RANDOM_MODES)
+        for idx in range(samples)
+    ]
+    maximize = suite in REPORT_SUITES
+    total = failures = 0
+    worst = witness = None
+    for f in items:
+        reports = reference_checks(suite, f)
+        if not reports:
+            continue
+        total += len(reports)
+        failures += sum(r.failures for r in reports)
+        margin = (max if maximize else min)(r.worst_margin for r in reports)
+        if worst is None or (margin > worst if maximize else margin < worst):
+            worst, witness = margin, f
+    return total, failures, worst, witness
 
 
 def test_family_function_roster():
