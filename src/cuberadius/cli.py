@@ -132,6 +132,8 @@ def cmd_threshold_scan(args) -> int:
 def cmd_majority_scan(args) -> int:
     if args.n_start % 2 == 0 or args.n_stop % 2 == 0:
         raise ValueError("majority scan bounds must be odd")
+    if args.n_start > args.n_stop:
+        raise ValueError(f"empty majority range: --n-start {args.n_start} exceeds --n-stop {args.n_stop}")
     rows = threshold.majority_scan(range(args.n_start, args.n_stop + 1, 2), workers=args.workers)
     _write(args, serialize.majority_scan_csv(rows, threshold.gamma_constant()))
     return 0
@@ -200,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="threshold level")
         p.add_argument("--lambda", dest="lam", type=float, help="bias of the +-1 indicator")
         p.add_argument("--m", type=int, help="parity on the first m coordinates")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("radius", help="Boolean radius of a family member or a truth-table JSON file")
     add_family(p, need_n=False)

@@ -29,7 +29,7 @@ ZERO_TOL = 1e-12
 
 
 def _validate_dimension(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if n > MAX_DENSE_N:
         raise ValueError(f"dense tables are capped at n <= {MAX_DENSE_N}, got n = {n}")

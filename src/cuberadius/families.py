@@ -10,9 +10,8 @@ import numpy as np
 from .cube import (
     MAX_DENSE_N,
     BooleanFunction,
-    Spectrum,
+    _fwht_inplace,
     _validate_dimension,
-    inverse_walsh,
     subset_levels,
     sup_norm,
 )
@@ -107,6 +106,16 @@ def majority(N: int) -> BooleanFunction:
     return threshold(ThresholdSpec(N, 0))
 
 
+def _sign_spectra(N: int, m: int, coeffs: np.ndarray, seeds) -> np.ndarray:
+    """One spectrum row sum_{|S|=m} xi_S c_S per seed, the signs xi_S an i.i.d.
+    +-1 draw from that seed, the c_S in increasing bitmask order."""
+    mask = subset_levels(N) == m
+    out = np.zeros((len(seeds), 2**N))
+    for row, seed in zip(out, seeds):
+        row[mask] = np.random.default_rng(seed).choice([-1.0, 1.0], size=coeffs.size) * coeffs
+    return out
+
+
 def random_sign_homogeneous(N: int, m: int, coeffs, seed: int):
     """Random-sign m-homogeneous function sum_{|S|=m} xi_S c_S x^S.
 
@@ -119,16 +128,11 @@ def random_sign_homogeneous(N: int, m: int, coeffs, seed: int):
     """
     if not 1 <= m <= N or N > 20:
         raise ValueError("need 1 <= m <= N <= 20")
-    mask = subset_levels(N) == m
-    count = int(mask.sum())
+    count = math.comb(N, m)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (count,):
         raise ValueError(f"need one coefficient per size-{m} subset ({count})")
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=count)
-    spectrum = np.zeros(2**N)
-    spectrum[mask] = signs * coeffs
-    f = inverse_walsh(Spectrum(N, spectrum))
+    f = BooleanFunction(N, _fwht_inplace(_sign_spectra(N, m, coeffs, [seed]))[0])
     bound = SALEM_ZYGMUND_FACTOR * math.sqrt(N) * math.sqrt(float(np.sum(coeffs**2)))
     return f, bool(sup_norm(f) <= bound)
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cube import ZERO_TOL, BooleanFunction, Spectrum, _fwht_inplace, subset_levels, walsh_transform
+from .cube import ZERO_TOL, BooleanFunction, _fwht_inplace, subset_levels, walsh_transform
 from .families import (
     biased_indicator,
     dictator,
@@ -37,7 +37,7 @@ from .families import (
     threshold,
     ThresholdSpec,
 )
-from .radius import boolean_radius, level_profile
+from .radius import _dense_radii, _level_sums
 
 #: Numerical slack: sides are sums of at most 2^14 double terms.
 SLACK = 1e-9
@@ -150,14 +150,6 @@ def _exp(x: np.ndarray) -> np.ndarray:
 def _p_norms(values: np.ndarray, p: float) -> np.ndarray:
     """Per-row L_p norms E[|f|^p]^{1/p} under the uniform measure."""
     return _pow(np.mean(np.abs(values) ** p, axis=1), 1.0 / p)
-
-
-def _level_sums(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(rows, n + 1) sums of x over each level |S| = m."""
-    order = np.argsort(levels, kind="stable")
-    bounds = np.searchsorted(levels[order], np.arange(levels.max() + 2))
-    s = np.take(x, order, axis=1)
-    return np.stack([np.sum(s[:, a:b], axis=1) for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
 
 
 def _degree_groups(levels: np.ndarray, d: np.ndarray, lowest: int):
@@ -419,8 +411,7 @@ def _biased_radius(t: _Tables):
     _require(t.sup != 0, "zero function excluded")
     delta = 1.0 - np.abs(t.mean) / t.sup
     _require(delta > 1e-12, "constant functions excluded (delta = 0)")
-    profiles = (level_profile(Spectrum(t.n, c), s) for c, s in zip(t.coeffs, t.sup.tolist()))
-    rho = np.array([boolean_radius(p).radius for p in profiles])
+    rho = _dense_radii(t.coeffs, t.levels, t.sup)
     bound = np.array([1.0 / (5.0 * math.sqrt(t.n) * math.sqrt(math.log(2.0 / x))) for x in delta.tolist()])
     return _check(rho[:, None], bound[:, None])
 

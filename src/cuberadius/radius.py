@@ -34,12 +34,10 @@ from .cube import (
     Spectrum,
     SymmetricSpectrum,
     _fwht_inplace,
-    inverse_walsh,
     log_abs_fraction,
     subset_levels,
-    sup_norm,
-    walsh_transform,
 )
+from .families import _sign_spectra
 
 #: |P(radius) - sup| must not exceed RESIDUAL_TOL * max(1, sup) for finite results.
 RESIDUAL_TOL = 1e-10
@@ -109,9 +107,12 @@ def level_profile(s: Spectrum, sup: float) -> LevelProfile:
         raise ValueError("sup norm must be nonnegative")
     w = np.zeros(s.n + 1)
     np.add.at(w, subset_levels(s.n), np.abs(s.coeffs))
+    return LevelProfile(s.n, w, _log(w), float(sup))
+
+
+def _log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        lw = np.log(w)
-    return LevelProfile(s.n, w, lw, float(sup))
+        return np.log(x)
 
 
 def majorant(p: LevelProfile, rho: float) -> float:
@@ -141,39 +142,95 @@ def _safe_mlog(ms: np.ndarray, rho: float) -> np.ndarray:
     return ms * math.log(rho)
 
 
-def _solve_reduced(log_tail: np.ndarray, log_target: float) -> RadiusResult:
-    """Bisect sum_{m>=1} W_m rho^m = target on [0, 1] given logs of both sides.
+def _bisect(below, lo, hi):
+    """Halve every bracket [lo, hi] until its midpoint equals one of its ends.
 
-    log_tail[m-1] = log W_m.  The left side is increasing in rho, so plain
-    bisection converges; iteration stops only when the bracket cannot shrink
-    in doubles, which puts the root error at one ulp and the residual far
-    below the 1e-10 contract even for flat, high-degree majorants.
+    ``lo`` and ``hi`` are arrays of one shape (0-d allowed); ``below(mid)``
+    is True where the root lies above ``mid``.  It sees every bracket, the
+    finished ones too, whose ends no longer move.  Stopping only when a
+    bracket cannot shrink in doubles puts each root within one ulp.  Returns
+    the roots and the number of halvings of each bracket.
     """
-    ms = np.arange(1, len(log_tail) + 1, dtype=float)
-
-    def log_s(rho: float) -> float:
-        return _logsumexp(log_tail + ms * math.log(rho)) if rho > 0.0 else -math.inf
-
-    if log_target == -math.inf:
-        raise ValueError("constant part equals the sup norm on a nonconstant profile")
-    ls1 = log_s(1.0)
-    if ls1 < log_target + math.log1p(-PROFILE_TOL):
-        raise ValueError("sum of level weights falls below the sup norm; not a function profile")
-    if ls1 <= log_target + math.log1p(UNIT_RADIUS_TOL):
-        return RadiusResult(1.0, abs(math.exp(ls1) - math.exp(log_target)), 0, "bisection")
-    lo, hi, iters = 0.0, 1.0, 0
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    iterations = np.zeros(lo.shape, dtype=np.int64)
     while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        iters += 1
-        if log_s(mid) < log_target:
-            lo = mid
-        else:
-            hi = mid
-    rho = 0.5 * (lo + hi)
-    residual = abs(math.exp(log_s(rho)) - math.exp(log_target))
-    return RadiusResult(rho, residual, iters, "bisection")
+        active = (mid != lo) & (mid != hi)
+        if not np.any(active):
+            return mid, iterations
+        iterations += active
+        up = np.asarray(below(mid), dtype=bool)
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+
+
+def _level_sums(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(rows, n + 1) sums of x over each level |S| = m."""
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels[order], np.arange(levels.max() + 2))
+    s = np.take(x, order, axis=1)
+    return np.stack([np.sum(s[:, a:b], axis=1) for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
+
+
+def _log_targets(w0: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """log(sup - W_0) per row: -inf where W_0 reaches sup, NaN where it exceeds
+    sup by more than PROFILE_TOL (not a function profile)."""
+    target = sup - np.minimum(w0, sup)
+    return _log(np.where(w0 > sup * (1.0 + PROFILE_TOL), math.nan, target))
+
+
+def _log_tail_sums(log_tail: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """log sum_{m>=1} W_m rho^m per row, max-shifted so that no term overflows."""
+    a = log_tail + np.arange(1.0, log_tail.shape[1] + 1.0) * np.log(rho)[:, None]
+    top = np.max(a, axis=1)
+    return top + np.log(np.sum(np.exp(a - top[:, None]), axis=1))
+
+
+def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
+    """Solve sum_{m>=1} W_m rho^m = target on [0, 1] for every row, from logs.
+
+    log_tail[r, m-1] = log W_m and log_target[r] = log target of row r.  Rows
+    without weight above level 0 are constants and get +inf.  A row whose
+    weights reach its target within UNIT_RADIUS_TOL gets 1.0; the others are
+    bisected to one ulp, which leaves the residual far below the 1e-10
+    contract even for flat, high-degree majorants.  A row that is no function
+    profile raises ValueError.  Returns radius, residual and iterations per
+    row.
+    """
+    rows = log_tail.shape[0]
+    radius, residual = np.full(rows, math.inf), np.zeros(rows)
+    iterations = np.zeros(rows, dtype=np.int64)
+    live = np.flatnonzero(np.any(log_tail > -math.inf, axis=1))
+    tail, target = log_tail[live], log_target[live]
+    if np.any(np.isnan(target)):
+        raise ValueError("constant coefficient exceeds the sup norm; not a function profile")
+    if np.any(target == -math.inf):
+        raise ValueError("constant part equals the sup norm on a nonconstant profile")
+    at_one = _log_tail_sums(tail, np.ones(live.size))
+    if np.any(at_one < target + math.log1p(-PROFILE_TOL)):
+        raise ValueError("sum of level weights falls below the sup norm; not a function profile")
+    rho = np.ones(live.size)
+    inner = np.flatnonzero(at_one > target + math.log1p(UNIT_RADIUS_TOL))
+    a, b = tail[inner], target[inner]
+    with np.errstate(divide="ignore", invalid="ignore"):  # finished brackets may sit at 0
+        rho[inner], iterations[live[inner]] = _bisect(
+            lambda mid: _log_tail_sums(a, mid) < b, np.zeros(inner.size), np.ones(inner.size)
+        )
+    radius[live] = rho
+    residual[live] = np.abs(np.exp(_log_tail_sums(tail, rho)) - np.exp(target))
+    return radius, residual, iterations
+
+
+def _one_radius(log_tail: np.ndarray, log_target: float) -> RadiusResult:
+    radius, residual, iterations = _solve_reduced(log_tail[None, :], np.array([log_target]))
+    method = "bisection" if math.isfinite(radius[0]) else "closed_form"
+    return RadiusResult(float(radius[0]), float(residual[0]), int(iterations[0]), method)
+
+
+def _dense_radii(coeffs: np.ndarray, levels: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Radii of the rows of a (rows, 2^n) coefficient block with sup norms ``sup``."""
+    w = _level_sums(np.abs(coeffs), levels)
+    return _solve_reduced(_log(w[:, 1:]), _log_targets(w[:, 0], sup))[0]
 
 
 def boolean_radius(p: LevelProfile) -> RadiusResult:
@@ -182,15 +239,7 @@ def boolean_radius(p: LevelProfile) -> RadiusResult:
     Constant and zero functions (no weight above level 0) get radius +inf:
     the defining equation P(rho) = sup has no root there.
     """
-    if np.all(p.log_weights[1:] == -math.inf):
-        return RadiusResult(math.inf, 0.0, 0, "closed_form")
-    if p.sup_norm <= 0:
-        raise ValueError("nonconstant profile with zero sup norm is not a function profile")
-    if p.weights[0] > p.sup_norm * (1.0 + PROFILE_TOL):
-        raise ValueError("constant coefficient exceeds the sup norm; not a function profile")
-    target = p.sup_norm - min(p.weights[0], p.sup_norm)
-    log_target = math.log(target) if target > 0 else -math.inf
-    return _solve_reduced(p.log_weights[1:], log_target)
+    return _one_radius(p.log_weights[1:], _log_targets(p.weights[0], p.sup_norm))
 
 
 def boolean_radius_symmetric(s: SymmetricSpectrum, sup: float) -> RadiusResult:
@@ -209,12 +258,8 @@ def boolean_radius_symmetric(s: SymmetricSpectrum, sup: float) -> RadiusResult:
             for m in range(1, n + 1)
         ]
     )
-    if np.all(log_tail == -math.inf):
-        return RadiusResult(math.inf, 0.0, 0, "closed_form")
     target = Fraction(sup) - abs(s.level_coeffs[0])
-    if target < 0:
-        raise ValueError("constant coefficient exceeds the sup norm; not a function profile")
-    return _solve_reduced(log_tail, log_abs_fraction(target))
+    return _one_radius(log_tail, log_abs_fraction(target) if target >= 0 else math.nan)
 
 
 def class_radius(profiles) -> float:
@@ -222,12 +267,7 @@ def class_radius(profiles) -> float:
     profiles = list(profiles)
     if not profiles:
         raise ValueError("class_radius needs at least one profile")
-    best = math.inf
-    for p in profiles:
-        r = boolean_radius(p).radius
-        if r < best:
-            best = r
-    return best
+    return min(boolean_radius(p).radius for p in profiles)
 
 
 def bn_radius_formula(N: int) -> float:
@@ -242,36 +282,12 @@ def bn_radius_formula(N: int) -> float:
 BRUTE_FORCE_MAX_N = 4
 
 
-def _radius_batch(tables: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized radii of a batch of +-1 tables (rows).  Constants get +inf."""
-    count = tables.shape[0]
-    coeffs = _fwht_inplace(tables.astype(float)) / 2**n
-    lv = subset_levels(n)
-    w = np.zeros((count, n + 1))
-    for m in range(n + 1):
-        w[:, m] = np.abs(coeffs[:, lv == m]).sum(axis=1)
-    tail = w[:, 1:]
-    target = 1.0 - np.minimum(w[:, 0], 1.0)
-    lo = np.zeros(count)
-    hi = np.ones(count)
-    pw = np.arange(1, n + 1, dtype=float)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = (tail * mid[:, None] ** pw[None, :]).sum(axis=1) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    rho = 0.5 * (lo + hi)
-    rho = np.where(tail.sum(axis=1) <= target * (1.0 + UNIT_RADIUS_TOL), 1.0, rho)
-    rho = np.where(tail.sum(axis=1) == 0.0, math.inf, rho)
-    return rho
-
-
 def _brute_chunk(n: int, start: int, stop: int):
     points = 2**n
     ks = np.arange(start, stop, dtype=np.uint64)
     bits = (ks[:, None] >> np.arange(points, dtype=np.uint64)[None, :]) & 1
     tables = 1.0 - 2.0 * bits
-    rho = _radius_batch(tables, n)
+    rho = _dense_radii(_fwht_inplace(tables.copy()) / points, subset_levels(n), 1.0)
     i = int(np.argmin(rho))  # ties resolve to the smallest enumeration index
     return float(rho[i]), start + i, tables[i]
 
@@ -304,14 +320,21 @@ def brute_force_bn_radius(N: int, workers: int = 1):
     return best[0], BooleanFunction(N, best[2])
 
 
+#: Most doubles in one block of sign tables of the homogeneous scan (512 KiB).
+SCAN_BLOCK_DOUBLES = 2**16
+
+
 def homogeneous_class_scan(N: int, m: int, trials: int, seed: int, workers: int = 1) -> float:
     """Upper-bound witness search for the m-homogeneous class radius.
 
     Draws ``trials`` random-sign m-homogeneous functions with unit
-    coefficients, solves each radius exactly (sup norms from full tables) and
-    returns the minimum: an upper-bound estimate for the class radius.  Each
-    trial uses its own substream keyed by (seed, trial), so the outcome is
-    independent of how trials are spread over workers.
+    coefficients and returns the smallest of their radii: an upper-bound
+    estimate for the class radius.  Trial t has the signs that
+    ``random_sign_homogeneous`` draws from the seed [seed, t].  Every trial
+    has the level profile W_m = binom(N, m) and the radius rises with the
+    sup norm, so one batched inverse butterfly per block of trials gives the
+    sup norms and one solve at the smallest of them gives the answer.
+    ``workers`` is accepted and starts no threads.
     """
     if not 1 <= m <= N:
         raise ValueError("need 1 <= m <= N")
@@ -319,18 +342,13 @@ def homogeneous_class_scan(N: int, m: int, trials: int, seed: int, workers: int 
         raise ValueError("scan is capped at N <= 20")
     if trials < 1:
         raise ValueError("need at least one trial")
-    lv = subset_levels(N)
-    mask = lv == m
-
-    def one(trial: int) -> float:
-        rng = np.random.default_rng([seed, trial])
-        coeffs = np.zeros(2**N)
-        coeffs[mask] = rng.choice([-1.0, 1.0], size=int(mask.sum()))
-        f = inverse_walsh(Spectrum(N, coeffs))
-        return boolean_radius(level_profile(walsh_transform(f), sup_norm(f))).radius
-
-    workers = max(1, int(workers))
-    if workers == 1:
-        return min(one(t) for t in range(trials))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return min(pool.map(one, range(trials)))
+    ones = np.ones(math.comb(N, m))
+    step = max(1, SCAN_BLOCK_DOUBLES >> N)
+    sup = math.inf
+    for a in range(0, trials, step):
+        seeds = [[seed, t] for t in range(a, min(a + step, trials))]
+        tables = _fwht_inplace(_sign_spectra(N, m, ones, seeds))
+        sup = min(sup, float(np.max(np.abs(tables), axis=1).min()))
+    w = np.zeros(N + 1)
+    w[m] = math.comb(N, m)
+    return boolean_radius(LevelProfile(N, w, _log(w), sup)).radius

@@ -18,7 +18,6 @@ and the lower-bound root t_N for the degree-N disc polynomials.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from scipy.special import erfcx
 
 from .cube import SymmetricSpectrum
 from .families import canonical_alpha
-from .radius import RadiusResult, boolean_radius_symmetric
+from .radius import RadiusResult, _bisect, boolean_radius_symmetric
 
 #: Dimension cap for exact symmetric spectra.
 MAX_SYMMETRIC_N = 4001
@@ -280,13 +279,15 @@ def _radius_exact(N: int, alpha: int) -> RadiusResult:
     return boolean_radius_symmetric(threshold_spectrum_exact(N, alpha), 1.0)
 
 
-def _sandwich_terms(N: int, alpha: int, rho: float):
+def _sandwich_ok(N: int, alpha: int, rho: float) -> bool:
+    """I(rho) <= tail/(N binom(N-1,b)) <= I(3 rho)/3, each within SANDWICH_TOL."""
     # G at formal alpha = -1 equals G at +1 (swap z -> -z in the supremum);
     # the combinatorial side keeps b from the true alpha.
     b = (N - alpha - 1) // 2
     a_eff = abs(alpha)
-    log_mid = math.log(_tail_count(N, b)) - math.log(N) - math.log(math.comb(N - 1, b))
-    return i_integral(N, a_eff, rho), math.exp(log_mid), i_integral(N, a_eff, 3.0 * rho) / 3.0
+    mid = math.exp(math.log(_tail_count(N, b)) - math.log(N) - math.log(math.comb(N - 1, b)))
+    lo, hi = i_integral(N, a_eff, rho), i_integral(N, a_eff, 3.0 * rho) / 3.0
+    return lo <= mid * (1.0 + SANDWICH_TOL) and mid <= hi * (1.0 + SANDWICH_TOL)
 
 
 def sandwich_check(N: int, alpha: int) -> bool:
@@ -296,9 +297,7 @@ def sandwich_check(N: int, alpha: int) -> bool:
     exactly), hence the relative slack.
     """
     alpha = _check_parity(N, alpha)
-    rho = _radius_exact(N, alpha).radius
-    lo, mid, hi = _sandwich_terms(N, alpha, rho)
-    return lo <= mid * (1.0 + SANDWICH_TOL) and mid <= hi * (1.0 + SANDWICH_TOL)
+    return _sandwich_ok(N, alpha, _radius_exact(N, alpha).radius)
 
 
 def threshold_radius(N: int, alpha: float) -> ThresholdReport:
@@ -313,15 +312,13 @@ def threshold_radius(N: int, alpha: float) -> ThresholdReport:
         raise ValueError(f"need 0 <= alpha < N, got alpha = {alpha}")
     a = canonical_alpha(N, alpha)
     rho = _radius_exact(N, a).radius
-    lo, mid, hi = _sandwich_terms(N, a, rho)
-    ok = lo <= mid * (1.0 + SANDWICH_TOL) and mid <= hi * (1.0 + SANDWICH_TOL)
     return ThresholdReport(
         n=N,
         alpha=a,
         radius=rho,
         ratio=rho * (a + math.sqrt(N)),
         mckay_c=mckay_residual(N, a),
-        sandwich_ok=ok,
+        sandwich_ok=_sandwich_ok(N, a, rho),
         y_value=y_function((a + 1) / math.sqrt(N)),
     )
 
@@ -338,24 +335,16 @@ def gamma_constant() -> float:
     """
     if not _GAMMA_CACHE:
         f = lambda u: math.exp(0.5 * u * u)
-        lo, hi = 0.5, 2.0
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _adaptive_simpson(f, 0.0, mid, 1e-14) < SQRT_HALF_PI:
-                lo = mid
-            else:
-                hi = mid
-        _GAMMA_CACHE.append(0.5 * (lo + hi))
+        root, _ = _bisect(lambda mid: _adaptive_simpson(f, 0.0, float(mid), 1e-14) < SQRT_HALF_PI, 0.5, 2.0)
+        _GAMMA_CACHE.append(float(root))
     return _GAMMA_CACHE[0]
 
 
 def majority_scan(Ns, workers: int = 1):
     """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd N.
 
-    Work is partitioned by N across threads; row order follows the input, so
-    output is independent of the worker count.
+    Row order follows the input.  ``workers`` is accepted and starts no
+    threads: one thread measured fastest.
     """
     Ns = [int(N) for N in Ns]
     for N in Ns:
@@ -367,11 +356,7 @@ def majority_scan(Ns, workers: int = 1):
         rho = _radius_exact(N, 0).radius
         return N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam
 
-    workers = max(1, int(workers))
-    if workers == 1:
-        return [row(N) for N in Ns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, Ns))
+    return [row(N) for N in Ns]
 
 
 def tail_lower_bound_check(N: int, alpha: float) -> bool:
@@ -408,13 +393,4 @@ def tn_lower_bound(N: int) -> float:
 
     if f(1.0) <= 0.5:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_bisect(lambda mid: f(float(mid)) < 0.5, 0.0, 1.0)[0])

@@ -51,6 +51,12 @@ class TestRadiusCommand:
         code, _ = run_cli(["radius", "--input", str(path)], capsys)
         assert code == 2
 
+    def test_boolean_dimension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": true, "values": [1.0, -1.0]}')
+        assert main(["radius", "--input", str(path)]) == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_missing_source_exits_2(self, capsys):
         code, _ = run_cli(["radius", "--n", "3"], capsys)
         assert code == 2
@@ -115,6 +121,11 @@ class TestScanCommands:
     def test_majority_scan_rejects_even_bounds(self, capsys):
         code, _ = run_cli(["majority-scan", "--n-start", "2", "--n-stop", "6"], capsys)
         assert code == 2
+
+    def test_majority_scan_rejects_empty_range(self, capsys):
+        assert main(["majority-scan", "--n-start", "7", "--n-stop", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty majority range" in captured.err
 
     def test_byte_identical_outputs(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -58,6 +58,10 @@ class TestFromTruthTable:
         with pytest.raises(ValueError):
             from_truth_table(1, [1, math.nan])
 
+    def test_rejects_boolean_dimension(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            BooleanFunction(True, [1.0, -1.0])
+
     def test_rejects_huge_dimension(self):
         with pytest.raises(ValueError):
             BooleanFunction(25, np.ones(2**25 // 2**10))

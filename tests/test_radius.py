@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuberadius.cube import (
     Spectrum,
@@ -15,7 +17,9 @@ from cuberadius.cube import (
 )
 from cuberadius.families import extremal_indicator_flip, majority
 from cuberadius.radius import (
+    RESIDUAL_TOL,
     LevelProfile,
+    _solve_reduced,
     bn_radius_formula,
     boolean_radius,
     boolean_radius_symmetric,
@@ -158,6 +162,36 @@ class TestBooleanRadius:
         for c in (3.0, 1e-8, 2.0**520, -7.0):
             scaled = boolean_radius(profile_of(from_truth_table(5, c * f))).radius
             assert scaled == pytest.approx(base, rel=1e-12)
+
+
+@st.composite
+def reduced_rows(draw):
+    """Rows (log W_1..log W_n, log target, sup) sharing one n <= 14: some levels
+    zero, weights in [1e-3, 1e3], the target between 0 and sum_m W_m."""
+    n = draw(st.integers(1, 14))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    rows = draw(st.lists(st.lists(weight, min_size=n + 1, max_size=n + 1), min_size=1, max_size=8))
+    fractions = draw(st.lists(st.floats(1e-9, 1.0), min_size=len(rows), max_size=len(rows)))
+    w = np.array(rows)
+    target = np.array(fractions) * w[:, 1:].sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(w[:, 1:]), np.log(target), w[:, 0] + target
+
+
+class TestBatchedSolver:
+    @given(reduced_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_solve_as_one_row_calls(self, drawn):
+        log_tail, log_target, sup = drawn
+        many = _solve_reduced(log_tail, log_target)
+        ones = [_solve_reduced(log_tail[r : r + 1], log_target[r : r + 1]) for r in range(len(sup))]
+        for k in range(3):
+            assert many[k].tobytes() == np.concatenate([one[k] for one in ones]).tobytes()
+        radius, residual, _ = many
+        constant = np.all(log_tail == -math.inf, axis=1)
+        assert np.all(np.isinf(radius[constant]))
+        assert np.all((radius[~constant] > 0) & (radius[~constant] <= 1))
+        assert np.all(residual <= RESIDUAL_TOL * np.maximum(1.0, sup))
 
 
 class TestSymmetricSolver:
