@@ -146,12 +146,12 @@ def biased_indicator(N: int, lam: float) -> BooleanFunction:
     """
     if not 1 <= N <= MAX_DENSE_N:
         raise ValueError(f"need 1 <= N <= {MAX_DENSE_N}")
+    if not 0 < lam <= 0.5:
+        raise ValueError("need 0 < lambda <= 1/2")
     scaled = lam * 2**N
     k = round(scaled)
     if abs(scaled - k) > 1e-9 or k < 1:
         raise ValueError(f"lambda must be a positive multiple of 2^-{N}")
-    if not 0 < lam <= 0.5:
-        raise ValueError("need 0 < lambda <= 1/2")
     values = np.full(2**N, -1.0)
     values[:k] = 1.0
     return BooleanFunction(N, values)

@@ -6,13 +6,15 @@ comes from the generating identity
     sum_n binom(N-1, n-1) psihat([n]) z^{n-1}
         = binom(N-1, b) 2^{1-N} (1+z)^a (1-z)^b,
 
-with a = (N+alpha-1)/2 and b = (N-alpha-1)/2, expanded in exact integer
-arithmetic; the empty-set coefficient is the exact binomial tail
-2 sigma(x_1 + ... + x_N > alpha) - 1.  On top of the spectra this module
-provides the torus supremum G and its antiderivative I, the Mills-ratio-type
-function Y, the binomial-tail correction term bounded by sqrt(pi/2), the
-radius sandwich between I(rho) and I(3 rho)/3, the majority constant gamma,
-and the lower-bound root t_N for the degree-N disc polynomials.
+with a = (N+alpha-1)/2 and b = (N-alpha-1)/2, whose integer coefficients
+follow a three-term (Krawtchouk) recurrence; the empty-set coefficient is the
+exact binomial tail 2 sigma(x_1 + ... + x_N > alpha) - 1.  Radii are solved
+from these integers; rationals are built only for the published spectrum.
+On top of this the module provides the torus supremum G and its
+antiderivative I, the Mills-ratio-type function Y, the binomial-tail
+correction term bounded by sqrt(pi/2), the radius sandwich between I(rho)
+and I(3 rho)/3, the majority constant gamma, and the lower-bound root t_N
+for the degree-N disc polynomials.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.special import erfcx
 
 from .cube import SymmetricSpectrum
 from .families import canonical_alpha
-from .radius import RadiusResult, _bisect, boolean_radius_symmetric
+from .radius import _bisect, _one_radius
 
 #: Dimension cap for exact symmetric spectra.
 MAX_SYMMETRIC_N = 4001
@@ -35,6 +37,9 @@ MAX_SYMMETRIC_N = 4001
 SANDWICH_TOL = 1e-9
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+#: Dimension cap for t_N (one Python float per degree, a Horner pass per halving).
+MAX_TN_N = 10**6
 
 #: Quadrature: adaptive Simpson relative target and work cap.
 QUAD_REL_TOL = 1e-10
@@ -70,38 +75,16 @@ def _check_parity(N: int, alpha) -> int:
     return int(alpha)
 
 
-def _binomial_row(n: int) -> list:
-    row = [1] * (n + 1)
-    for j in range(1, n + 1):
-        row[j] = row[j - 1] * (n - j + 1) // j
-    return row
-
-
-def _expand_product(N: int, alpha: int) -> list:
+def _krawtchouk(N: int, alpha: int) -> list:
     """Integer coefficients c_0..c_{N-1} of (1+z)^a (1-z)^b.
 
-    Convolution of signed binomial rows, done on the factorization
-    (1-z^2)^min(a,b) (1+z)^alpha (resp. (1-z)^-alpha), which keeps the short
-    row short: majority costs O(N) and the worst case O(N |alpha|).
+    (1 - z^2) P' = (alpha - (N-1) z) P gives c_0 = 1, c_1 = alpha and
+    (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1}; every division is exact.
     """
-    a = (N + alpha - 1) // 2
-    b = (N - alpha - 1) // 2
-    m = min(a, b)
-    base = [0] * (2 * m + 1)
-    for j, c in enumerate(_binomial_row(m)):
-        base[2 * j] = c if j % 2 == 0 else -c
-    if alpha == 0:
-        out = base
-    else:
-        rem = _binomial_row(abs(alpha))
-        if alpha < 0:
-            rem = [c if j % 2 == 0 else -c for j, c in enumerate(rem)]
-        out = [0] * (2 * m + abs(alpha) + 1)
-        for i, bi in enumerate(base):
-            if bi:
-                for j, rj in enumerate(rem):
-                    out[i + j] += bi * rj
-    return (out + [0] * N)[:N]
+    c = [1, alpha][:N]
+    for k in range(1, N - 1):
+        c.append((alpha * c[k] - (N - k) * c[k - 1]) // (k + 1))
+    return c
 
 
 def _tail_count(N: int, upto: int) -> int:
@@ -124,7 +107,7 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     """
     alpha = _check_parity(N, alpha)
     b = (N - alpha - 1) // 2
-    c = _expand_product(N, alpha)
+    c = _krawtchouk(N, alpha)
     lead = math.comb(N - 1, b)
     T = _tail_count(N, b)
     den = 2 ** (N - 1)
@@ -275,8 +258,24 @@ def mckay_residual(N: int, alpha: int) -> float:
     return c
 
 
-def _radius_exact(N: int, alpha: int) -> RadiusResult:
-    return boolean_radius_symmetric(threshold_spectrum_exact(N, alpha), 1.0)
+def _log_ratio(p: int, q: int) -> float:
+    """log(p / q) for positive integers of any size, via one quotient in (1/2, 2)."""
+    k = p.bit_length() - q.bit_length()
+    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + k * math.log(2.0)
+
+
+def _radius_exact(N: int, alpha: int) -> float:
+    """Radius of psi_{N,alpha} from exact integers.  With T the tail count, the
+    level weight W_m = binom(N, m) |psihat([m])| over the reduced target
+    1 - |psihat(empty)| = min(T, 2^N - T) / 2^{N-1} is the integer ratio
+    N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0."""
+    alpha = _check_parity(N, alpha)
+    b = (N - alpha - 1) // 2
+    T = _tail_count(N, b)
+    lead, den = N * math.comb(N - 1, b), min(T, 2**N - T)
+    c = _krawtchouk(N, alpha)
+    logs = [_log_ratio(lead * abs(ck), (k + 1) * den) if ck else -math.inf for k, ck in enumerate(c)]
+    return _one_radius(np.array(logs), 0.0).radius
 
 
 def _sandwich_ok(N: int, alpha: int, rho: float) -> bool:
@@ -297,7 +296,7 @@ def sandwich_check(N: int, alpha: int) -> bool:
     exactly), hence the relative slack.
     """
     alpha = _check_parity(N, alpha)
-    return _sandwich_ok(N, alpha, _radius_exact(N, alpha).radius)
+    return _sandwich_ok(N, alpha, _radius_exact(N, alpha))
 
 
 def threshold_radius(N: int, alpha: float) -> ThresholdReport:
@@ -311,7 +310,7 @@ def threshold_radius(N: int, alpha: float) -> ThresholdReport:
     if not 0 <= alpha < N:
         raise ValueError(f"need 0 <= alpha < N, got alpha = {alpha}")
     a = canonical_alpha(N, alpha)
-    rho = _radius_exact(N, a).radius
+    rho = _radius_exact(N, a)
     return ThresholdReport(
         n=N,
         alpha=a,
@@ -353,7 +352,7 @@ def majority_scan(Ns, workers: int = 1):
     gam = gamma_constant()
 
     def row(N: int):
-        rho = _radius_exact(N, 0).radius
+        rho = _radius_exact(N, 0)
         return N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam
 
     return [row(N) for N in Ns]
@@ -381,8 +380,8 @@ def tn_lower_bound(N: int) -> float:
     undefined; the k >= 1 reading matches the coefficient-bound indexing the
     equation comes from, and is what is solved here.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    if not 1 <= N <= MAX_TN_N:
+        raise ValueError(f"need 1 <= N <= {MAX_TN_N}")
     coefs = [math.cos(math.pi / (N // k + 2)) for k in range(1, N + 1)]
 
     def f(t: float) -> float:

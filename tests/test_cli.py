@@ -7,6 +7,7 @@ import pytest
 
 from cuberadius.cli import main
 from cuberadius.serialize import loads_symmetric_spectrum
+from cuberadius.threshold import MAX_TN_N
 
 
 def run_cli(args, capsys):
@@ -64,6 +65,11 @@ class TestRadiusCommand:
     def test_negative_parity_size_exits_2(self, capsys):
         assert main(["radius", "--family", "parity", "--n", "3", "--m", "-1"]) == 2
         assert "--m must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_nonfinite_lambda_exits_2(self, lam, capsys):
+        assert main(["radius", "--family", "biased", "--n", "3", "--lambda", lam]) == 2
+        assert "need 0 < lambda <= 1/2" in capsys.readouterr().err
 
     def test_family_without_n_exits_2(self, capsys):
         code, _ = run_cli(["radius", "--family", "extremal"], capsys)
@@ -202,6 +208,10 @@ class TestScalarCommands:
         obj = json.loads(out)
         assert obj["t_n"] == pytest.approx(0.5176380902050415, abs=1e-12)
         assert "k=1" in obj["note"]
+
+    def test_tn_over_cap_exits_2(self, capsys):
+        assert main(["tn", "--n", str(MAX_TN_N + 1)]) == 2
+        assert f"N <= {MAX_TN_N}" in capsys.readouterr().err
 
 
 def test_workers_env_sets_default(monkeypatch):

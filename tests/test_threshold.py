@@ -9,7 +9,9 @@ from cuberadius.cube import subset_levels, sup_norm, walsh_transform
 from cuberadius.families import ThresholdSpec, canonical_alpha, threshold
 from cuberadius.radius import boolean_radius, boolean_radius_symmetric, level_profile
 from cuberadius.threshold import (
+    MAX_TN_N,
     ThresholdReport,
+    _krawtchouk,
     branch_point,
     g_function,
     gamma_constant,
@@ -32,21 +34,38 @@ def valid_alphas(N):
     return range(1 - N % 2, N, 2)  # alpha >= 0 with N - alpha odd
 
 
-def recurrence_coeffs(N, alpha):
-    """Independent derivation of the (1+z)^a (1-z)^b coefficients.
+def _binomial_row(n):
+    row = [1] * (n + 1)
+    for j in range(1, n + 1):
+        row[j] = row[j - 1] * (n - j + 1) // j
+    return row
 
-    (1 - z^2) P'(z) = (alpha - (N-1) z) P(z) gives the three-term integer
-    recurrence below; exact division certifies each step.
+
+def product_coeffs(N, alpha):
+    """Oracle for the (1+z)^a (1-z)^b coefficients c_0..c_{N-1}.
+
+    Convolution of signed binomial rows on the factorization
+    (1-z^2)^min(a,b) (1+z)^alpha (resp. (1-z)^-alpha), independent of the
+    three-term recurrence the implementation uses.
     """
-    c = [0] * N
-    c[0] = 1
-    if N >= 2:
-        c[1] = alpha
-    for k in range(1, N - 1):
-        q, r = divmod(alpha * c[k] - (N - k) * c[k - 1], k + 1)
-        assert r == 0
-        c[k + 1] = q
-    return c
+    a = (N + alpha - 1) // 2
+    b = (N - alpha - 1) // 2
+    m = min(a, b)
+    base = [0] * (2 * m + 1)
+    for j, c in enumerate(_binomial_row(m)):
+        base[2 * j] = c if j % 2 == 0 else -c
+    if alpha == 0:
+        out = base
+    else:
+        rem = _binomial_row(abs(alpha))
+        if alpha < 0:
+            rem = [c if j % 2 == 0 else -c for j, c in enumerate(rem)]
+        out = [0] * (2 * m + abs(alpha) + 1)
+        for i, bi in enumerate(base):
+            if bi:
+                for j, rj in enumerate(rem):
+                    out[i + j] += bi * rj
+    return (out + [0] * N)[:N]
 
 
 class TestExactSpectrum:
@@ -79,10 +98,16 @@ class TestExactSpectrum:
         sym = threshold_spectrum_exact(N, alpha)
         b = (N - alpha - 1) // 2
         lead = math.comb(N - 1, b)
-        c = recurrence_coeffs(N, alpha)
+        c = product_coeffs(N, alpha)
         for n in range(1, N + 1):
             expected = Fraction(lead * c[n - 1], 2 ** (N - 1) * math.comb(N - 1, n - 1))
             assert sym.level_coeffs[n] == expected
+
+    def test_recurrence_matches_product_expansion(self):
+        # every admissible alpha, -1 (even N) included: 10,200 pairs
+        for N in range(1, 201):
+            for alpha in range(-1 + N % 2, N, 2):
+                assert _krawtchouk(N, alpha) == product_coeffs(N, alpha), (N, alpha)
 
     def test_empty_set_is_exact_tail(self):
         s = threshold_spectrum_exact(5, 2)
@@ -350,6 +375,10 @@ class TestTnRoot:
         with pytest.raises(ValueError):
             tn_lower_bound(0)
 
+    def test_rejects_dimension_over_cap(self):
+        with pytest.raises(ValueError):
+            tn_lower_bound(MAX_TN_N + 1)
+
 
 def test_symmetric_and_dense_solvers_agree_on_thresholds():
     for N in range(2, 13):
@@ -399,3 +428,29 @@ def test_radius_upper_bound_via_y_function():
             rep = threshold_radius(N, alpha)
             cap = math.exp(2 / math.sqrt(N)) * rep.y_value / math.sqrt(N)
             assert rep.radius <= cap * (1 + 1e-12), (N, alpha)
+
+
+@pytest.mark.parametrize("N,alpha", [(101, 50), (1001, 0), (2001, 44), (2001, 1000)])
+def test_threshold_radius_against_high_precision_oracle(N, alpha):
+    # the integer level weights threshold_radius solves from, re-solved with
+    # 60-digit arithmetic from the exact rational spectrum
+    import mpmath as mp
+
+    spec = threshold_spectrum_exact(N, alpha).level_coeffs
+    with mp.workdps(60):
+        mpq = lambda q: mp.mpf(q.numerator) / q.denominator
+        target = mpq(1 - abs(spec[0]))  # formed exactly: below 1e-100 at (2001, 1000)
+        weights = [math.comb(N, n) * abs(mpq(spec[n])) for n in range(1, N + 1)]
+
+        def s(rho):
+            acc = mp.mpf(0)
+            for w in reversed(weights):
+                acc = (acc + w) * rho
+            return acc
+
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if s(mid) < target else (lo, mid)
+        oracle = float((lo + hi) / 2)
+    assert threshold_radius(N, alpha).radius == pytest.approx(oracle, rel=1e-12)
