@@ -23,6 +23,14 @@ import numpy as np
 #: Hard cap on the dimension of dense truth tables / spectra.
 MAX_DENSE_N = 24
 
+#: Largest n for walsh_transform_naive: its 2^n x 2^n sign matrix takes
+#: 128 MiB at n = 12 and 32 GiB at n = 16.
+NAIVE_MAX_N = 12
+
+#: Arrays above this many doubles (1 MiB) are transformed in cache-sized
+#: pieces by ``_fwht_inplace``; at or below it, in one pass over the array.
+FWHT_CHUNK = 2**17
+
 #: Coefficients with absolute value at or below this count as zero
 #: (degree, homogeneity tests).
 ZERO_TOL = 1e-12
@@ -85,7 +93,7 @@ class SymmetricSpectrum:
     log_abs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
         lc = tuple(Fraction(c) for c in self.level_coeffs)
         if len(lc) != self.n + 1:
@@ -131,19 +139,65 @@ def from_truth_table(n: int, values) -> BooleanFunction:
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     """Unnormalized in-place Walsh-Hadamard butterfly along the last axis.
 
-    Output[S] = sum_x (-1)^{popcount(S & x)} input[x]; cost O(n 2^n).
-    Deterministic regardless of internal vectorization.
+    Output[S] = sum_x (-1)^{popcount(S & x)} input[x]; cost O(n 2^n).  ``a``
+    must be C-contiguous: its reshapes are views, so writes land in ``a``.
+
+    Stage h (h = 1, 2, ..., 2^n / 2) maps each pair (u, v) = (x, x + h) of
+    every block of 2h entries to (u + v, u - v).  Arrays of at most
+    FWHT_CHUNK doubles run the stages one after another over the whole
+    array.  Larger arrays run them in two cache-sized passes:
+
+    1. every stage with h below min(2^n, FWHT_CHUNK), on one contiguous
+       piece of FWHT_CHUNK entries (one part of a long row, or several short
+       rows) at a time;
+    2. if rows are longer than FWHT_CHUNK, the remaining stages h = FWHT_CHUNK,
+       2 FWHT_CHUNK, ... on each row viewed as (k, FWHT_CHUNK), k = 2^n /
+       FWHT_CHUNK, one column slab of width FWHT_CHUNK / k (at least 1) at a
+       time.
+
+    The bits do not depend on the path: every entry meets the same partners
+    in the same stage order, each stage's pairs are independent, and u + v
+    is computed as the same IEEE sum either way; only the loop order over
+    independent pairs changes.
     """
     size = a.shape[-1]
-    h = 1
-    while h < size:
-        b = a.reshape(a.shape[:-1] + (-1, 2 * h))
-        x = b[..., :h].copy()
-        y = b[..., h:].copy()
-        b[..., :h] = x + y
-        b[..., h:] = x - y
-        h *= 2
+    if a.size <= FWHT_CHUNK:
+        h = 1
+        while h < size:
+            b = a.reshape(a.shape[:-1] + (-1, 2 * h))
+            x = b[..., :h].copy()
+            y = b[..., h:].copy()
+            b[..., :h] = x + y
+            b[..., h:] = x - y
+            h *= 2
+        return a
+    flat = a.reshape(-1)
+    low = min(size, FWHT_CHUNK)
+    for start in range(0, flat.size, FWHT_CHUNK):
+        piece = flat[start : start + FWHT_CHUNK]
+        h = 1
+        while h < low:
+            _butterfly(piece.reshape(-1, 2, h))
+            h *= 2
+    k = size // FWHT_CHUNK
+    if k > 1:
+        width = max(FWHT_CHUNK // k, 1)
+        for row in flat.reshape(-1, k, FWHT_CHUNK):
+            for col in range(0, FWHT_CHUNK, width):
+                slab = row[:, col : col + width]
+                g = 1
+                while g < k:
+                    _butterfly(slab.reshape(-1, 2, g, width))
+                    g *= 2
     return a
+
+
+def _butterfly(pairs: np.ndarray) -> None:
+    """One stage on a view whose axis 1 holds the pairs: (u, v) -> (u + v, u - v)."""
+    first, second = pairs[:, 0], pairs[:, 1]
+    x = first.copy()
+    first += second
+    np.subtract(x, second, out=second)
 
 
 def walsh_transform(f: BooleanFunction) -> Spectrum:
@@ -160,8 +214,12 @@ def walsh_transform(f: BooleanFunction) -> Spectrum:
 def walsh_transform_naive(f: BooleanFunction) -> Spectrum:
     """Reference O(4^n) transform via the explicit character matrix.
 
-    Independent of the butterfly; kept as the cross-check oracle.
+    Independent of the butterfly; kept as the cross-check oracle.  Its sign
+    matrix has 4^n entries, so n above NAIVE_MAX_N is rejected before
+    anything is allocated.
     """
+    if f.n > NAIVE_MAX_N:
+        raise ValueError(f"the naive transform is capped at n <= {NAIVE_MAX_N}, got n = {f.n}")
     idx = np.arange(2**f.n, dtype=np.uint32)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
     return Spectrum(f.n, signs @ f.values / 2**f.n)

@@ -105,11 +105,8 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     even integer alpha, where the odd-parity representative drops below zero,
     still have an exact spectrum; the identity holds there unchanged.
     """
-    alpha = _check_parity(N, alpha)
-    b = (N - alpha - 1) // 2
+    alpha, T, lead = _tail_terms(N, alpha)
     c = _krawtchouk(N, alpha)
-    lead = math.comb(N - 1, b)
-    T = _tail_count(N, b)
     den = 2 ** (N - 1)
     coeffs = [Fraction(T, den) - 1]
     binom = 1  # binom(N-1, n-1), updated level by level
@@ -244,13 +241,24 @@ def mckay_residual(N: int, alpha: int) -> float:
     Raises if c leaves [0, sqrt(pi/2)] by more than 1e-9 (the guaranteed
     range for the admitted alpha).
     """
+    return _mckay(N, *_tail_terms(N, alpha))
+
+
+def _tail_terms(N: int, alpha) -> tuple:
+    """(alpha, T, lead) for a checked alpha: the exact integers
+    T = sum_{m <= b} binom(N, m) and lead = binom(N-1, b), b = (N - alpha - 1) / 2,
+    computed once and shared by the radius, the tail correction and the
+    sandwich of one report."""
     alpha = _check_parity(N, alpha)
     b = (N - alpha - 1) // 2
-    T = _tail_count(N, b)
+    return alpha, _tail_count(N, b), math.comb(N - 1, b)
+
+
+def _mckay(N: int, alpha: int, T: int, lead: int) -> float:
     c = math.sqrt(N) * (
         math.log(T)
         - 0.5 * math.log(N)
-        - math.log(math.comb(N - 1, b))
+        - math.log(lead)
         - math.log(y_function((alpha + 1) / math.sqrt(N)))
     )
     if not -1e-9 <= c <= SQRT_HALF_PI + 1e-9:
@@ -264,27 +272,25 @@ def _log_ratio(p: int, q: int) -> float:
     return math.log((p << max(-k, 0)) / (q << max(k, 0))) + k * math.log(2.0)
 
 
-def _radius_exact(N: int, alpha: int) -> float:
-    """Radius of psi_{N,alpha} from exact integers.  With T the tail count, the
-    level weight W_m = binom(N, m) |psihat([m])| over the reduced target
-    1 - |psihat(empty)| = min(T, 2^N - T) / 2^{N-1} is the integer ratio
+def _radius_exact(N: int, alpha: int, T: int, lead: int) -> float:
+    """Radius of psi_{N,alpha} from exact integers, with
+    (alpha, T, lead) = _tail_terms(N, alpha).  The level weight W_m = binom(N, m)
+    |psihat([m])| over the reduced target 1 - |psihat(empty)| =
+    min(T, 2^N - T) / 2^{N-1} is the integer ratio
     N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0."""
-    alpha = _check_parity(N, alpha)
-    b = (N - alpha - 1) // 2
-    T = _tail_count(N, b)
-    lead, den = N * math.comb(N - 1, b), min(T, 2**N - T)
+    num, den = N * lead, min(T, 2**N - T)
     c = _krawtchouk(N, alpha)
-    logs = [_log_ratio(lead * abs(ck), (k + 1) * den) if ck else -math.inf for k, ck in enumerate(c)]
+    logs = [_log_ratio(num * abs(ck), (k + 1) * den) if ck else -math.inf for k, ck in enumerate(c)]
     return _one_radius(np.array(logs), 0.0).radius
 
 
-def _sandwich_ok(N: int, alpha: int, rho: float) -> bool:
-    """I(rho) <= tail/(N binom(N-1,b)) <= I(3 rho)/3, each within SANDWICH_TOL."""
+def _sandwich_ok(N: int, alpha: int, rho: float, T: int, lead: int) -> bool:
+    """I(rho) <= T/(N lead) <= I(3 rho)/3, each within SANDWICH_TOL, with
+    (alpha, T, lead) = _tail_terms(N, alpha)."""
     # G at formal alpha = -1 equals G at +1 (swap z -> -z in the supremum);
     # the combinatorial side keeps b from the true alpha.
-    b = (N - alpha - 1) // 2
     a_eff = abs(alpha)
-    mid = math.exp(math.log(_tail_count(N, b)) - math.log(N) - math.log(math.comb(N - 1, b)))
+    mid = math.exp(math.log(T) - math.log(N) - math.log(lead))
     lo, hi = i_integral(N, a_eff, rho), i_integral(N, a_eff, 3.0 * rho) / 3.0
     return lo <= mid * (1.0 + SANDWICH_TOL) and mid <= hi * (1.0 + SANDWICH_TOL)
 
@@ -295,8 +301,8 @@ def sandwich_check(N: int, alpha: int) -> bool:
     The left side can be an equality up to rounding (for majority it is one
     exactly), hence the relative slack.
     """
-    alpha = _check_parity(N, alpha)
-    return _sandwich_ok(N, alpha, _radius_exact(N, alpha))
+    alpha, T, lead = _tail_terms(N, alpha)
+    return _sandwich_ok(N, alpha, _radius_exact(N, alpha, T, lead), T, lead)
 
 
 def threshold_radius(N: int, alpha: float) -> ThresholdReport:
@@ -309,15 +315,15 @@ def threshold_radius(N: int, alpha: float) -> ThresholdReport:
     """
     if not 0 <= alpha < N:
         raise ValueError(f"need 0 <= alpha < N, got alpha = {alpha}")
-    a = canonical_alpha(N, alpha)
-    rho = _radius_exact(N, a)
+    a, T, lead = _tail_terms(N, canonical_alpha(N, alpha))
+    rho = _radius_exact(N, a, T, lead)
     return ThresholdReport(
         n=N,
         alpha=a,
         radius=rho,
         ratio=rho * (a + math.sqrt(N)),
-        mckay_c=mckay_residual(N, a),
-        sandwich_ok=_sandwich_ok(N, a, rho),
+        mckay_c=_mckay(N, a, T, lead),
+        sandwich_ok=_sandwich_ok(N, a, rho, T, lead),
         y_value=y_function((a + 1) / math.sqrt(N)),
     )
 
@@ -352,7 +358,7 @@ def majority_scan(Ns, workers: int = 1):
     gam = gamma_constant()
 
     def row(N: int):
-        rho = _radius_exact(N, 0)
+        rho = _radius_exact(N, *_tail_terms(N, 0))
         return N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam
 
     return [row(N) for N in Ns]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuberadius import cube
 from cuberadius.cube import (
+    NAIVE_MAX_N,
     BooleanFunction,
     Spectrum,
     SymmetricSpectrum,
@@ -23,6 +25,21 @@ from cuberadius.cube import (
 )
 
 MAJ3 = [1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, -1.0]
+
+
+def single_pass_fwht(a):
+    """The one-pass stage loop: the oracle the cache-blocked butterfly must
+    match bit for bit."""
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        b = a.reshape(a.shape[:-1] + (-1, 2 * h))
+        x = b[..., :h].copy()
+        y = b[..., h:].copy()
+        b[..., :h] = x + y
+        b[..., h:] = x - y
+        h *= 2
+    return a
 
 
 def tables(max_n=6):
@@ -106,6 +123,54 @@ class TestWalshTransform:
         rhs = 2.0 * walsh_transform(from_truth_table(4, a)).coeffs
         rhs -= 3.0 * walsh_transform(from_truth_table(4, b)).coeffs
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+    def test_naive_rejects_dimension_over_cap(self):
+        f = from_truth_table(NAIVE_MAX_N + 1, np.zeros(2 ** (NAIVE_MAX_N + 1)))
+        with pytest.raises(ValueError, match="capped"):
+            walsh_transform_naive(f)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBlockedButterfly:
+    SHAPES = [(2**k,) for k in range(21)] + [(3, 2**19), (2**16, 16), (5, 1)]
+    # With FWHT_CHUNK = 2**4: pieces of several rows (the last one partial
+    # for (5, 8)), k > 1, and slabs of width 1 from 2**8 on.
+    SMALL_CHUNK_SHAPES = [(2**k,) for k in range(13)] + [(3, 2**7), (2**6, 4), (40, 2), (5, 8), (5, 1)]
+
+    def check_against_single_pass(self, shape):
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        want = single_pass_fwht(a.copy())
+        got = a.copy()
+        assert cube._fwht_inplace(got) is got
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_single_pass(self, shape):
+        self.check_against_single_pass(shape)
+
+    @pytest.mark.parametrize("shape", SMALL_CHUNK_SHAPES)
+    def test_matches_single_pass_with_small_chunk(self, shape, monkeypatch):
+        monkeypatch.setattr(cube, "FWHT_CHUNK", 2**4)
+        self.check_against_single_pass(shape)
+
+    @pytest.mark.parametrize("chunk,n", [(2**17, 9), (2**4, 3), (2**4, 6), (2**4, 8)])
+    def test_twice_is_scaled_identity(self, chunk, n, monkeypatch):
+        # rows of the identity: H H = 2^n I holds exactly in integers
+        monkeypatch.setattr(cube, "FWHT_CHUNK", chunk)
+        a = np.eye(2**n)
+        cube._fwht_inplace(cube._fwht_inplace(a))
+        assert_same_bits(a, 2.0**n * np.eye(2**n))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_small_chunk_matches_naive(self, n, monkeypatch):
+        monkeypatch.setattr(cube, "FWHT_CHUNK", 2**4)
+        f = from_truth_table(n, np.random.default_rng(n).normal(size=2**n))
+        assert np.allclose(walsh_transform(f).coeffs, walsh_transform_naive(f).coeffs, atol=1e-12)
 
 
 class TestInverseWalsh:
@@ -251,6 +316,10 @@ class TestSymmetricSpectrum:
     def test_zero_levels_need_minus_inf(self):
         with pytest.raises(ValueError):
             SymmetricSpectrum(1, ("0", "1"), np.array([0.0, 0.0]))
+
+    def test_rejects_boolean_dimension(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            SymmetricSpectrum(True, (1, 0), np.array([0.0, -math.inf]))
 
     def test_from_level_coeffs(self):
         s = SymmetricSpectrum.from_level_coeffs(2, ["0", "1/2", "-1/4"])

@@ -293,6 +293,12 @@ class TestThresholdRadius:
         dense = boolean_radius(level_profile(walsh_transform(f), sup_norm(f)))
         assert rep.radius == pytest.approx(dense.radius, abs=1e-9)
 
+    @pytest.mark.parametrize("N,alpha", [(3, 0), (8, 0), (101, 50), (2001, 1000)])
+    def test_report_matches_public_checks(self, N, alpha):
+        rep = threshold_radius(N, alpha)
+        assert rep.mckay_c == mckay_residual(N, rep.alpha)
+        assert rep.sandwich_ok == sandwich_check(N, rep.alpha)
+
     def test_canonicalization_is_internal(self):
         # alpha = 3 on N = 9 has even N - alpha; representative is 2
         rep = threshold_radius(9, 3)
