@@ -2,30 +2,19 @@
 
 Subcommands: radius, bn, threshold-scan, majority-scan, spectrum, verify,
 gamma, tn.  Scalar results are emitted as JSON, scans as CSV (17 significant
-digits), all byte-deterministic for a fixed (command, seed, workers); numeric
-content is independent of the worker count.  Exit codes: 0 success,
-1 verification failure, 2 usage, input or work-cap error.
+digits), all byte-deterministic for a fixed command and seed.  No command
+starts threads; ``--workers`` is accepted and ignored.  Exit codes: 0
+success, 1 verification failure, 2 usage, input or work-cap error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import families, inequalities, radius, serialize, threshold
 from .cube import sup_norm, walsh_transform
-
-WORKERS_ENV = "CUBERADIUS_WORKERS"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 def _write(args, text: str) -> None:
     if args.output:
@@ -213,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bn", help="exact class radius 2^(1/N)-1, optionally brute-force confirmed")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="exhaust all sign tables (N <= 4)")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_bn)
 
@@ -226,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("majority-scan", help="CSV scan of majority radii against gamma/sqrt(N)")
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-stop", type=int, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_majority_scan)
 
@@ -247,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100, help="random draws per mode per dimension")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d", type=int, default=3, help="level cap for the low-degree draw mode")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

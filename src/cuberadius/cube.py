@@ -15,7 +15,7 @@ in-place butterfly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -84,38 +84,24 @@ class SymmetricSpectrum:
     For a symmetric g every coefficient depends only on |S|, so the whole
     spectrum is the vector of level coefficients g_hat([m]) for m = 0..n.
     Coefficients are exact rationals; ``log_abs`` holds log|g_hat([m])|
-    (-inf where the coefficient vanishes) for overflow-free large-n work.
-    The dimension is not bounded by the dense-table cap.
+    (-inf where the coefficient vanishes) for overflow-free large-n work and
+    is derived from them.  The dimension is not bounded by the dense-table cap.
     """
 
     n: int
     level_coeffs: tuple
-    log_abs: np.ndarray
+    log_abs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-        lc = tuple(Fraction(c) for c in self.level_coeffs)
+        lc = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.level_coeffs)
         if len(lc) != self.n + 1:
             raise ValueError(f"need {self.n + 1} level coefficients, got {len(lc)}")
-        la = np.asarray(self.log_abs, dtype=float)
-        if la.shape != (self.n + 1,):
-            raise ValueError("log_abs must have one entry per level")
-        for m, (c, l) in enumerate(zip(lc, la)):
-            if c == 0:
-                if l != -math.inf:
-                    raise ValueError(f"level {m}: zero coefficient needs log_abs = -inf")
-            elif not math.isclose(log_abs_fraction(c), l, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValueError(f"level {m}: log_abs inconsistent with the rational value")
-        la = la.copy()
+        la = np.array([log_abs_fraction(c) for c in lc])
         la.flags.writeable = False
         object.__setattr__(self, "level_coeffs", lc)
         object.__setattr__(self, "log_abs", la)
-
-    @classmethod
-    def from_level_coeffs(cls, n: int, level_coeffs) -> "SymmetricSpectrum":
-        lc = [Fraction(c) for c in level_coeffs]
-        return cls(n, tuple(lc), np.array([log_abs_fraction(c) for c in lc]))
 
 
 def log_abs_fraction(q: Fraction) -> float:

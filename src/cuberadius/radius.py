@@ -23,7 +23,6 @@ symmetric path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,9 +47,6 @@ UNIT_RADIUS_TOL = 1e-10
 #: Relative shortfall of sum(W) below sup treated as a non-function profile.
 PROFILE_TOL = 1e-9
 
-#: Switch the majorant to log-domain evaluation above this log weight.
-LOG_DOMAIN_CUTOFF = 700.0
-
 
 @dataclass(frozen=True)
 class LevelProfile:
@@ -74,11 +70,13 @@ class LevelProfile:
             raise ValueError("level weights must be nonnegative")
         if self.sup_norm < 0:
             raise ValueError("sup norm must be nonnegative")
-        for m in range(self.n + 1):
-            if w[m] == 0 and lw[m] != -math.inf:
-                raise ValueError(f"level {m}: zero weight needs log weight -inf")
-            if 0 < w[m] < math.inf and not math.isclose(math.log(w[m]), lw[m], rel_tol=1e-9, abs_tol=1e-9):
-                raise ValueError(f"level {m}: weights and log_weights disagree")
+        sized = (w > 0) & (w < math.inf)
+        lw_w = np.log(np.where(sized, w, 1.0))
+        # math.isclose(lw_w, lw, rel_tol=1e-9, abs_tol=1e-9), level by level
+        close = np.abs(lw_w - lw) <= np.maximum(1e-9 * np.maximum(np.abs(lw_w), np.abs(lw)), 1e-9)
+        bad = (w == 0) & (lw != -math.inf) | sized & ~(np.isfinite(lw) & close)
+        if np.any(bad):
+            raise ValueError(f"level {int(np.argmax(bad))}: weights and log_weights disagree")
         w = w.copy()
         lw = lw.copy()
         w.flags.writeable = False
@@ -105,8 +103,7 @@ def level_profile(s: Spectrum, sup: float) -> LevelProfile:
     """Regroup |fhat(S)| by |S|; ``sup`` is the sup norm of the matching function."""
     if sup < 0:
         raise ValueError("sup norm must be nonnegative")
-    w = np.zeros(s.n + 1)
-    np.add.at(w, subset_levels(s.n), np.abs(s.coeffs))
+    w = np.bincount(subset_levels(s.n), weights=np.abs(s.coeffs), minlength=s.n + 1)
     return LevelProfile(s.n, w, _log(w), float(sup))
 
 
@@ -116,30 +113,15 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def majorant(p: LevelProfile, rho: float) -> float:
-    """P(rho) = sum_m W_m rho^m, in the log domain once any log weight exceeds 700."""
+    """P(rho) = W_0 + sum_{m>=1} W_m rho^m, the sum taken in the log domain;
+    inf once it leaves double range."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    ms = np.arange(p.n + 1, dtype=float)
-    if np.max(p.log_weights) <= LOG_DOMAIN_CUTOFF:
-        return float(np.sum(p.weights * rho**ms))
-    lp = _logsumexp(p.log_weights + _safe_mlog(ms, rho))
-    return math.exp(lp) if lp <= 709.0 else math.inf
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(a - m))))
-
-
-def _safe_mlog(ms: np.ndarray, rho: float) -> np.ndarray:
-    # m * log(rho) with the convention 0 * log(0) = 0 (the constant term survives rho = 0)
-    if rho == 0.0:
-        out = np.full(ms.shape, -math.inf)
-        out[ms == 0] = 0.0
-        return out
-    return ms * math.log(rho)
+    w0, tail = float(p.weights[0]), p.log_weights[None, 1:]
+    if rho == 0 or not np.any(tail > -math.inf):
+        return w0
+    lp = float(_log_tail_sums(tail, np.array([rho]))[0])
+    return w0 + math.exp(lp) if lp <= 709.0 else math.inf
 
 
 def _bisect(below, lo, hi):
@@ -282,24 +264,14 @@ def bn_radius_formula(N: int) -> float:
 BRUTE_FORCE_MAX_N = 4
 
 
-def _brute_chunk(n: int, start: int, stop: int):
-    points = 2**n
-    ks = np.arange(start, stop, dtype=np.uint64)
-    bits = (ks[:, None] >> np.arange(points, dtype=np.uint64)[None, :]) & 1
-    tables = 1.0 - 2.0 * bits
-    rho = _dense_radii(_fwht_inplace(tables.copy()) / points, subset_levels(n), 1.0)
-    i = int(np.argmin(rho))  # ties resolve to the smallest enumeration index
-    return float(rho[i]), start + i, tables[i]
-
-
 def brute_force_bn_radius(N: int, workers: int = 1):
     """Minimum radius over every nonconstant +-1-valued function on {-1,+1}^N.
 
     Enumerates all 2^(2^N) sign tables (N <= 4), table entry j of function k
     being +1 when bit j of k is clear.  Returns (radius, minimizer) with ties
-    broken by the first table in enumeration order.  The search space is
-    partitioned into ``workers`` chunks and merged by minimum, so the result
-    does not depend on the worker count.
+    broken by the first table in enumeration order.  All tables go through
+    one batched butterfly; only their distinct level profiles (172 of 65,536
+    at N = 4) are solved.  ``workers`` is accepted and starts no threads.
 
     The matching lower-bound argument for 2^(1/N) - 1 covers all real-valued
     functions, so the +-1-valued sweep is a confirmation, not an independent
@@ -307,17 +279,14 @@ def brute_force_bn_radius(N: int, workers: int = 1):
     """
     if not 1 <= N <= BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force is limited to 1 <= N <= {BRUTE_FORCE_MAX_N}")
-    workers = max(1, int(workers))
-    total = 2 ** (2**N)
-    bounds = np.linspace(0, total, workers + 1, dtype=np.int64)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    if len(spans) == 1:
-        results = [_brute_chunk(N, *spans[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ab: _brute_chunk(N, *ab), spans))
-    best = min(results, key=lambda t: (t[0], t[1]))
-    return best[0], BooleanFunction(N, best[2])
+    points = 2**N
+    ks = np.arange(2**points, dtype=np.uint64)
+    tables = 1.0 - 2.0 * ((ks[:, None] >> np.arange(points, dtype=np.uint64)[None, :]) & 1)
+    coeffs = _fwht_inplace(tables.copy()) / points
+    w, inverse = np.unique(_level_sums(np.abs(coeffs), subset_levels(N)), axis=0, return_inverse=True)
+    rho = _solve_reduced(_log(w[:, 1:]), _log_targets(w[:, 0], 1.0))[0][inverse]
+    i = int(np.argmin(rho))  # ties resolve to the smallest enumeration index
+    return float(rho[i]), BooleanFunction(N, tables[i])
 
 
 #: Most doubles in one block of sign tables of the homogeneous scan (512 KiB).

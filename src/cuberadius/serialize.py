@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,11 +58,18 @@ def dumps_truth_table(f: BooleanFunction) -> str:
     return dumps(truth_table_obj(f))
 
 
+def _numbers(obj: dict, key: str) -> np.ndarray:
+    # JSON true/false would otherwise be read as 1.0/0.0
+    if isinstance(obj[key], list) and bool in map(type, obj[key]):
+        raise ValueError(f"{key} must hold numbers, not booleans")
+    return np.asarray(obj[key], dtype=float)
+
+
 def loads_truth_table(text: str) -> BooleanFunction:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"n", "values"}:
         raise ValueError('truth-table JSON must be {"n": ..., "values": [...]}')
-    return BooleanFunction(obj["n"], np.asarray(obj["values"], dtype=float))
+    return BooleanFunction(obj["n"], _numbers(obj, "values"))
 
 
 def dumps_spectrum(s: Spectrum) -> str:
@@ -74,7 +80,7 @@ def loads_spectrum(text: str) -> Spectrum:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"n", "coeffs"}:
         raise ValueError('spectrum JSON must be {"n": ..., "coeffs": [...]}')
-    return Spectrum(obj["n"], np.asarray(obj["coeffs"], dtype=float))
+    return Spectrum(obj["n"], _numbers(obj, "coeffs"))
 
 
 def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
@@ -88,8 +94,7 @@ def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
 
 def loads_symmetric_spectrum(text: str) -> SymmetricSpectrum:
     obj = json.loads(text)
-    coeffs = [Fraction(c) for c in obj["level_coeffs"]]
-    return SymmetricSpectrum.from_level_coeffs(obj["n"], coeffs)
+    return SymmetricSpectrum(obj["n"], obj["level_coeffs"])
 
 
 def radius_result_obj(r: RadiusResult) -> dict:

@@ -113,7 +113,7 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     for n in range(1, N + 1):
         coeffs.append(Fraction(lead * c[n - 1], den * binom))
         binom = binom * (N - n) // n
-    return SymmetricSpectrum.from_level_coeffs(N, coeffs)
+    return SymmetricSpectrum(N, coeffs)
 
 
 def maj_identity_eval(N: int, r: float) -> float:

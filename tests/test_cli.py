@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -57,6 +58,12 @@ class TestRadiusCommand:
         path.write_text('{"n": true, "values": [1.0, -1.0]}')
         assert main(["radius", "--input", str(path)]) == 2
         assert "positive integer" in capsys.readouterr().err
+
+    def test_boolean_values_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 2, "values": [true, true, false, true]}')
+        assert main(["radius", "--input", str(path)]) == 2
+        assert "values must hold numbers" in capsys.readouterr().err
 
     def test_missing_source_exits_2(self, capsys):
         code, _ = run_cli(["radius", "--n", "3"], capsys)
@@ -214,12 +221,14 @@ class TestScalarCommands:
         assert f"N <= {MAX_TN_N}" in capsys.readouterr().err
 
 
-def test_workers_env_sets_default(monkeypatch):
-    monkeypatch.setenv("CUBERADIUS_WORKERS", "3")
-    from cuberadius.cli import build_parser
+def test_no_command_starts_threads(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
 
-    args = build_parser().parse_args(["verify", "--suite", "wiener"])
-    assert args.workers == 3
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["bn", "--n", "4", "--brute", "--workers", "2"]) == 0
+    assert main(["verify", "--suite", "wiener", "--n-max", "4", "--samples", "5", "--workers", "4"]) == 0
+    assert main(["majority-scan", "--n-start", "3", "--n-stop", "9", "--workers", "3"]) == 0
 
 
 def test_console_script_help():

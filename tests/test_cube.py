@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,23 +310,20 @@ class TestHomogeneousPart:
 
 
 class TestSymmetricSpectrum:
-    def test_log_view_must_match(self):
-        with pytest.raises(ValueError):
-            SymmetricSpectrum(1, ("1/2", "1/2"), np.array([0.0, math.log(0.5)]))
-
-    def test_zero_levels_need_minus_inf(self):
-        with pytest.raises(ValueError):
-            SymmetricSpectrum(1, ("0", "1"), np.array([0.0, 0.0]))
-
     def test_rejects_boolean_dimension(self):
         with pytest.raises(ValueError, match="positive integer"):
-            SymmetricSpectrum(True, (1, 0), np.array([0.0, -math.inf]))
+            SymmetricSpectrum(True, (1, 0))
 
     def test_from_level_coeffs(self):
-        s = SymmetricSpectrum.from_level_coeffs(2, ["0", "1/2", "-1/4"])
+        quarter = Fraction(-1, 4)
+        s = SymmetricSpectrum(2, ["0", "1/2", quarter])
+        assert s.level_coeffs == (0, Fraction(1, 2), quarter)
+        assert s.level_coeffs[2] is quarter
         assert s.log_abs[0] == -math.inf
         assert s.log_abs[1] == pytest.approx(math.log(0.5))
         assert s.log_abs[2] == pytest.approx(math.log(0.25))
+        with pytest.raises(TypeError):
+            SymmetricSpectrum(2, ["0", "1/2", quarter], s.log_abs)
 
 
 def test_subset_levels_are_popcounts():

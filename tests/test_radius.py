@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,14 @@ def exact_root(weights, target=Fraction(1), iters=220):
 
 MAJ3_RADIUS = exact_root([0, Fraction(3, 2), 0, Fraction(1, 2)])
 
+#: brute_force_bn_radius(N) as float.hex, pinned bit for bit.
+BRUTE_RADIUS_HEX = {
+    1: "0x1.0000000000000p+0",
+    2: "0x1.a827999fcef32p-2",
+    3: "0x1.0a28be635ca2ap-2",
+    4: "0x1.837f0518db8a8p-3",
+}
+
 
 class TestLevelProfile:
     def test_indicator_flip_weights(self):
@@ -73,12 +82,40 @@ class TestLevelProfile:
     def test_rejects_inconsistent_log_view(self):
         with pytest.raises(ValueError):
             LevelProfile(1, np.array([0.0, 1.0]), np.array([-math.inf, 1.0]), 1.0)
+        # math.isclose(log W_m, log_weights[m], rel_tol=1e-9, abs_tol=1e-9) per
+        # level, the relative slack taken from the larger side; None: accepted
+        l2 = math.log(2.0)
+        cases = [
+            ([1.0, 2.0], [0.0, l2 * (1 + 5e-10)], None),
+            ([1.0, 2.0], [0.0, l2 * (1 + 2e-9)], 1),
+            ([1e-300, 2.0], [math.log(1e-300) * (1 + 9e-10), l2], None),
+            ([1.0, math.inf], [0.0, 800.0], None),
+            ([1.0, 2.0, 0.0], [0.0, math.inf, 1.0], 1),
+            ([0.0, 2.0], [math.nan, l2], 0),
+        ]
+        for w, lw, level in cases:
+            if level is None:
+                LevelProfile(len(w) - 1, np.array(w), np.array(lw), 1.0)
+            else:
+                with pytest.raises(ValueError, match=f"level {level}:"):
+                    LevelProfile(len(w) - 1, np.array(w), np.array(lw), 1.0)
+
+    def test_level_sums_match_unbuffered_add_bit_for_bit(self):
+        n = 12
+        s = walsh_transform(from_truth_table(n, np.random.default_rng(12).normal(size=2**n)))
+        ref = np.zeros(n + 1)
+        np.add.at(ref, subset_levels(n), np.abs(s.coeffs))
+        assert level_profile(s, 1.0).weights.tobytes() == ref.tobytes()
 
 
 class TestMajorant:
     def test_at_zero_gives_constant_weight(self):
         p = profile_of(extremal_indicator_flip(3))
         assert majorant(p, 0.0) == pytest.approx(p.weights[0], abs=1e-15)
+        w = np.array([0.25, 0.0, 0.75, 0.0])  # -inf log weights in the tail
+        with np.errstate(divide="ignore"):
+            gaps = LevelProfile(3, w, np.log(w), 1.0)
+        assert majorant(gaps, 0.0) == 0.25
 
     def test_indicator_flip_hits_sup_at_its_radius(self):
         p = profile_of(extremal_indicator_flip(2))
@@ -95,6 +132,11 @@ class TestMajorant:
             big = LevelProfile(2, big_w, np.log(big_w), 1.0)
         for rho in (0.1, 0.5, 1.0):
             assert majorant(big, rho) == pytest.approx(majorant(small, rho) * math.exp(701), rel=1e-12)
+        # past double range: W_m = w_m e^710 is inf in the linear view
+        huge = LevelProfile(2, np.where(w > 0, np.inf, 0.0), small.log_weights + 710.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert majorant(huge, 1.0) == math.inf
 
     def test_rejects_negative_rho(self):
         with pytest.raises(ValueError):
@@ -196,29 +238,29 @@ class TestBatchedSolver:
 
 class TestSymmetricSolver:
     def test_majority3_matches_dense_path(self):
-        sym = SymmetricSpectrum.from_level_coeffs(3, ["0", "1/2", "0", "-1/2"])
+        sym = SymmetricSpectrum(3, ["0", "1/2", "0", "-1/2"])
         r = boolean_radius_symmetric(sym, 1.0)
         assert r.radius == pytest.approx(MAJ3_RADIUS, abs=1e-12)
 
     def test_threshold_3_2_matches_dense_path(self):
-        sym = SymmetricSpectrum.from_level_coeffs(3, ["-3/4", "1/4", "1/4", "1/4"])
+        sym = SymmetricSpectrum(3, ["-3/4", "1/4", "1/4", "1/4"])
         dense = boolean_radius(profile_of(from_truth_table(3, [1, -1, -1, -1, -1, -1, -1, -1])))
         r = boolean_radius_symmetric(sym, 1.0)
         assert r.radius == pytest.approx(dense.radius, abs=1e-12)
 
     def test_parity_as_symmetric(self):
-        sym = SymmetricSpectrum.from_level_coeffs(4, ["0", "0", "0", "0", "1"])
+        sym = SymmetricSpectrum(4, ["0", "0", "0", "0", "1"])
         assert boolean_radius_symmetric(sym, 1.0).radius == 1.0
 
     def test_constant_symmetric(self):
-        sym = SymmetricSpectrum.from_level_coeffs(2, ["1", "0", "0"])
+        sym = SymmetricSpectrum(2, ["1", "0", "0"])
         assert boolean_radius_symmetric(sym, 1.0).radius == math.inf
 
     def test_large_dimension_runs(self):
         n = 2001
         coeffs = ["0"] * (n + 1)
         coeffs[1] = "1/2001"  # sum of weights = 1 = sup: radius exactly 1
-        sym = SymmetricSpectrum.from_level_coeffs(n, coeffs)
+        sym = SymmetricSpectrum(n, coeffs)
         assert boolean_radius_symmetric(sym, 1.0).radius == 1.0
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -229,7 +271,7 @@ class TestSymmetricSolver:
         coeffs = levels[subset_levels(n)]
         f = inverse_walsh(Spectrum(n, coeffs))
         dense = boolean_radius(profile_of(f))
-        sym = SymmetricSpectrum.from_level_coeffs(
+        sym = SymmetricSpectrum(
             n, [Fraction(v).limit_denominator(64) for v in levels]
         )
         symr = boolean_radius_symmetric(sym, sup_norm(f))
@@ -279,13 +321,18 @@ class TestBnFormula:
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_matches_formula_and_extremal_attains(self, N):
         r, minimizer = brute_force_bn_radius(N)
         assert r == pytest.approx(bn_radius_formula(N), abs=1e-10)
         ext = boolean_radius(profile_of(extremal_indicator_flip(N))).radius
         assert ext == pytest.approx(r, abs=1e-10)
         assert abs(boolean_radius(profile_of(minimizer)).radius - r) <= 1e-12
+        for workers in (1, 2):
+            r, minimizer = brute_force_bn_radius(N, workers=workers)
+            assert r.hex() == BRUTE_RADIUS_HEX[N]
+            # table index 1 (only entry 0 is -1) is the extremal indicator flip
+            assert np.array_equal(minimizer.values, extremal_indicator_flip(N).values)
 
     def test_worker_count_does_not_change_result(self):
         r1, f1 = brute_force_bn_radius(3, workers=1)

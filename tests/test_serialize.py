@@ -56,8 +56,15 @@ def test_truth_table_schema_validated():
         loads_truth_table('{"n": 2, "vals": [1, 1, 1, 1]}')
 
 
+def test_booleans_are_not_numbers():
+    with pytest.raises(ValueError, match="values"):
+        loads_truth_table('{"n": 2, "values": [1, true, -1, 1]}')
+    with pytest.raises(ValueError, match="coeffs"):
+        loads_spectrum('{"n": 1, "coeffs": [0.5, false]}')
+
+
 def test_symmetric_spectrum_round_trip_is_exact():
-    s = SymmetricSpectrum.from_level_coeffs(3, ["-3/4", "1/4", "1/4", "1/4"])
+    s = SymmetricSpectrum(3, ["-3/4", "1/4", "1/4", "1/4"])
     back = loads_symmetric_spectrum(dumps_symmetric_spectrum(s))
     assert back.level_coeffs == s.level_coeffs
 
