@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the Walsh-Hadamard butterfly, ``cube._fwht_inplace``.
+"""Layer benchmark of the dense path: the Walsh-Hadamard butterfly and the
+public calls around it.
 
     python3 bench/bench_fwht.py --label change
     python3 bench/bench_fwht.py --label parent --src <other checkout>/src
 
-Times the in-place butterfly on single rows of 2^n doubles (n = 10, 16, 20,
-22, 24) and on the batches (16, 2^10) and (2^16, 16), the brute force's
-shape.  Each case reports the median of 5 runs, after one untimed warm-up;
-a run is the mean of enough calls to last about 0.1 s, and each call starts
-from the same input, copied in outside the timed region.  The numbers are
-added under ``--label`` to ``--out`` (``BENCH_fwht.json`` at the repository
-root by default) together with the machine: core count, Python and numpy
-versions; repeated runs under one label are kept in order, so parent and
-change can be run alternately.  The n = 24 case holds two 128 MiB arrays.
+Times the in-place butterfly ``cube._fwht_inplace`` on single rows of 2^n
+doubles (n = 10, 16, 20, 22, 24) and on the batches (16, 2^10) and
+(2^16, 16), the brute force's shape; each call starts from the same input,
+copied in outside the timed region.  Then it times the public calls of a
+dense radius or spectrum: ``families.threshold`` and ``walsh_transform`` at
+n = 24, ``level_profile`` of that spectrum, ``dumps_spectrum`` at n = 17 and
+``brute_force_bn_radius(4)``.  Each case reports the median of 5 runs, after
+one untimed warm-up; a run is the mean of enough calls to last about 0.1 s.
+The numbers are added under ``--label`` to ``--out`` (``BENCH_fwht.json`` at
+the repository root by default) together with the machine: core count,
+Python and numpy versions; repeated runs under one label are kept in order,
+so parent and change can be run alternately.  The n = 24 cases hold up to
+three 128 MiB arrays.
 
 Uses only the standard library and numpy; it is not part of the test suite.
 """
@@ -32,26 +37,55 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = {f"n{n}": (2**n,) for n in (10, 16, 20, 22, 24)} | {"batch_16x2^10": (16, 2**10), "batch_2^16x16": (2**16, 16)}
+LAYER_CASES = {
+    "threshold_n24": "families.threshold(ThresholdSpec(24, 1.5))",
+    "walsh_transform_n24": "cube.walsh_transform of that table",
+    "level_profile_n24": "radius.level_profile of that spectrum",
+    "dumps_spectrum_n17": "serialize.dumps_spectrum of a uniform(-1, 1) table's spectrum",
+    "brute_force_n4": "radius.brute_force_bn_radius(4)",
+}
 RUNS = 5
 RUN_S = 0.1
 
 
-def time_case(fwht, shape) -> float:
-    """Median over RUNS of the mean seconds per call."""
-    src = np.random.default_rng(list(shape)).uniform(-1.0, 1.0, size=shape)
-    work = np.empty_like(src)
+def median_s(call, reset=None) -> float:
+    """Median over RUNS of the mean seconds per call; ``reset`` runs untimed before each."""
 
     def calls(number: int) -> float:
         total = 0.0
         for _ in range(number):
-            np.copyto(work, src)
+            if reset is not None:
+                reset()
             t0 = time.perf_counter()
-            fwht(work)
+            call()
             total += time.perf_counter() - t0
         return total
 
     number = max(1, round(RUN_S / max(calls(1), 1e-6)))
     return statistics.median(calls(number) / number for _ in range(RUNS))
+
+
+def butterfly_case(fwht, shape) -> float:
+    src = np.random.default_rng(list(shape)).uniform(-1.0, 1.0, size=shape)
+    work = np.empty_like(src)
+    return median_s(lambda: fwht(work), lambda: np.copyto(work, src))
+
+
+def layer_medians() -> dict:
+    """The public-call cases, each timed on inputs built just before it."""
+    from cuberadius import cube, families, radius, serialize
+
+    spec = families.ThresholdSpec(24, 1.5)
+    out = {"threshold_n24": median_s(lambda: families.threshold(spec))}
+    f = families.threshold(spec)
+    out["walsh_transform_n24"] = median_s(lambda: cube.walsh_transform(f))
+    s = cube.walsh_transform(f)
+    out["level_profile_n24"] = median_s(lambda: radius.level_profile(s, 1.0))
+    table = np.random.default_rng(17).uniform(-1.0, 1.0, size=2**17)
+    s17 = cube.walsh_transform(cube.from_truth_table(17, table))
+    out["dumps_spectrum_n17"] = median_s(lambda: serialize.dumps_spectrum(s17))
+    out["brute_force_n4"] = median_s(lambda: radius.brute_force_bn_radius(4))
+    return out
 
 
 def machine() -> dict:
@@ -83,14 +117,15 @@ def main(argv=None) -> int:
     if not Path(cube.__file__).resolve().is_relative_to(args.src.resolve()):
         print(f"cuberadius was imported from {cube.__file__}, not from {args.src}", file=sys.stderr)
         return 2
-    median_s = {}
-    for name, shape in CASES.items():
-        median_s[name] = time_case(cube._fwht_inplace, shape)
-        print(f"{args.label:>10} {name:>14} {median_s[name] * 1e3:10.3f} ms", flush=True)
+    medians = {name: butterfly_case(cube._fwht_inplace, shape) for name, shape in CASES.items()}
+    medians |= layer_medians()
+    for name, t in medians.items():
+        print(f"{args.label:>10} {name:>20} {t * 1e3:10.3f} ms")
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("what", "cube._fwht_inplace, median of 5 runs of the mean seconds per call")
+    data.setdefault("what", "median of 5 runs of the mean seconds per call")
     data.setdefault("shapes", {name: list(shape) for name, shape in CASES.items()})
-    data.setdefault("runs", {}).setdefault(args.label, []).append({"machine": machine(), "median_s": median_s})
+    data["layer_cases"] = LAYER_CASES
+    data.setdefault("runs", {}).setdefault(args.label, []).append({"machine": machine(), "median_s": medians})
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 

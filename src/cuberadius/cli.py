@@ -10,11 +10,15 @@ success, 1 verification failure, 2 usage, input or work-cap error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
+import numpy as np
+
 from . import families, inequalities, radius, serialize, threshold
-from .cube import sup_norm, walsh_transform
+from .cube import BooleanFunction, sup_norm, walsh_transform
+
 
 def _write(args, text: str) -> None:
     if args.output:
@@ -64,7 +68,15 @@ def cmd_radius(args) -> int:
         f = _build_family(args)
     else:
         raise ValueError("radius needs --family or --input")
-    result = radius.boolean_radius(radius.level_profile(walsh_transform(f), sup_norm(f)))
+    # The radius does not change under scaling.  A table whose butterfly could
+    # overflow is scaled by an exact power of two to a sup norm in [1/2, 1);
+    # the residual is scaled back.  Smaller tables keep their bits.
+    sup = sup_norm(f)
+    e = math.frexp(sup)[1] if sup >= 2.0 ** (1023 - f.n) else 0
+    if e:
+        f = BooleanFunction._adopt(f.n, np.ldexp(f.values, -e))
+    result = radius.boolean_radius(radius.level_profile(walsh_transform(f), math.ldexp(sup, -e)))
+    result = dataclasses.replace(result, residual=math.ldexp(result.residual, e))
     if args.format == "csv":
         rr = serialize.radius_result_obj(result)
         text = "radius,residual,iterations,method\n%s,%s,%d,%s\n" % (

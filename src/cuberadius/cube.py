@@ -15,7 +15,7 @@ in-place butterfly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +27,8 @@ MAX_DENSE_N = 24
 #: 128 MiB at n = 12 and 32 GiB at n = 16.
 NAIVE_MAX_N = 12
 
-#: Arrays above this many doubles (1 MiB) are transformed in cache-sized
-#: pieces by ``_fwht_inplace``; at or below it, in one pass over the array.
+#: Doubles in one cache-sized piece (1 MiB) of ``_fwht_inplace`` and of the
+#: streamed level sums of ``radius.level_profile``.
 FWHT_CHUNK = 2**17
 
 #: Coefficients with absolute value at or below this count as zero
@@ -43,38 +43,52 @@ def _validate_dimension(n: int) -> None:
         raise ValueError(f"dense tables are capped at n <= {MAX_DENSE_N}, got n = {n}")
 
 
-def _frozen_vector(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
+def _freeze(obj, n: int, vector, copy) -> None:
+    """Check n and ``vector`` as floats (a copy if ``copy`` is True, else a view
+    where possible) once, and set both on obj, the vector read-only."""
+    _validate_dimension(n)
+    what = fields(obj)[1].name  # "values" or "coeffs"
+    arr = np.array(vector, dtype=float, copy=copy)
     if arr.ndim != 1 or arr.size != 2**n:
         raise ValueError(f"{what} must have length 2^{n} = {2**n}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite entries")
     arr.flags.writeable = False
-    return arr
+    object.__setattr__(obj, "n", n)
+    object.__setattr__(obj, what, arr)
+
+
+class _DenseVector:
+    """The length-2^n float vector shared by truth tables and spectra.
+
+    The public constructor copies its input.  ``_adopt`` takes over a float
+    array the caller owns and will not touch again, without copying it.
+    """
+
+    def __post_init__(self):
+        _freeze(self, self.n, getattr(self, fields(self)[1].name), copy=True)
+
+    @classmethod
+    def _adopt(cls, n: int, arr: np.ndarray):
+        obj = object.__new__(cls)
+        _freeze(obj, n, arr, copy=None)
+        return obj
 
 
 @dataclass(frozen=True, eq=False)
-class BooleanFunction:
+class BooleanFunction(_DenseVector):
     """Dense truth table of a real function on {-1,+1}^n."""
 
     n: int
     values: np.ndarray
 
-    def __post_init__(self):
-        _validate_dimension(self.n)
-        object.__setattr__(self, "values", _frozen_vector(self.values, self.n, "values"))
-
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_DenseVector):
     """Dense Fourier-Walsh coefficient vector, indexed by subset bitmask."""
 
     n: int
     coeffs: np.ndarray
-
-    def __post_init__(self):
-        _validate_dimension(self.n)
-        object.__setattr__(self, "coeffs", _frozen_vector(self.coeffs, self.n, "coeffs"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +143,8 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     must be C-contiguous: its reshapes are views, so writes land in ``a``.
 
     Stage h (h = 1, 2, ..., 2^n / 2) maps each pair (u, v) = (x, x + h) of
-    every block of 2h entries to (u + v, u - v).  Arrays of at most
-    FWHT_CHUNK doubles run the stages one after another over the whole
-    array.  Larger arrays run them in two cache-sized passes:
+    every block of 2h entries to (u + v, u - v).  The stages run in two
+    cache-sized passes:
 
     1. every stage with h below min(2^n, FWHT_CHUNK), on one contiguous
        piece of FWHT_CHUNK entries (one part of a long row, or several short
@@ -147,43 +160,44 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     independent pairs changes.
     """
     size = a.shape[-1]
-    if a.size <= FWHT_CHUNK:
-        h = 1
-        while h < size:
-            b = a.reshape(a.shape[:-1] + (-1, 2 * h))
-            x = b[..., :h].copy()
-            y = b[..., h:].copy()
-            b[..., :h] = x + y
-            b[..., h:] = x - y
-            h *= 2
-        return a
     flat = a.reshape(-1)
     low = min(size, FWHT_CHUNK)
     for start in range(0, flat.size, FWHT_CHUNK):
-        piece = flat[start : start + FWHT_CHUNK]
-        h = 1
-        while h < low:
-            _butterfly(piece.reshape(-1, 2, h))
-            h *= 2
+        _stages(flat[start : start + FWHT_CHUNK], low, ())
     k = size // FWHT_CHUNK
     if k > 1:
         width = max(FWHT_CHUNK // k, 1)
         for row in flat.reshape(-1, k, FWHT_CHUNK):
             for col in range(0, FWHT_CHUNK, width):
-                slab = row[:, col : col + width]
-                g = 1
-                while g < k:
-                    _butterfly(slab.reshape(-1, 2, g, width))
-                    g *= 2
+                _stages(row[:, col : col + width], k, (width,))
     return a
 
 
-def _butterfly(pairs: np.ndarray) -> None:
-    """One stage on a view whose axis 1 holds the pairs: (u, v) -> (u + v, u - v)."""
-    first, second = pairs[:, 0], pairs[:, 1]
-    x = first.copy()
-    first += second
-    np.subtract(x, second, out=second)
+def _stages(block: np.ndarray, stop: int, tail: tuple) -> None:
+    """Stages h = 1, 2, ..., stop / 2 on ``block`` viewed as (-1, 2h) + tail.
+
+    Stages h and 2h run as one radix-4 pass over each (a, b, c, d) quarter
+    of a block of 4h: (a, b, c, d) -> (s0 + s1, d0 + d1, s0 - s1, d0 - d1)
+    with s0, d0, s1, d1 = a + b, a - b, c + d, c - d, which are the IEEE
+    operations of the two radix-2 stages.  An odd stage count ends with one
+    radix-2 stage.
+    """
+    h = 1
+    while 4 * h <= stop:
+        q = block.reshape((-1, 4, h) + tail)
+        a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+        s0, d0, s1, d1 = a + b, a - b, c + d, c - d
+        np.add(s0, s1, out=a)
+        np.subtract(s0, s1, out=c)
+        np.add(d0, d1, out=b)
+        np.subtract(d0, d1, out=d)
+        h *= 4
+    if h < stop:
+        p = block.reshape((-1, 2, h) + tail)
+        u, v = p[:, 0], p[:, 1]
+        s = u + v
+        np.subtract(u, v, out=v)
+        u[...] = s
 
 
 def walsh_transform(f: BooleanFunction) -> Spectrum:
@@ -192,9 +206,14 @@ def walsh_transform(f: BooleanFunction) -> Spectrum:
     Fast butterfly, normalized on the forward pass so the coefficients are
     literally the expectations E[f * chi_S].
     """
-    a = _fwht_inplace(f.values.copy())
+    a = f.values.copy()
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            _fwht_inplace(a)
+        except FloatingPointError:
+            raise ValueError(f"values overflow the butterfly; scale them below 2^{1023 - f.n}") from None
     a /= 2**f.n
-    return Spectrum(f.n, a)
+    return Spectrum._adopt(f.n, a)
 
 
 def walsh_transform_naive(f: BooleanFunction) -> Spectrum:
@@ -213,11 +232,12 @@ def walsh_transform_naive(f: BooleanFunction) -> Spectrum:
 
 def inverse_walsh(s: Spectrum) -> BooleanFunction:
     """Evaluate f(x) = sum_S coeffs[S] x^S on the whole cube (unnormalized butterfly)."""
-    return BooleanFunction(s.n, _fwht_inplace(s.coeffs.copy()))
+    return BooleanFunction._adopt(s.n, _fwht_inplace(s.coeffs.copy()))
 
 
 def sup_norm(f: BooleanFunction) -> float:
-    return float(np.max(np.abs(f.values)))
+    # max |x| without a 2^n copy; abs turns a -0.0 maximum into 0.0
+    return abs(float(max(f.values.max(), -f.values.min())))
 
 
 def p_norm(f: BooleanFunction, p: float) -> float:

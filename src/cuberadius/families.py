@@ -34,11 +34,6 @@ class ThresholdSpec:
             raise ValueError(f"need 0 <= alpha < n, got alpha = {self.alpha}")
 
 
-def _coordinate_sums(n: int) -> np.ndarray:
-    # x_1 + ... + x_n at table index i is n - 2 popcount(i)
-    return n - 2.0 * np.bitwise_count(np.arange(2**n, dtype=np.uint32)).astype(float)
-
-
 def extremal_indicator_flip(N: int) -> BooleanFunction:
     """The sign table that is -1 only at the all-ones point.
 
@@ -49,7 +44,7 @@ def extremal_indicator_flip(N: int) -> BooleanFunction:
         raise ValueError(f"need 1 <= N <= {MAX_DENSE_N}")
     values = np.ones(2**N)
     values[0] = -1.0
-    return BooleanFunction(N, values)
+    return BooleanFunction._adopt(N, values)
 
 
 def dictator(N: int, i: int) -> BooleanFunction:
@@ -58,7 +53,7 @@ def dictator(N: int, i: int) -> BooleanFunction:
     if not 1 <= i <= N:
         raise ValueError(f"coordinate must lie in [1, {N}]")
     bits = (np.arange(2**N, dtype=np.uint32) >> (i - 1)) & 1
-    return BooleanFunction(N, 1.0 - 2.0 * bits)
+    return BooleanFunction._adopt(N, 1.0 - 2.0 * bits)
 
 
 def parity(N: int, S) -> BooleanFunction:
@@ -69,13 +64,18 @@ def parity(N: int, S) -> BooleanFunction:
         raise ValueError(f"subset members must lie in [1, {N}]")
     mask = np.uint32(sum(1 << (k - 1) for k in S))
     signs = np.bitwise_count(np.arange(2**N, dtype=np.uint32) & mask) & 1
-    return BooleanFunction(N, 1.0 - 2.0 * signs)
+    return BooleanFunction._adopt(N, 1.0 - 2.0 * signs)
 
 
 def threshold(spec: ThresholdSpec) -> BooleanFunction:
     """sign(x_1 + ... + x_n - alpha) with sign(0) = +1."""
-    sums = _coordinate_sums(spec.n)
-    return BooleanFunction(spec.n, np.where(sums - spec.alpha >= 0, 1.0, -1.0))
+    # x_1 + ... + x_n at table index i is n - 2 popcount(i), and it falls with
+    # the level, so the sign is +1 exactly up to the last level where the
+    # float test n - 2 m - alpha >= 0 holds
+    n = spec.n
+    top = np.count_nonzero(n - 2.0 * np.arange(n + 1) - spec.alpha >= 0) - 1
+    counts = np.bitwise_count(np.arange(2**n, dtype=np.uint32))
+    return BooleanFunction._adopt(n, np.where(counts <= top, 1.0, -1.0))
 
 
 def canonical_alpha(N: int, alpha: float) -> int:
@@ -132,7 +132,7 @@ def random_sign_homogeneous(N: int, m: int, coeffs, seed: int):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (count,):
         raise ValueError(f"need one coefficient per size-{m} subset ({count})")
-    f = BooleanFunction(N, _fwht_inplace(_sign_spectra(N, m, coeffs, [seed]))[0])
+    f = BooleanFunction._adopt(N, _fwht_inplace(_sign_spectra(N, m, coeffs, [seed]))[0])
     bound = SALEM_ZYGMUND_FACTOR * math.sqrt(N) * math.sqrt(float(np.sum(coeffs**2)))
     return f, bool(sup_norm(f) <= bound)
 
@@ -154,4 +154,4 @@ def biased_indicator(N: int, lam: float) -> BooleanFunction:
         raise ValueError(f"lambda must be a positive multiple of 2^-{N}")
     values = np.full(2**N, -1.0)
     values[:k] = 1.0
-    return BooleanFunction(N, values)
+    return BooleanFunction._adopt(N, values)

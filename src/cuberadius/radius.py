@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import (
+    FWHT_CHUNK,
     BooleanFunction,
     Spectrum,
     SymmetricSpectrum,
@@ -103,7 +104,16 @@ def level_profile(s: Spectrum, sup: float) -> LevelProfile:
     """Regroup |fhat(S)| by |S|; ``sup`` is the sup norm of the matching function."""
     if sup < 0:
         raise ValueError("sup norm must be nonnegative")
-    w = np.bincount(subset_levels(s.n), weights=np.abs(s.coeffs), minlength=s.n + 1)
+    # Piece j of 2^k coefficients holds the subsets with high bits j and low
+    # bits T, whose level is popcount(j) + |T|: one shared table of the 2^k
+    # levels |T| serves every piece, and no 2^n level array is built.
+    k = min(s.n, FWHT_CHUNK.bit_length() - 1)
+    levels = subset_levels(k)
+    w = np.zeros(s.n + 1)
+    for j in range(2 ** (s.n - k)):
+        shift = j.bit_count()
+        piece = np.abs(s.coeffs[j << k : (j + 1) << k])
+        w[shift : shift + k + 1] += np.bincount(levels, weights=piece)
     return LevelProfile(s.n, w, _log(w), float(sup))
 
 
@@ -283,7 +293,11 @@ def brute_force_bn_radius(N: int, workers: int = 1):
     ks = np.arange(2**points, dtype=np.uint64)
     tables = 1.0 - 2.0 * ((ks[:, None] >> np.arange(points, dtype=np.uint64)[None, :]) & 1)
     coeffs = _fwht_inplace(tables.copy()) / points
-    w, inverse = np.unique(_level_sums(np.abs(coeffs), subset_levels(N)), axis=0, return_inverse=True)
+    sums = _level_sums(np.abs(coeffs), subset_levels(N))
+    # distinct rows by their bytes; each is solved on its own, so their order does not matter
+    rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1])))[:, 0]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    w = sums[first]
     rho = _solve_reduced(_log(w[:, 1:]), _log_targets(w[:, 0], 1.0))[0][inverse]
     i = int(np.argmin(rho))  # ties resolve to the smallest enumeration index
     return float(rho[i]), BooleanFunction(N, tables[i])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,33 +55,47 @@ def truth_table_obj(f: BooleanFunction) -> dict:
     return {"n": f.n, "values": [float(v) for v in f.values]}
 
 
+def _dumps_vector(n: int, key: str, arr: np.ndarray) -> str:
+    # what dumps emits for {"n": n, key: arr}; the arrays are finite by construction
+    return '{"n": %d, "%s": [%s]}\n' % (n, key, ", ".join(["%.17g" % x for x in arr.tolist()]))
+
+
 def dumps_truth_table(f: BooleanFunction) -> str:
-    return dumps(truth_table_obj(f))
+    return _dumps_vector(f.n, "values", f.values)
 
 
-def _numbers(obj: dict, key: str) -> np.ndarray:
-    # JSON true/false would otherwise be read as 1.0/0.0
-    if isinstance(obj[key], list) and bool in map(type, obj[key]):
-        raise ValueError(f"{key} must hold numbers, not booleans")
-    return np.asarray(obj[key], dtype=float)
+def _entries(obj: dict, key: str, convert):
+    """convert(obj[key]) for a JSON list; any failure is a ValueError naming key."""
+    items = obj[key]
+    # JSON true/false would otherwise be read as 1/0
+    if not isinstance(items, list) or bool in map(type, items):
+        raise ValueError(f"{key} must hold numbers in a list (booleans are not numbers)")
+    try:
+        return convert(items)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _numbers(items: list) -> np.ndarray:
+    return np.asarray(items, dtype=float)
 
 
 def loads_truth_table(text: str) -> BooleanFunction:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"n", "values"}:
         raise ValueError('truth-table JSON must be {"n": ..., "values": [...]}')
-    return BooleanFunction(obj["n"], _numbers(obj, "values"))
+    return BooleanFunction._adopt(obj["n"], _entries(obj, "values", _numbers))
 
 
 def dumps_spectrum(s: Spectrum) -> str:
-    return dumps({"n": s.n, "coeffs": [float(c) for c in s.coeffs]})
+    return _dumps_vector(s.n, "coeffs", s.coeffs)
 
 
 def loads_spectrum(text: str) -> Spectrum:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"n", "coeffs"}:
         raise ValueError('spectrum JSON must be {"n": ..., "coeffs": [...]}')
-    return Spectrum(obj["n"], _numbers(obj, "coeffs"))
+    return Spectrum._adopt(obj["n"], _entries(obj, "coeffs", _numbers))
 
 
 def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
@@ -94,7 +109,9 @@ def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
 
 def loads_symmetric_spectrum(text: str) -> SymmetricSpectrum:
     obj = json.loads(text)
-    return SymmetricSpectrum(obj["n"], obj["level_coeffs"])
+    if not isinstance(obj, dict) or not {"n", "level_coeffs"} <= set(obj) <= {"n", "level_coeffs", "log_abs"}:
+        raise ValueError('symmetric-spectrum JSON must be {"n": ..., "level_coeffs": [...]}, "log_abs" optional')
+    return SymmetricSpectrum(obj["n"], _entries(obj, "level_coeffs", lambda v: [Fraction(c) for c in v]))
 
 
 def radius_result_obj(r: RadiusResult) -> dict:

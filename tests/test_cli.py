@@ -3,7 +3,9 @@ import math
 import subprocess
 import sys
 import threading
+import warnings
 
+import numpy as np
 import pytest
 
 from cuberadius.cli import main
@@ -42,6 +44,30 @@ class TestRadiusCommand:
         path.write_text('{"n": 2, "values": [-1, 1, 1, 1]}')
         code, out = run_cli(["radius", "--input", str(path)], capsys)
         assert json.loads(out)["radius"] == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
+
+    def test_huge_finite_table_is_scaled(self, tmp_path, capsys):
+        values = np.random.default_rng(7).choice([-1e308, 1e308], size=16)
+        values[3] = 0.25e308
+        e = math.frexp(1e308)[1]
+        got = []
+        for name, table in (("huge", values), ("by_hand", np.ldexp(values, -e))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"n": 4, "values": table.tolist()}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out = run_cli(["radius", "--input", str(path)], capsys)
+            assert code == 0
+            got.append(json.loads(out))
+        huge, by_hand = got
+        assert huge["radius"].hex() == by_hand["radius"].hex() and 0.0 < huge["radius"] < 1.0
+        # the residual is reported for the table as given
+        assert huge["residual"] == math.ldexp(by_hand["residual"], e)
+
+    def test_huge_spectrum_input_names_values(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "values": [1e308, 1e308, -1e308, 1e308]}))
+        assert main(["spectrum", "--n", "2", "--input", str(path)]) == 2
+        assert "values overflow" in capsys.readouterr().err
 
     def test_csv_format(self, capsys):
         code, out = run_cli(["radius", "--family", "dictator", "--n", "2", "--format", "csv"], capsys)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from cuberadius.cube import (
     walsh_transform,
     walsh_transform_naive,
 )
+from cuberadius.families import majority
 
 MAJ3 = [1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, -1.0]
 
@@ -89,6 +91,30 @@ class TestFromTruthTable:
         with pytest.raises(ValueError):
             f.values[0] = 5.0
 
+    @pytest.mark.parametrize("cls", [BooleanFunction, Spectrum])
+    def test_public_constructor_copies(self, cls):
+        src = np.array([1.0, -1.0, 0.5, 2.0])
+        obj = cls(2, src)
+        src[0] = 7.0
+        vec = obj.values if cls is BooleanFunction else obj.coeffs
+        assert vec[0] == 1.0 and src.flags.writeable and not vec.flags.writeable
+
+    @pytest.mark.parametrize("cls", [BooleanFunction, Spectrum])
+    def test_adopted_array_is_frozen_in_place(self, cls):
+        arr = np.array([1.0, -1.0, 0.5, 2.0])
+        obj = cls._adopt(2, arr)
+        assert (obj.values if cls is BooleanFunction else obj.coeffs) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="non-finite"):
+            cls._adopt(2, np.array([1.0, math.inf, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="length"):
+            cls._adopt(2, np.zeros(3))
+
+    def test_transforms_and_builders_hand_out_read_only_arrays(self):
+        f = majority(5)
+        for vec in (f.values, walsh_transform(f).coeffs, inverse_walsh(walsh_transform(f)).values):
+            assert not vec.flags.writeable
+
 
 class TestWalshTransform:
     def test_parity_characters_orthonormal(self):
@@ -125,6 +151,13 @@ class TestWalshTransform:
         rhs -= 3.0 * walsh_transform(from_truth_table(4, b)).coeffs
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+
+    def test_overflow_names_values(self):
+        f = from_truth_table(2, [1e308, 1e308, -1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="values overflow"):
+                walsh_transform(f)
 
     def test_naive_rejects_dimension_over_cap(self):
         f = from_truth_table(NAIVE_MAX_N + 1, np.zeros(2 ** (NAIVE_MAX_N + 1)))
@@ -213,6 +246,13 @@ class TestNorms:
 
     def test_zero_function(self):
         assert sup_norm(from_truth_table(1, [0, 0])) == 0.0
+        assert math.copysign(1.0, sup_norm(from_truth_table(1, [-0.0, 0.0]))) == 1.0
+        assert math.copysign(1.0, sup_norm(from_truth_table(1, [-0.0, -0.0]))) == 1.0
+
+    @given(tables())
+    @settings(max_examples=40, deadline=None)
+    def test_sup_norm_is_max_abs_bit_for_bit(self, f):
+        assert sup_norm(f).hex() == float(np.max(np.abs(f.values))).hex()
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):

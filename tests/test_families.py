@@ -100,6 +100,14 @@ class TestThreshold:
             tail = sum(math.comb(N, m) for m in range(N + 1) if N - 2 * m >= alpha)
             assert expectation(f) == pytest.approx(2.0 * tail / 2**N - 1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_level_signs_match_the_float_definition(self, N):
+        sums = N - 2.0 * np.bitwise_count(np.arange(2**N, dtype=np.uint32))
+        alphas = [0, 5e-324, 1e-300, N - 1, N - 1e-9] + list(range(N)) + [k + 0.5 for k in range(N)]
+        for alpha in alphas:
+            want = np.where(sums - alpha >= 0, 1.0, -1.0)
+            assert threshold(ThresholdSpec(N, alpha)).values.tobytes() == want.tobytes(), alpha
+
 
 class TestCanonicalAlpha:
     def test_odd_parity_is_fixed(self):

@@ -107,6 +107,24 @@ class TestLevelProfile:
         np.add.at(ref, subset_levels(n), np.abs(s.coeffs))
         assert level_profile(s, 1.0).weights.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 16, 17])
+    def test_one_piece_matches_one_bincount_bit_for_bit(self, n):
+        c = np.random.default_rng(n).normal(size=2**n)
+        ref = np.bincount(subset_levels(n), weights=np.abs(c), minlength=n + 1)
+        assert level_profile(Spectrum(n, c), 1.0).weights.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_streamed_pieces_match_exact_level_sums(self, n):
+        # each piece of 2^17 terms is summed in order, then the pieces: the
+        # recursive-summation bound for that many positive terms
+        c = np.abs(np.random.default_rng(n).normal(size=2**n))
+        got = level_profile(Spectrum(n, c), 1.0).weights
+        levels = subset_levels(n)
+        bound = (2**17 + 2 ** (n - 17)) * np.finfo(float).eps
+        for m in range(n + 1):
+            exact = math.fsum(c[levels == m])
+            assert abs(got[m] - exact) <= bound * exact, m
+
 
 class TestMajorant:
     def test_at_zero_gives_constant_weight(self):

@@ -10,6 +10,7 @@ from cuberadius.radius import RadiusResult
 from cuberadius.serialize import (
     MAJORITY_SCAN_HEADER,
     THRESHOLD_SCAN_HEADER,
+    dumps,
     dumps_radius_result,
     dumps_report,
     dumps_spectrum,
@@ -61,6 +62,35 @@ def test_booleans_are_not_numbers():
         loads_truth_table('{"n": 2, "values": [1, true, -1, 1]}')
     with pytest.raises(ValueError, match="coeffs"):
         loads_spectrum('{"n": 1, "coeffs": [0.5, false]}')
+
+
+def test_symmetric_spectrum_needs_its_keys():
+    with pytest.raises(ValueError, match="level_coeffs"):
+        loads_symmetric_spectrum('{"n": 1}')
+
+
+def test_symmetric_spectrum_must_be_an_object():
+    with pytest.raises(ValueError, match="symmetric-spectrum JSON"):
+        loads_symmetric_spectrum('[1, "1/2"]')
+
+
+def test_symmetric_spectrum_rejects_booleans():
+    with pytest.raises(ValueError, match="level_coeffs must hold numbers"):
+        loads_symmetric_spectrum('{"n": 1, "level_coeffs": [true, "1/2"]}')
+
+
+def test_symmetric_spectrum_rejects_non_rationals():
+    for bad in ("null", '"1/0"', "Infinity", "NaN", '"x"'):
+        with pytest.raises(ValueError, match="level_coeffs"):
+            loads_symmetric_spectrum('{"n": 1, "level_coeffs": [%s, "1/2"]}' % bad)
+
+
+def test_dense_emitters_match_the_generic_emitter():
+    awkward = [0.1, -0.0, 5e-324, -1.7976931348623157e308, 1 / 3, 2.0**-1074 * 3, 1e16, -2.5]
+    f = from_truth_table(3, awkward)
+    assert dumps_truth_table(f) == dumps({"n": 3, "values": awkward})
+    s = walsh_transform(f)
+    assert dumps_spectrum(s) == dumps({"n": 3, "coeffs": [float(c) for c in s.coeffs]})
 
 
 def test_symmetric_spectrum_round_trip_is_exact():
