@@ -11,7 +11,8 @@ doubles (n = 10, 16, 20, 22, 24) and on the batches (16, 2^10) and
 copied in outside the timed region.  Then it times the public calls of a
 dense radius or spectrum: ``families.threshold`` and ``walsh_transform`` at
 n = 24, ``level_profile`` of that spectrum, ``dumps_spectrum`` at n = 17 and
-``brute_force_bn_radius(4)``.  Each case reports the median of 5 runs, after
+``brute_force_bn_radius(4)``, and one whole ``radius --family threshold --n 24``
+through ``cli.main`` (stdout captured).  Each case reports the median of 5 runs, after
 one untimed warm-up; a run is the mean of enough calls to last about 0.1 s.
 The numbers are added under ``--label`` to ``--out`` (``BENCH_fwht.json`` at
 the repository root by default) together with the machine: core count,
@@ -25,6 +26,8 @@ Uses only the standard library and numpy; it is not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -44,6 +47,8 @@ LAYER_CASES = {
     "dumps_spectrum_n17": "serialize.dumps_spectrum of a uniform(-1, 1) table's spectrum",
     "brute_force_n4": "radius.brute_force_bn_radius(4)",
 }
+RADIUS_ARGV = ["radius", "--family", "threshold", "--n", "24", "--alpha", "1.5"]
+LAYER_CASES["radius_threshold_n24"] = "cli.main of " + " ".join(RADIUS_ARGV)
 RUNS = 5
 RUN_S = 0.1
 
@@ -73,7 +78,7 @@ def butterfly_case(fwht, shape) -> float:
 
 def layer_medians() -> dict:
     """The public-call cases, each timed on inputs built just before it."""
-    from cuberadius import cube, families, radius, serialize
+    from cuberadius import cli, cube, families, radius, serialize
 
     spec = families.ThresholdSpec(24, 1.5)
     out = {"threshold_n24": median_s(lambda: families.threshold(spec))}
@@ -85,6 +90,8 @@ def layer_medians() -> dict:
     s17 = cube.walsh_transform(cube.from_truth_table(17, table))
     out["dumps_spectrum_n17"] = median_s(lambda: serialize.dumps_spectrum(s17))
     out["brute_force_n4"] = median_s(lambda: radius.brute_force_bn_radius(4))
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["radius_threshold_n24"] = median_s(lambda: cli.main(RADIUS_ARGV))
     return out
 
 

@@ -28,12 +28,26 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _build_family(args):
-    name = args.family
-    if name is None:
+def _threshold_spec(args):
+    """Check --family and --n; the ThresholdSpec of threshold and majority, None otherwise."""
+    if args.family is None:
         raise ValueError("need --family (or --input where supported)")
     if args.n is None:
         raise ValueError("--n is required with --family")
+    if args.family == "threshold":
+        if args.alpha is None:
+            raise ValueError("threshold needs --alpha")
+        return families.ThresholdSpec(args.n, args.alpha)
+    if args.family == "majority":
+        return families.majority_spec(args.n)
+    return None
+
+
+def _build_family(args):
+    spec = _threshold_spec(args)
+    if spec is not None:
+        return families.threshold(spec)
+    name = args.family
     if name == "extremal":
         return families.extremal_indicator_flip(args.n)
     if name == "dictator":
@@ -43,12 +57,6 @@ def _build_family(args):
         if m < 0:
             raise ValueError(f"--m must be >= 0, got {m}")
         return families.parity(args.n, range(1, m + 1))
-    if name == "threshold":
-        if args.alpha is None:
-            raise ValueError("threshold needs --alpha")
-        return families.threshold(families.ThresholdSpec(args.n, args.alpha))
-    if name == "majority":
-        return families.majority(args.n)
     if name == "biased":
         if args.lam is None:
             raise ValueError("biased needs --lambda")
@@ -62,21 +70,24 @@ def _load_input_function(path: str):
 
 
 def cmd_radius(args) -> int:
-    if args.input:
-        f = _load_input_function(args.input)
-    elif args.family:
-        f = _build_family(args)
-    else:
+    if not (args.input or args.family):
         raise ValueError("radius needs --family or --input")
-    # The radius does not change under scaling.  A table whose butterfly could
-    # overflow is scaled by an exact power of two to a sup norm in [1/2, 1);
-    # the residual is scaled back.  Smaller tables keep their bits.
-    sup = sup_norm(f)
-    e = math.frexp(sup)[1] if sup >= 2.0 ** (1023 - f.n) else 0
-    if e:
-        f = BooleanFunction._adopt(f.n, np.ldexp(f.values, -e))
-    result = radius.boolean_radius(radius.level_profile(walsh_transform(f), math.ldexp(sup, -e)))
-    result = dataclasses.replace(result, residual=math.ldexp(result.residual, e))
+    # threshold and majority are symmetric: their exact integer level weights
+    # equal the dense ones bit for bit, with no 2^n table
+    spec = None if args.input else _threshold_spec(args)
+    if spec is not None:
+        result = radius.boolean_radius(threshold.threshold_level_profile(spec))
+    else:
+        f = _load_input_function(args.input) if args.input else _build_family(args)
+        # The radius does not change under scaling.  A table whose butterfly
+        # could overflow is scaled by an exact power of two to a sup norm in
+        # [1/2, 1); the residual is scaled back.  Smaller tables keep their bits.
+        sup = sup_norm(f)
+        e = math.frexp(sup)[1] if sup >= 2.0 ** (1023 - f.n) else 0
+        if e:
+            f = BooleanFunction._adopt(f.n, np.ldexp(f.values, -e))
+        result = radius.boolean_radius(radius.level_profile(walsh_transform(f), math.ldexp(sup, -e)))
+        result = dataclasses.replace(result, residual=math.ldexp(result.residual, e))
     if args.format == "csv":
         rr = serialize.radius_result_obj(result)
         text = "radius,residual,iterations,method\n%s,%s,%d,%s\n" % (

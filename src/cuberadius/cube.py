@@ -204,15 +204,21 @@ def walsh_transform(f: BooleanFunction) -> Spectrum:
     """Fourier-Walsh coefficients fhat(S) = 2^{-n} sum_x f(x) chi_S(x).
 
     Fast butterfly, normalized on the forward pass so the coefficients are
-    literally the expectations E[f * chi_S].
+    literally the expectations E[f * chi_S].  As |fhat(S)| <= sup norm, a
+    table whose butterfly overflows is transformed scaled by an exact 2^-e to
+    a sup norm in [1/2, 1), then scaled back; other tables keep their bits.
     """
     a = f.values.copy()
-    with np.errstate(over="raise", invalid="raise"):
-        try:
+    e = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
             _fwht_inplace(a)
-        except FloatingPointError:
-            raise ValueError(f"values overflow the butterfly; scale them below 2^{1023 - f.n}") from None
+    except FloatingPointError:
+        e = math.frexp(sup_norm(f))[1]
+        a = _fwht_inplace(np.ldexp(f.values, -e))
     a /= 2**f.n
+    if e:
+        np.ldexp(a, e, out=a)
     return Spectrum._adopt(f.n, a)
 
 

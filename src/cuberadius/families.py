@@ -59,23 +59,28 @@ def dictator(N: int, i: int) -> BooleanFunction:
 def parity(N: int, S) -> BooleanFunction:
     """f(x) = x^S = prod_{k in S} x_k; the empty set gives the constant 1."""
     _validate_dimension(N)
-    S = sorted(set(int(k) for k in S))
-    if S and not (1 <= S[0] and S[-1] <= N):
-        raise ValueError(f"subset members must lie in [1, {N}]")
-    mask = np.uint32(sum(1 << (k - 1) for k in S))
-    signs = np.bitwise_count(np.arange(2**N, dtype=np.uint32) & mask) & 1
+    mask = 0
+    for k in S:  # stops at the first stray member, even of a huge range
+        if not 1 <= int(k) <= N:
+            raise ValueError(f"subset members must lie in [1, {N}]")
+        mask |= 1 << (int(k) - 1)
+    signs = np.bitwise_count(np.arange(2**N, dtype=np.uint32) & np.uint32(mask)) & 1
     return BooleanFunction._adopt(N, 1.0 - 2.0 * signs)
+
+
+def threshold_top(spec: ThresholdSpec) -> int:
+    """The last level m (count of -1 coordinates) where the threshold is +1.
+
+    x_1 + ... + x_n = n - 2 m falls with m; the float test n - 2 m - alpha >= 0
+    decides, as in the definition, for the table and the exact level profile.
+    """
+    return int(np.count_nonzero(spec.n - 2.0 * np.arange(spec.n + 1) - spec.alpha >= 0)) - 1
 
 
 def threshold(spec: ThresholdSpec) -> BooleanFunction:
     """sign(x_1 + ... + x_n - alpha) with sign(0) = +1."""
-    # x_1 + ... + x_n at table index i is n - 2 popcount(i), and it falls with
-    # the level, so the sign is +1 exactly up to the last level where the
-    # float test n - 2 m - alpha >= 0 holds
-    n = spec.n
-    top = np.count_nonzero(n - 2.0 * np.arange(n + 1) - spec.alpha >= 0) - 1
-    counts = np.bitwise_count(np.arange(2**n, dtype=np.uint32))
-    return BooleanFunction._adopt(n, np.where(counts <= top, 1.0, -1.0))
+    counts = np.bitwise_count(np.arange(2**spec.n, dtype=np.uint32))
+    return BooleanFunction._adopt(spec.n, np.where(counts <= threshold_top(spec), 1.0, -1.0))
 
 
 def canonical_alpha(N: int, alpha: float) -> int:
@@ -99,11 +104,16 @@ def canonical_alpha(N: int, alpha: float) -> int:
     return s - 1
 
 
-def majority(N: int) -> BooleanFunction:
-    """Maj_N = sign(x_1 + ... + x_N) for odd N."""
+def majority_spec(N: int) -> ThresholdSpec:
+    """The threshold parameters (N, 0) of Maj_N; N must be odd."""
     if N % 2 == 0:
         raise ValueError("majority needs odd N")
-    return threshold(ThresholdSpec(N, 0))
+    return ThresholdSpec(N, 0)
+
+
+def majority(N: int) -> BooleanFunction:
+    """Maj_N = sign(x_1 + ... + x_N) for odd N."""
+    return threshold(majority_spec(N))
 
 
 def _sign_spectra(N: int, m: int, coeffs: np.ndarray, seeds) -> np.ndarray:

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import erfcx
 
 from .cube import SymmetricSpectrum
-from .families import canonical_alpha
-from .radius import _bisect, _one_radius
+from .families import ThresholdSpec, canonical_alpha, threshold_top
+from .radius import LevelProfile, _bisect, _log, _one_radius
 
 #: Dimension cap for exact symmetric spectra.
 MAX_SYMMETRIC_N = 4001
@@ -114,6 +114,25 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
         coeffs.append(Fraction(lead * c[n - 1], den * binom))
         binom = binom * (N - n) // n
     return SymmetricSpectrum(N, coeffs)
+
+
+def threshold_level_profile(spec: ThresholdSpec) -> LevelProfile:
+    """Level profile of ``families.threshold(spec)`` from exact integers, no 2^n table.
+
+    With top = threshold_top(spec) the table is the odd-parity threshold
+    a = n - 2 top - 1, whose T = sum_{m <= top} binom(n, m) points are +1; with
+    lead = binom(n-1, top), 2^n W_0 = |2^n - 2T| and
+    2^n W_m = binom(n, m) 2 lead |c_{m-1}| / binom(n-1, m-1) = 2 n lead |c_{m-1}| / m.
+    For a +-1 table every step of the dense path is exact while n <= 24
+    (integer butterfly sums, level sums below 2^48), so these weights equal
+    level_profile(walsh_transform(threshold(spec)), 1.0) bit for bit.
+    """
+    n = spec.n
+    a, T, lead = _tail_terms(n, n - 2 * threshold_top(spec) - 1)
+    c = _krawtchouk(n, a)
+    w = np.array([abs(2**n - 2 * T)] + [2 * n * lead * abs(c[m - 1]) // m for m in range(1, n + 1)], dtype=float)
+    w /= 2**n
+    return LevelProfile(n, w, _log(w), 1.0)
 
 
 def maj_identity_eval(N: int, r: float) -> float:

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cuberadius import cube, families
 from cuberadius.cli import main
-from cuberadius.serialize import loads_symmetric_spectrum
+from cuberadius.serialize import dumps_truth_table, loads_symmetric_spectrum
 from cuberadius.threshold import MAX_TN_N
 
 
@@ -63,11 +70,13 @@ class TestRadiusCommand:
         # the residual is reported for the table as given
         assert huge["residual"] == math.ldexp(by_hand["residual"], e)
 
-    def test_huge_spectrum_input_names_values(self, tmp_path, capsys):
+    def test_huge_spectrum_input_is_scaled(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n": 2, "values": [1e308, 1e308, -1e308, 1e308]}))
-        assert main(["spectrum", "--n", "2", "--input", str(path)]) == 2
-        assert "values overflow" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["spectrum", "--n", "2", "--input", str(path)], capsys)
+        assert code == 0 and json.loads(out)["coeffs"] == [5e307, -5e307, 5e307, 5e307]
 
     def test_csv_format(self, capsys):
         code, out = run_cli(["radius", "--family", "dictator", "--n", "2", "--format", "csv"], capsys)
@@ -111,6 +120,67 @@ class TestRadiusCommand:
     def test_threshold_without_alpha_exits_2(self, capsys):
         code, _ = run_cli(["radius", "--family", "threshold", "--n", "3"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, radius",
+        [
+            (["--family", "threshold", "--n", "24", "--alpha", "1.5"], 0.17627162439628852),
+            (["--family", "majority", "--n", "23"], 0.21589669992468447),
+        ],
+    )
+    def test_threshold_and_majority_build_no_table(self, monkeypatch, capsys, args, radius):
+        def refuse(*_):
+            raise AssertionError("a dense table or butterfly was used")
+
+        monkeypatch.setattr(cube, "_fwht_inplace", refuse)
+        monkeypatch.setattr(families, "threshold", refuse)
+        code, out = run_cli(["radius"] + args, capsys)
+        assert code == 0
+        obj = json.loads(out)
+        # the output of the dense path: table, butterfly and level sums
+        assert obj["radius"].hex() == radius.hex()
+        assert obj["residual"] == 1.1102230246251565e-16
+        assert obj["iterations"] == 55 and obj["method"] == "bisection"
+
+
+def _capture(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run; argparse exits count."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["threshold", "majority", "extremal", "dictator", "parity", "biased"]),
+    n=st.integers(max_value=12) | st.integers(1, 12),
+    alpha=st.none() | st.floats() | st.floats(0.0, 12.0),
+    lam=st.none() | st.floats() | st.integers(0, 2**12).map(lambda k: k / 2**12),
+    m=st.none() | st.integers() | st.integers(-1, 13),
+    fmt=st.sampled_from(["json", "csv"]),
+)
+@example(family="parity", n=5, alpha=None, lam=None, m=10**12, fmt="json")  # once a hang
+def test_radius_family_fuzz(family, n, alpha, lam, m, fmt):
+    argv = ["radius", "--family", family, f"--n={n}", "--format", fmt]
+    for flag, value in (("--alpha", alpha), ("--lambda", lam), ("--m", m)):
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    code, out, err = _capture(argv)
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("cuberadius: error: ") and not out, argv
+    elif family in ("threshold", "majority"):
+        # the oracle: the dense path on the family's own table
+        spec = families.majority_spec(n) if family == "majority" else families.ThresholdSpec(n, alpha)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.json"
+            path.write_text(dumps_truth_table(families.threshold(spec)))
+            assert _capture(["radius", "--input", str(path), "--format", fmt]) == (0, out, ""), argv
 
 
 class TestBnCommand:

@@ -152,12 +152,23 @@ class TestWalshTransform:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-    def test_overflow_names_values(self):
-        f = from_truth_table(2, [1e308, 1e308, -1e308, 1e308])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="values overflow"):
-                walsh_transform(f)
+    def test_overflowing_table_is_scaled_by_a_power_of_two(self):
+        rng = np.random.default_rng(3)
+        huge = rng.choice([-1e308, 1e308], size=16)
+        huge[5] = 0.25e308
+        for n, values in ((2, np.array([1e308, 1e308, -1e308, 1e308])), (4, huge)):
+            e = math.frexp(np.max(np.abs(values)))[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = walsh_transform(from_truth_table(n, values)).coeffs
+                by_hand = walsh_transform(from_truth_table(n, np.ldexp(values, -e))).coeffs
+            assert_same_bits(got, np.ldexp(by_hand, e))
+        assert np.max(np.abs(got)) <= np.max(np.abs(huge))
+
+    def test_tables_that_do_not_overflow_keep_their_bits(self):
+        values = np.random.default_rng(4).uniform(-1.0, 1.0, size=2**6) * 2.0**1015
+        got = walsh_transform(from_truth_table(6, values)).coeffs
+        assert_same_bits(got, cube._fwht_inplace(values.copy()) / 2**6)
 
     def test_naive_rejects_dimension_over_cap(self):
         f = from_truth_table(NAIVE_MAX_N + 1, np.zeros(2 ** (NAIVE_MAX_N + 1)))

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from cuberadius.cube import subset_levels, sup_norm, walsh_transform
-from cuberadius.families import ThresholdSpec, canonical_alpha, threshold
+from cuberadius.families import ThresholdSpec, canonical_alpha, majority_spec, threshold
 from cuberadius.radius import boolean_radius, boolean_radius_symmetric, level_profile
 from cuberadius.threshold import (
     MAX_TN_N,
@@ -21,6 +21,7 @@ from cuberadius.threshold import (
     mckay_residual,
     sandwich_check,
     tail_lower_bound_check,
+    threshold_level_profile,
     threshold_radius,
     threshold_spectrum_exact,
     tn_lower_bound,
@@ -393,6 +394,32 @@ def test_symmetric_and_dense_solvers_agree_on_thresholds():
             f = threshold(ThresholdSpec(N, alpha))
             dense = boolean_radius(level_profile(walsh_transform(f), sup_norm(f)))
             assert sym.radius == pytest.approx(dense.radius, abs=1e-9)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _assert_profile_matches_dense(spec):
+    exact = threshold_level_profile(spec)
+    dense = level_profile(walsh_transform(threshold(spec)), 1.0)
+    assert _same_bits(exact.weights, dense.weights), spec
+    assert _same_bits(exact.log_weights, dense.log_weights), spec
+    assert exact.n == dense.n and exact.sup_norm == dense.sup_norm == 1.0
+    assert boolean_radius(exact) == boolean_radius(dense), spec
+
+
+class TestThresholdLevelProfile:
+    @pytest.mark.parametrize("N", range(1, 17))
+    def test_bit_identical_to_the_dense_profile(self, N):
+        alphas = [0, 5e-324, 1e-300, N - 1, N - 1e-9] + [k + 0.5 for k in range(N)]
+        for alpha in alphas:
+            _assert_profile_matches_dense(ThresholdSpec(N, alpha))
+        if N % 2:
+            _assert_profile_matches_dense(majority_spec(N))
+
+    def test_bit_identical_at_n20(self):
+        _assert_profile_matches_dense(ThresholdSpec(20, 2.5))
 
 
 def test_biased_threshold_radius_against_high_precision_oracle():
