@@ -68,15 +68,6 @@ def parity(N: int, S) -> BooleanFunction:
     return BooleanFunction._adopt(N, 1.0 - 2.0 * signs)
 
 
-def threshold_top(spec: ThresholdSpec) -> int:
-    """The last level m (count of -1 coordinates) where the threshold is +1.
-
-    x_1 + ... + x_n = n - 2 m falls with m; the float test n - 2 m - alpha >= 0
-    decides, as in the definition, for the table and the exact level profile.
-    """
-    return int(np.count_nonzero(spec.n - 2.0 * np.arange(spec.n + 1) - spec.alpha >= 0)) - 1
-
-
 def threshold(spec: ThresholdSpec) -> BooleanFunction:
     """sign(x_1 + ... + x_n - alpha) with sign(0) = +1."""
     counts = np.bitwise_count(np.arange(2**spec.n, dtype=np.uint32))
@@ -102,6 +93,16 @@ def canonical_alpha(N: int, alpha: float) -> int:
     if (N - s) % 2 != 0:
         s += 1
     return s - 1
+
+
+def threshold_top(spec: ThresholdSpec) -> int:
+    """The last level m (count of -1 coordinates) where the threshold is +1.
+
+    The sum x_1 + ... + x_n = n - 2 m falls with m, and the smallest
+    reachable sum at or above alpha is canonical_alpha + 1; one rule for the
+    table and the exact level profile.
+    """
+    return (spec.n - 1 - canonical_alpha(spec.n, spec.alpha)) // 2
 
 
 def majority_spec(N: int) -> ThresholdSpec:

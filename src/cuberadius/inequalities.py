@@ -411,7 +411,7 @@ def _biased_radius(t: _Tables):
     _require(t.sup != 0, "zero function excluded")
     delta = 1.0 - np.abs(t.mean) / t.sup
     _require(delta > 1e-12, "constant functions excluded (delta = 0)")
-    rho = _dense_radii(t.coeffs, t.levels, t.sup)
+    rho = _dense_radii(_level_sums(np.abs(t.coeffs), t.levels), t.sup)
     bound = np.array([1.0 / (5.0 * math.sqrt(t.n) * math.sqrt(math.log(2.0 / x))) for x in delta.tolist()])
     return _check(rho[:, None], bound[:, None])
 

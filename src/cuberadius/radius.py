@@ -23,7 +23,7 @@ symmetric path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -53,33 +53,25 @@ PROFILE_TOL = 1e-9
 class LevelProfile:
     """Per-degree absolute coefficient sums W_m plus the matching sup norm.
 
-    The linear ``weights`` view may hold inf where a weight exceeds double
-    range; ``log_weights`` is then the authoritative view.
+    The weights must be finite: a function whose level sums leave double
+    range is scaled first (its radius does not change).  ``log_weights`` is
+    derived from them, -inf at a zero weight.
     """
 
     n: int
     weights: np.ndarray
-    log_weights: np.ndarray
     sup_norm: float
+    log_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        lw = np.asarray(self.log_weights, dtype=float)
-        if w.shape != (self.n + 1,) or lw.shape != (self.n + 1,):
-            raise ValueError("weights and log_weights must have one entry per level 0..n")
-        if np.any(w < 0) or np.any(np.isnan(w)):
-            raise ValueError("level weights must be nonnegative")
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (self.n + 1,):
+            raise ValueError("weights must have one entry per level 0..n")
+        if not np.all((w >= 0) & (w < math.inf)):
+            raise ValueError("level weights must be finite and nonnegative; scale the function first")
         if self.sup_norm < 0:
             raise ValueError("sup norm must be nonnegative")
-        sized = (w > 0) & (w < math.inf)
-        lw_w = np.log(np.where(sized, w, 1.0))
-        # math.isclose(lw_w, lw, rel_tol=1e-9, abs_tol=1e-9), level by level
-        close = np.abs(lw_w - lw) <= np.maximum(1e-9 * np.maximum(np.abs(lw_w), np.abs(lw)), 1e-9)
-        bad = (w == 0) & (lw != -math.inf) | sized & ~(np.isfinite(lw) & close)
-        if np.any(bad):
-            raise ValueError(f"level {int(np.argmax(bad))}: weights and log_weights disagree")
-        w = w.copy()
-        lw = lw.copy()
+        lw = _log(w)
         w.flags.writeable = False
         lw.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -114,7 +106,7 @@ def level_profile(s: Spectrum, sup: float) -> LevelProfile:
         shift = j.bit_count()
         piece = np.abs(s.coeffs[j << k : (j + 1) << k])
         w[shift : shift + k + 1] += np.bincount(levels, weights=piece)
-    return LevelProfile(s.n, w, _log(w), float(sup))
+    return LevelProfile(s.n, w, float(sup))
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -219,9 +211,8 @@ def _one_radius(log_tail: np.ndarray, log_target: float) -> RadiusResult:
     return RadiusResult(float(radius[0]), float(residual[0]), int(iterations[0]), method)
 
 
-def _dense_radii(coeffs: np.ndarray, levels: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Radii of the rows of a (rows, 2^n) coefficient block with sup norms ``sup``."""
-    w = _level_sums(np.abs(coeffs), levels)
+def _dense_radii(w: np.ndarray, sup) -> np.ndarray:
+    """Radii of the (rows, n + 1) level-weight rows ``w`` with sup norms ``sup``."""
     return _solve_reduced(_log(w[:, 1:]), _log_targets(w[:, 0], sup))[0]
 
 
@@ -297,8 +288,7 @@ def brute_force_bn_radius(N: int, workers: int = 1):
     # distinct rows by their bytes; each is solved on its own, so their order does not matter
     rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1])))[:, 0]
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    w = sums[first]
-    rho = _solve_reduced(_log(w[:, 1:]), _log_targets(w[:, 0], 1.0))[0][inverse]
+    rho = _dense_radii(sums[first], 1.0)[inverse]
     i = int(np.argmin(rho))  # ties resolve to the smallest enumeration index
     return float(rho[i]), BooleanFunction(N, tables[i])
 
@@ -334,4 +324,4 @@ def homogeneous_class_scan(N: int, m: int, trials: int, seed: int, workers: int 
         sup = min(sup, float(np.max(np.abs(tables), axis=1).min()))
     w = np.zeros(N + 1)
     w[m] = math.comb(N, m)
-    return boolean_radius(LevelProfile(N, w, _log(w), sup)).radius
+    return boolean_radius(LevelProfile(N, w, sup)).radius

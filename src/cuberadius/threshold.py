@@ -19,6 +19,7 @@ for the degree-N disc polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +28,8 @@ import numpy as np
 from scipy.special import erfcx
 
 from .cube import SymmetricSpectrum
-from .families import ThresholdSpec, canonical_alpha, threshold_top
-from .radius import LevelProfile, _bisect, _log, _one_radius
+from .families import ThresholdSpec, canonical_alpha
+from .radius import LevelProfile, _bisect, _one_radius
 
 #: Dimension cap for exact symmetric spectra.
 MAX_SYMMETRIC_N = 4001
@@ -119,8 +120,8 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
 def threshold_level_profile(spec: ThresholdSpec) -> LevelProfile:
     """Level profile of ``families.threshold(spec)`` from exact integers, no 2^n table.
 
-    With top = threshold_top(spec) the table is the odd-parity threshold
-    a = n - 2 top - 1, whose T = sum_{m <= top} binom(n, m) points are +1; with
+    The table is the odd-parity threshold a = canonical_alpha(n, alpha), whose
+    T = sum_{m <= top} binom(n, m) points are +1, top = (n - 1 - a) / 2; with
     lead = binom(n-1, top), 2^n W_0 = |2^n - 2T| and
     2^n W_m = binom(n, m) 2 lead |c_{m-1}| / binom(n-1, m-1) = 2 n lead |c_{m-1}| / m.
     For a +-1 table every step of the dense path is exact while n <= 24
@@ -128,11 +129,11 @@ def threshold_level_profile(spec: ThresholdSpec) -> LevelProfile:
     level_profile(walsh_transform(threshold(spec)), 1.0) bit for bit.
     """
     n = spec.n
-    a, T, lead = _tail_terms(n, n - 2 * threshold_top(spec) - 1)
+    a, T, lead = _tail_terms(n, canonical_alpha(n, spec.alpha))
     c = _krawtchouk(n, a)
     w = np.array([abs(2**n - 2 * T)] + [2 * n * lead * abs(c[m - 1]) // m for m in range(1, n + 1)], dtype=float)
     w /= 2**n
-    return LevelProfile(n, w, _log(w), 1.0)
+    return LevelProfile(n, w, 1.0)
 
 
 def maj_identity_eval(N: int, r: float) -> float:
@@ -171,7 +172,8 @@ def _log_g(N: int, alpha: float, r: float) -> float:
         lg = (N - 1) / 2.0 * math.log1p(r * r)
         if alpha > 0:
             x = alpha / (N - 1)
-            lg += a / 2.0 * math.log1p(x) + b / 2.0 * math.log1p(-x)
+            # at alpha = N - 1 (b = 0, x = 1) the b term tends to 0; log1p(-1) is undefined
+            lg += a / 2.0 * math.log1p(x) + (b / 2.0 * math.log1p(-x) if b else 0.0)
         return lg
     return a * math.log1p(r) + b * math.log(abs(1.0 - r))
 
@@ -332,8 +334,6 @@ def threshold_radius(N: int, alpha: float) -> ThresholdReport:
     ratio radius * (alpha + sqrt(N)), the tail correction and the sandwich
     verdict.
     """
-    if not 0 <= alpha < N:
-        raise ValueError(f"need 0 <= alpha < N, got alpha = {alpha}")
     a, T, lead = _tail_terms(N, canonical_alpha(N, alpha))
     rho = _radius_exact(N, a, T, lead)
     return ThresholdReport(
@@ -347,9 +347,7 @@ def threshold_radius(N: int, alpha: float) -> ThresholdReport:
     )
 
 
-_GAMMA_CACHE = []
-
-
+@functools.cache
 def gamma_constant() -> float:
     """The gamma with int_0^gamma e^{u^2/2} du = sqrt(pi/2).
 
@@ -357,11 +355,9 @@ def gamma_constant() -> float:
     is smooth and increasing, and the bracket is driven to machine width, so
     the defining integral matches sqrt(pi/2) to well under 1e-12.
     """
-    if not _GAMMA_CACHE:
-        f = lambda u: math.exp(0.5 * u * u)
-        root, _ = _bisect(lambda mid: _adaptive_simpson(f, 0.0, float(mid), 1e-14) < SQRT_HALF_PI, 0.5, 2.0)
-        _GAMMA_CACHE.append(float(root))
-    return _GAMMA_CACHE[0]
+    f = lambda u: math.exp(0.5 * u * u)
+    root, _ = _bisect(lambda mid: _adaptive_simpson(f, 0.0, float(mid), 1e-14) < SQRT_HALF_PI, 0.5, 2.0)
+    return float(root)
 
 
 def majority_scan(Ns, workers: int = 1):
@@ -374,6 +370,7 @@ def majority_scan(Ns, workers: int = 1):
     for N in Ns:
         if N % 2 == 0:
             raise ValueError(f"majority scan needs odd N, got {N}")
+        _check_parity(N, 0)  # the dimension cap, before the first radius
     gam = gamma_constant()
 
     def row(N: int):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuberadius import cube, families
+from cuberadius import cube, families, inequalities
 from cuberadius.cli import main
 from cuberadius.serialize import dumps_truth_table, loads_symmetric_spectrum
 from cuberadius.threshold import MAX_TN_N
@@ -183,6 +183,72 @@ def test_radius_family_fuzz(family, n, alpha, lam, m, fmt):
             assert _capture(["radius", "--input", str(path), "--format", fmt]) == (0, out, ""), argv
 
 
+def _flag(name, value):
+    return [] if value is None else [f"{name}={value!r}"]
+
+
+_FAMILIES = ["threshold", "majority", "extremal", "dictator", "parity", "biased"]
+_ALPHA_TOKENS = st.sampled_from(["0", "sqrt", "half", "", " 3", "x", "1.5"]) | st.integers(-3, 61).map(str)
+
+
+def _mostly(lo, hi):
+    """Integers in [lo, hi] half of the time, otherwise any integer up to hi."""
+    return st.integers(lo, hi) | st.integers(max_value=hi)
+
+
+@st.composite
+def _family_argv(draw, command, n_max, families=_FAMILIES):
+    fam = draw(st.sampled_from(families))
+    n = draw(_mostly(1, n_max))
+    argv = [command, "--family", fam, f"--n={n}"]
+    argv += _flag("--alpha", draw(st.none() | st.floats() | st.floats(0.0, float(n_max))))
+    argv += _flag("--lambda", draw(st.none() | st.floats() | st.integers(0, 2**12).map(lambda k: k / 2**12)))
+    return argv + _flag("--m", draw(st.none() | st.integers() | st.integers(-1, 13)))
+
+
+_ODD = st.integers(-2, 30).map(lambda k: 2 * k + 1)
+
+_OTHER_COMMANDS = st.one_of(
+    _family_argv("spectrum", 12),
+    _family_argv("spectrum", 60, ["threshold", "majority", "extremal"]).map(
+        lambda argv: argv + ["--symmetric"]
+    ),
+    st.tuples(
+        st.lists(_mostly(1, 60).map(str) | st.sampled_from(["", "x", " 7"]), max_size=3),
+        st.none() | st.lists(_ALPHA_TOKENS, max_size=4),
+    ).map(
+        lambda t: ["threshold-scan", "--n-list=" + ",".join(t[0])]
+        + ([] if t[1] is None else ["--alphas=" + ",".join(t[1])])
+    ),
+    st.tuples(_ODD | st.integers(-5, 60), _ODD | st.integers(-5, 60)).map(
+        lambda t: ["majority-scan", f"--n-start={t[0]}", f"--n-stop={t[1]}"]
+    ),
+    st.builds(
+        lambda suite, n_max, samples, seed, d: ["verify", "--suite", suite, f"--n-max={n_max}",
+                                                f"--samples={samples}", f"--seed={seed}", f"--d={d}"],
+        st.sampled_from(list(inequalities.ASSERTABLE_SUITES) + list(inequalities.REPORT_SUITES) + ["all"]),
+        _mostly(2, 4),
+        _mostly(1, 3),
+        st.integers(0, 2**70) | st.integers(),
+        _mostly(1, 6),
+    ),
+    st.tuples(_mostly(1, 5), st.booleans()).map(lambda t: ["bn", f"--n={t[0]}"] + ["--brute"] * t[1]),
+    _mostly(1, 1000).map(lambda n: ["tn", f"--n={n}"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_OTHER_COMMANDS)
+@example(argv=["threshold-scan", "--n-list", "2"])  # once a quadrature math domain error
+def test_other_commands_fuzz(argv):
+    code, out, err = _capture(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert code != 1 or argv[0] in ("verify", "bn"), (argv, err)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert err.startswith("cuberadius: error: ") and not out, (argv, err)
+
+
 class TestBnCommand:
     @pytest.mark.parametrize("n,value", [(1, 1.0), (2, math.sqrt(2) - 1), (3, 2 ** (1 / 3) - 1)])
     def test_brute_matches_formula(self, n, value, capsys):
@@ -220,6 +286,32 @@ class TestScanCommands:
     def test_threshold_scan_rejects_bad_alpha(self, capsys):
         code, _ = run_cli(["threshold-scan", "--n-list", "3", "--alphas", "7"], capsys)
         assert code == 2
+
+    def test_threshold_scan_at_alpha_n_minus_1(self, capsys):
+        # the default alphas at N = 2 reach alpha = N - 1, where G's b term vanishes
+        code, out = run_cli(["threshold-scan", "--n-list", "2"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [r[:2] for r in rows] == [["2", "-1"], ["2", "1"]]
+        assert float(rows[1][3]) == pytest.approx(1.0, abs=1e-12) and rows[1][5] == "true"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["majority-scan", "--n-start", "3001", "--n-stop", "4003"],
+            ["threshold-scan", "--n-list", "11,5001", "--alphas", "0"],
+        ],
+    )
+    def test_caps_are_checked_before_any_radius(self, monkeypatch, capsys, argv):
+        from cuberadius import threshold
+
+        calls = []
+        exact = threshold._radius_exact
+        monkeypatch.setattr(threshold, "_radius_exact", lambda *a: calls.append(a) or exact(*a))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "cuberadius: error: need 1 <= N <= 4001\n"
+        assert calls == []
 
     def test_majority_scan(self, capsys):
         code, out = run_cli(["majority-scan", "--n-start", "1", "--n-stop", "7"], capsys)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cuberadius.cube import expectation, inverse_walsh, sup_norm, walsh_transform
+from cuberadius.cube import MAX_DENSE_N, expectation, inverse_walsh, sup_norm, walsh_transform
 from cuberadius.families import (
     SALEM_ZYGMUND_FACTOR,
     ThresholdSpec,
@@ -15,8 +15,17 @@ from cuberadius.families import (
     parity,
     random_sign_homogeneous,
     threshold,
+    threshold_top,
 )
 from cuberadius.radius import bn_radius_formula, boolean_radius, level_profile
+
+
+def _edge_alphas(N):
+    """Admissible alphas at the level boundaries: each integer and its float
+    neighbours, the midpoints, and the extremes near 0 and N."""
+    below = [math.nextafter(k, -math.inf) for k in range(1, N)]
+    above = [math.nextafter(k, math.inf) for k in range(N)]
+    return [1e-300, N - 1e-9] + list(range(N)) + below + above + [k + 0.5 for k in range(N)]
 
 
 def radius_of(f):
@@ -103,10 +112,16 @@ class TestThreshold:
     @pytest.mark.parametrize("N", range(1, 13))
     def test_level_signs_match_the_float_definition(self, N):
         sums = N - 2.0 * np.bitwise_count(np.arange(2**N, dtype=np.uint32))
-        alphas = [0, 5e-324, 1e-300, N - 1, N - 1e-9] + list(range(N)) + [k + 0.5 for k in range(N)]
-        for alpha in alphas:
+        for alpha in _edge_alphas(N):
             want = np.where(sums - alpha >= 0, 1.0, -1.0)
             assert threshold(ThresholdSpec(N, alpha)).values.tobytes() == want.tobytes(), alpha
+
+    @pytest.mark.parametrize("N", range(1, MAX_DENSE_N + 1))
+    def test_top_level_matches_the_float_rule(self, N):
+        # the last m with n - 2 m - alpha >= 0 in doubles, without a table
+        for alpha in _edge_alphas(N):
+            want = int(np.count_nonzero(N - 2.0 * np.arange(N + 1) - alpha >= 0)) - 1
+            assert threshold_top(ThresholdSpec(N, alpha)) == want, alpha
 
 
 class TestCanonicalAlpha:

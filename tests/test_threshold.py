@@ -196,6 +196,11 @@ class TestGFunction:
         with pytest.raises(ValueError):
             g_function(5, 2, -0.1)
 
+    @pytest.mark.parametrize("N", [2, 3, 5, 40])
+    def test_alpha_n_minus_1_at_one(self, N):
+        # b = 0: G(r) = (1 + r)^(N-1), and the b log term drops out at x = 1
+        assert g_function(N, N - 1, 1.0) == pytest.approx(2.0 ** (N - 1), rel=1e-12)
+
 
 class TestIIntegral:
     def test_zero_length(self):
@@ -218,6 +223,9 @@ class TestIIntegral:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             i_integral(5, 2, -1.0)
+
+    def test_alpha_n_minus_1_past_one(self):
+        assert i_integral(5, 4, 1.5) == pytest.approx((2.5**5 - 1) / 5, rel=1e-10)
 
 
 class TestYFunction:
@@ -309,6 +317,15 @@ class TestThresholdRadius:
         with pytest.raises(ValueError):
             threshold_radius(5, 5)
 
+    def test_alpha_n_minus_1(self):
+        # psi_{2,1} is x_1 AND x_2 up to sign: radius sqrt(2) - 1, and its
+        # sandwich evaluates G at r = 1 and beyond
+        rep = threshold_radius(2, 1)
+        assert rep.alpha == 1
+        assert rep.radius == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
+        assert rep.ratio == pytest.approx(1.0, abs=1e-12)
+        assert rep.sandwich_ok and sandwich_check(2, 1)
+
 
 class TestGamma:
     def test_defining_integral(self):
@@ -324,6 +341,7 @@ class TestGamma:
 
     def test_frozen_value(self):
         assert gamma_constant() == pytest.approx(1.0347760379849298, abs=1e-13)
+        assert gamma_constant().hex() == "0x1.08e71519d4690p+0"
 
 
 class TestMajorityScan:
