@@ -99,12 +99,11 @@ def loads_spectrum(text: str) -> Spectrum:
 
 
 def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
-    obj = {
-        "n": s.n,
-        "level_coeffs": [f"{c.numerator}/{c.denominator}" for c in s.level_coeffs],
-        "log_abs": ["-inf" if v == -math.inf else fmt17(v) for v in s.log_abs],
-    }
-    return dumps(obj)
+    # what dumps emits for {"n": n, "level_coeffs": ["p/q", ...], "log_abs": ["%.17g" or "-inf", ...]};
+    # log_abs is finite or -inf by construction
+    coeffs = ", ".join(['"%d/%d"' % (c.numerator, c.denominator) for c in s.level_coeffs])
+    logs = ", ".join(['"-inf"' if v == -math.inf else '"%.17g"' % v for v in s.log_abs.tolist()])
+    return '{"n": %d, "level_coeffs": [%s], "log_abs": [%s]}\n' % (s.n, coeffs, logs)
 
 
 def loads_symmetric_spectrum(text: str) -> SymmetricSpectrum:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfcx
 
 from .cube import SymmetricSpectrum
 from .families import ThresholdSpec, canonical_alpha
@@ -101,20 +100,44 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     """Exact per-level spectrum of sign(x_1 + ... + x_N - alpha), N - alpha odd.
 
     Level n holds binom(N-1, b) c_{n-1} / (2^{N-1} binom(N-1, n-1)) with the
-    c_k from the generating product; level 0 is the exact tail expectation.
-    alpha = -1 (N even) is admitted so that canonicalized thresholds with an
-    even integer alpha, where the odd-parity representative drops below zero,
-    still have an exact spectrum; the identity holds there unchanged.
+    c_k from the generating product; level 0 is the exact tail expectation
+    (T - 2^{N-1}) / 2^{N-1}.  Each level is put in lowest terms by
+    ``_lowest_terms``.  alpha = -1 (N even) is admitted so that canonicalized
+    thresholds with an even integer alpha, where the odd-parity
+    representative drops below zero, still have an exact spectrum; the
+    identity holds there unchanged.
     """
     alpha, T, lead = _tail_terms(N, alpha)
     c = _krawtchouk(N, alpha)
-    den = 2 ** (N - 1)
-    coeffs = [Fraction(T, den) - 1]
+    coeffs = [_lowest_terms(T - 2 ** (N - 1), 1, N - 1)]
     binom = 1  # binom(N-1, n-1), updated level by level
     for n in range(1, N + 1):
-        coeffs.append(Fraction(lead * c[n - 1], den * binom))
+        coeffs.append(_lowest_terms(lead * c[n - 1], binom, N - 1))
         binom = binom * (N - n) // n
     return SymmetricSpectrum(N, coeffs)
+
+
+def _lowest_terms(num: int, B: int, k: int) -> Fraction:
+    """The Fraction num / (2^k B) for B > 0, reduced with one gcd of two odd parts.
+
+    The powers of two come off both sides by bit operations, so the product
+    2^k B is never formed.  The result is written straight into the two
+    slots of CPython's ``Fraction`` (``_numerator``, ``_denominator``), which
+    skips the second gcd ``Fraction(p, q)`` would run on an already reduced
+    pair; this relies on the standard library's private slot layout.
+    """
+    p, q = 0, 1
+    if num:
+        u = (num & -num).bit_length() - 1
+        e = (B & -B).bit_length() - 1
+        A, B = num >> u, B >> e
+        e += k
+        g = math.gcd(A, B)
+        m = min(u, e)
+        p, q = (A // g) << (u - m), (B // g) << (e - m)
+    c = object.__new__(Fraction)
+    c._numerator, c._denominator = p, q
+    return c
 
 
 def threshold_level_profile(spec: ThresholdSpec) -> LevelProfile:
@@ -249,6 +272,8 @@ def i_integral(N: int, alpha: float, rho: float, rel_tol: float = QUAD_REL_TOL) 
 def y_function(x: float) -> float:
     """Y(x) = e^{x^2/2} int_x^inf e^{-t^2/2} dt via the scaled complementary
     error function, overflow-free for large x.  Y(0) = sqrt(pi/2), Y ~ 1/x."""
+    from scipy.special import erfcx  # scipy.special is most of the package's import time
+
     if x < 0:
         raise ValueError("need x >= 0")
     return SQRT_HALF_PI * float(erfcx(x / math.sqrt(2.0)))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -426,3 +427,80 @@ def test_console_script_help():
     assert proc.returncode == 0
     for cmd in ("radius", "bn", "threshold-scan", "majority-scan", "spectrum", "verify", "gamma", "tn"):
         assert cmd in proc.stdout
+
+
+def test_cold_import_leaves_scipy_unloaded():
+    # scipy.special is loaded by the first Y evaluation only
+    src = str(Path(cube.__file__).resolve().parent.parent)
+    code = "import sys, cuberadius, cuberadius.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# -- --input files of odd shapes ----------------------------------------------
+
+_ODD_ENTRY = st.one_of(
+    st.floats(),  # NaN and Infinity become the JSON tokens json.loads accepts
+    st.sampled_from([1e308, -1.7976931348623157e308, 5e-324, -0.0, 2**1100, -(10**400)]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def _input_text(draw):
+    """JSON text (or broken text) shaped roughly like a truth-table file, n <= 12."""
+    n_len = draw(st.integers(0, 12))
+    odd_n = st.integers(-2, 12) | st.sampled_from([True, 1.5, "3", None, 2**70, []])
+    n = n_len if draw(st.integers(0, 3)) else draw(odd_n)  # n agrees with the length 3 times in 4
+    size = 2**n_len
+    length = draw(st.sampled_from([size] * 4 + [size - 1, size + 1, 0, 1, 2 * size]))
+    values = [draw(st.floats(-1e308, 1e308) | st.sampled_from([1.0, -1.0]))] * length
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3])) if values else 0):
+        values[draw(st.integers(0, length - 1))] = draw(_ODD_ENTRY)
+    shape = draw(st.sampled_from(["flat"] * 5 + ["nested", "rows", "bare list", "scalar", "keys"]))
+    if shape == "nested":
+        values = [values]
+    elif shape == "rows":
+        values = [values[i : i + 2] for i in range(0, length, 2)]
+    obj = {"n": n, "values": values}
+    if shape == "bare list":
+        obj = values
+    elif shape == "scalar":
+        obj = draw(st.sampled_from([n, "x", None]))
+    elif shape == "keys":
+        obj = draw(
+            st.sampled_from([{"n": n}, {"values": values}, {"n": n, "values": values, "x": 1}, {"n": n, "coeffs": values}])
+        )
+    text = json.dumps(obj)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 9)) == 0 else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["radius", "spectrum"]),
+    text=_input_text(),
+    n_flag=st.integers(-1, 13),
+)
+@example(command="radius", text='{"n": 2, "values": [1e308, 1e308, -1e308, 1e308]}', n_flag=2)
+@example(command="spectrum", text='{"n": 2, "values": [[1, 1], [1, 1]]}', n_flag=2)
+@example(command="radius", text="[" * 100000, n_flag=1)  # RecursionError inside json
+@example(command="spectrum", text="\ufeff{}", n_flag=1)
+@example(command="radius", text="", n_flag=1)
+def test_input_file_fuzz(command, text, n_flag):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(text)
+        code, out, err = _capture([command, "--input", str(path), f"--n={n_flag}"])
+    assert code in (0, 2), (text[:200], err)
+    assert "Traceback" not in err, text[:200]
+    if code == 2:
+        assert err.startswith("cuberadius: error: ") and not out, (text[:200], err)
+    else:
+        assert set(json.loads(out)) >= ({"radius"} if command == "radius" else {"n", "coeffs"})

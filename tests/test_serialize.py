@@ -23,7 +23,7 @@ from cuberadius.serialize import (
     majority_scan_csv,
     threshold_scan_csv,
 )
-from cuberadius.threshold import threshold_radius
+from cuberadius.threshold import threshold_radius, threshold_spectrum_exact
 
 
 def test_fmt17_round_trips_awkward_doubles():
@@ -97,6 +97,39 @@ def test_symmetric_spectrum_round_trip_is_exact():
     s = SymmetricSpectrum(3, ["-3/4", "1/4", "1/4", "1/4"])
     back = loads_symmetric_spectrum(dumps_symmetric_spectrum(s))
     assert back.level_coeffs == s.level_coeffs
+
+
+def _generic_symmetric_dumps(s: SymmetricSpectrum) -> str:
+    """The symmetric-spectrum JSON built through the generic emitter, one string per entry."""
+    obj = {
+        "n": s.n,
+        "level_coeffs": [f"{c.numerator}/{c.denominator}" for c in s.level_coeffs],
+        "log_abs": ["-inf" if v == -math.inf else fmt17(v) for v in s.log_abs],
+    }
+    return dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        SymmetricSpectrum(3, ["-3/4", "1/4", "1/4", "1/4"]),
+        SymmetricSpectrum(2, [0, "-1/3", "123456789012345678901234567890/7"]),
+        threshold_spectrum_exact(1, 0),
+        threshold_spectrum_exact(2, -1),
+        threshold_spectrum_exact(9, 0),
+        threshold_spectrum_exact(61, 12),
+        threshold_spectrum_exact(4001, 2000),
+    ],
+    ids=lambda s: f"n{s.n}",
+)
+def test_symmetric_emitter_matches_the_generic_emitter(s):
+    assert dumps_symmetric_spectrum(s) == _generic_symmetric_dumps(s)
+
+
+def test_symmetric_spectrum_round_trip_is_byte_exact_at_the_cap():
+    text = dumps_symmetric_spectrum(threshold_spectrum_exact(4001, 0))
+    back = loads_symmetric_spectrum(text)
+    assert dumps_symmetric_spectrum(back) == text
 
 
 def test_radius_result_json():

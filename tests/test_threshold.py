@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cuberadius.cube import subset_levels, sup_norm, walsh_transform
+from cuberadius.cube import log_abs_fraction, subset_levels, sup_norm, walsh_transform
 from cuberadius.families import ThresholdSpec, canonical_alpha, majority_spec, threshold
 from cuberadius.radius import boolean_radius, boolean_radius_symmetric, level_profile
 from cuberadius.threshold import (
     MAX_TN_N,
     ThresholdReport,
     _krawtchouk,
+    _lowest_terms,
     branch_point,
     g_function,
     gamma_constant,
@@ -103,6 +104,51 @@ class TestExactSpectrum:
         for n in range(1, N + 1):
             expected = Fraction(lead * c[n - 1], 2 ** (N - 1) * math.comb(N - 1, n - 1))
             assert sym.level_coeffs[n] == expected
+
+    @staticmethod
+    def _assert_lowest_terms_exact(N, alpha):
+        """Every level is the Fraction the defining quotient normalises to, in lowest terms."""
+        sym = threshold_spectrum_exact(N, alpha)
+        b = (N - alpha - 1) // 2
+        row = [1]  # binom(N-1, k); math.comb level by level would dominate at N = 4000
+        for k in range(N - 1):
+            row.append(row[-1] * (N - 1 - k) // (k + 1))
+        lead = row[b]
+        T = sum(row[m] + (row[m - 1] if m else 0) for m in range(b + 1))  # Pascal: binom(N, m)
+        c = _krawtchouk(N, alpha)
+        den = 2 ** (N - 1)
+        expected = [Fraction(T, den) - 1] + [Fraction(lead * c[n - 1], den * row[n - 1]) for n in range(1, N + 1)]
+        assert len(sym.level_coeffs) == N + 1
+        for m, (got, want) in enumerate(zip(sym.level_coeffs, expected)):
+            assert type(got) is Fraction, (N, alpha, m)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (N, alpha, m)
+            assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1, (N, alpha, m)
+            assert got == want and hash(got) == hash(want), (N, alpha, m)
+            assert sym.log_abs[m].hex() == log_abs_fraction(want).hex(), (N, alpha, m)
+
+    def test_lowest_terms_every_alpha_up_to_60(self):
+        # every admissible alpha, -1 (even N) included
+        for N in range(1, 61):
+            for alpha in range(-1 + N % 2, N, 2):
+                self._assert_lowest_terms_exact(N, alpha)
+
+    def test_lowest_terms_matches_the_fraction_constructor(self):
+        # _lowest_terms writes Fraction's two private slots; a changed layout fails here first
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        cases = [
+            (0, 5, 3), (-3, 1, 2), (12, 6, 0), (1, 1, 0),
+            (5 * 2**40, 3 * 2**7, 9), (-(3**50) * 2**3, 7 * 3**20, 70),
+        ]
+        for num, B, k in cases:
+            got = _lowest_terms(num, B, k)
+            want = Fraction(num, 2**k * B)
+            assert type(got) is Fraction, (num, B, k)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (num, B, k)
+            assert got == want and hash(got) == hash(want), (num, B, k)
+
+    @pytest.mark.parametrize("N,alpha", [(3995, 1994), (4001, 2000), (4000, -1)])
+    def test_lowest_terms_at_the_cap(self, N, alpha):
+        self._assert_lowest_terms_exact(N, alpha)
 
     def test_recurrence_matches_product_expansion(self):
         # every admissible alpha, -1 (even N) included: 10,200 pairs
