@@ -5,11 +5,11 @@
     python3 bench/bench_symmetric.py --label parent --src <other checkout>/src
 
 Times ``threshold.threshold_spectrum_exact`` and
-``serialize.dumps_symmetric_spectrum`` at (N, alpha) = (3995, 1994) and
-(4001, 0), one whole ``spectrum --family threshold --n 3995 --alpha 1994
---symmetric`` through ``cli.main`` (stdout captured), and the cold
-``import cuberadius.cli``, timed inside a fresh interpreter (so without the
-interpreter's own start-up).  Each in-process case reports the median of 5
+``serialize.dumps_symmetric_spectrum`` at (N, alpha) = (3995, 1994), (4001, 0)
+and the formal (4000, -1), one whole ``spectrum --family threshold --n 3995
+--alpha 1994 --symmetric`` through ``cli.main`` (stdout captured), and the
+cold ``import cuberadius.cli``, timed inside a fresh interpreter (so without
+the interpreter's own start-up).  Each in-process case reports the median of 5
 runs, after one untimed warm-up; a run is the mean of enough calls to last
 about 0.1 s (see ``bench_fwht.median_s``).  The cold import reports the median
 of 9 fresh processes.  The numbers are added under ``--label`` to ``--out``
@@ -34,7 +34,7 @@ from pathlib import Path
 
 from bench_fwht import ROOT, machine, median_s
 
-POINTS = ((3995, 1994), (4001, 0))
+POINTS = ((3995, 1994), (4001, 0), (4000, -1))
 SPECTRUM_ARGV = ["spectrum", "--family", "threshold", "--n", "3995", "--alpha", "1994", "--symmetric"]
 CASES = {}
 for _n, _a in POINTS:

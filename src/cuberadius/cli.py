@@ -65,7 +65,8 @@ def _build_family(args):
 
 
 def _load_input_function(path: str):
-    with open(path) as fh:
+    # utf-8-sig also reads a table that an editor saved with a byte-order mark
+    with open(path, encoding="utf-8-sig") as fh:
         return serialize.loads_truth_table(fh.read())
 
 

@@ -100,8 +100,10 @@ def loads_spectrum(text: str) -> Spectrum:
 
 def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
     # what dumps emits for {"n": n, "level_coeffs": ["p/q", ...], "log_abs": ["%.17g" or "-inf", ...]};
-    # log_abs is finite or -inf by construction
-    coeffs = ", ".join(['"%d/%d"' % (c.numerator, c.denominator) for c in s.level_coeffs])
+    # log_abs is finite or -inf by construction.  Exact threshold spectra share
+    # a few power-of-two denominators, so each distinct one is printed once.
+    dens = {q: str(q) for q in {c.denominator for c in s.level_coeffs}}
+    coeffs = ", ".join(['"%d/%s"' % (c.numerator, dens[c.denominator]) for c in s.level_coeffs])
     logs = ", ".join(['"-inf"' if v == -math.inf else '"%.17g"' % v for v in s.log_abs.tolist()])
     return '{"n": %d, "level_coeffs": [%s], "log_abs": [%s]}\n' % (s.n, coeffs, logs)
 

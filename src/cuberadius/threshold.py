@@ -9,12 +9,12 @@ comes from the generating identity
 with a = (N+alpha-1)/2 and b = (N-alpha-1)/2, whose integer coefficients
 follow a three-term (Krawtchouk) recurrence; the empty-set coefficient is the
 exact binomial tail 2 sigma(x_1 + ... + x_N > alpha) - 1.  Radii are solved
-from these integers; rationals are built only for the published spectrum.
-On top of this the module provides the torus supremum G and its
-antiderivative I, the Mills-ratio-type function Y, the binomial-tail
-correction term bounded by sqrt(pi/2), the radius sandwich between I(rho)
-and I(3 rho)/3, the majority constant gamma, and the lower-bound root t_N
-for the degree-N disc polynomials.
+from these integers, the published spectrum (an integer over 2^{N-1} per level,
+by Krawtchouk reciprocity) from the dual recurrence.  On top of this the module
+provides the torus supremum G and its antiderivative I, the Mills-ratio-type
+function Y, the binomial-tail correction term bounded by sqrt(pi/2), the
+radius sandwich between I(rho) and I(3 rho)/3, the majority constant gamma,
+and the lower-bound root t_N for the degree-N disc polynomials.
 """
 
 from __future__ import annotations
@@ -99,44 +99,38 @@ def _tail_count(N: int, upto: int) -> int:
 def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     """Exact per-level spectrum of sign(x_1 + ... + x_N - alpha), N - alpha odd.
 
-    Level n holds binom(N-1, b) c_{n-1} / (2^{N-1} binom(N-1, n-1)) with the
-    c_k from the generating product; level 0 is the exact tail expectation
-    (T - 2^{N-1}) / 2^{N-1}.  Each level is put in lowest terms by
-    ``_lowest_terms``.  alpha = -1 (N even) is admitted so that canonicalized
-    thresholds with an even integer alpha, where the odd-parity
+    Every coefficient is an integer over 2^n, n = N - 1.  Level m >= 1 holds
+    binom(n, b) c_{m-1} / (2^n binom(n, m-1)) = d_{m-1} / 2^n, where by
+    Krawtchouk reciprocity d_x = K_b(x; n), the z^b coefficient of
+    (1+z)^{n-x} (1-z)^x.  The dual recurrence d_0 = binom(n, b) and
+    (n - x) d_{x+1} = alpha d_x - x d_{x-1} divides exactly, so no product of
+    two N-bit integers and no gcd is formed; level 0 is the exact tail
+    expectation (T - 2^n) / 2^n.  alpha = -1 (N even) is admitted so that
+    canonicalized thresholds with an even integer alpha, where the odd-parity
     representative drops below zero, still have an exact spectrum; the
-    identity holds there unchanged.
+    identities hold there unchanged.
     """
     alpha, T, lead = _tail_terms(N, alpha)
-    c = _krawtchouk(N, alpha)
-    coeffs = [_lowest_terms(T - 2 ** (N - 1), 1, N - 1)]
-    binom = 1  # binom(N-1, n-1), updated level by level
-    for n in range(1, N + 1):
-        coeffs.append(_lowest_terms(lead * c[n - 1], binom, N - 1))
-        binom = binom * (N - n) // n
-    return SymmetricSpectrum(N, coeffs)
+    n = N - 1
+    levels = [_dyadic(T - 2**n, n), _dyadic(lead, n)]
+    d_prev, d = 0, lead
+    for x in range(n):
+        d_prev, d = d, (alpha * d - x * d_prev) // (n - x)
+        levels.append(_dyadic(d, n))
+    return SymmetricSpectrum(N, levels)
 
 
-def _lowest_terms(num: int, B: int, k: int) -> Fraction:
-    """The Fraction num / (2^k B) for B > 0, reduced with one gcd of two odd parts.
+def _dyadic(num: int, k: int) -> Fraction:
+    """The Fraction num / 2^k in lowest terms: only the trailing zeros of num cancel.
 
-    The powers of two come off both sides by bit operations, so the product
-    2^k B is never formed.  The result is written straight into the two
-    slots of CPython's ``Fraction`` (``_numerator``, ``_denominator``), which
-    skips the second gcd ``Fraction(p, q)`` would run on an already reduced
-    pair; this relies on the standard library's private slot layout.
+    The result is written straight into the two slots of CPython's
+    ``Fraction`` (``_numerator``, ``_denominator``), which skips the gcd
+    ``Fraction(p, q)`` would run on an already reduced pair; this relies on
+    the standard library's private slot layout.
     """
-    p, q = 0, 1
-    if num:
-        u = (num & -num).bit_length() - 1
-        e = (B & -B).bit_length() - 1
-        A, B = num >> u, B >> e
-        e += k
-        g = math.gcd(A, B)
-        m = min(u, e)
-        p, q = (A // g) << (u - m), (B // g) << (e - m)
+    u = min((num & -num).bit_length() - 1, k) if num else k
     c = object.__new__(Fraction)
-    c._numerator, c._denominator = p, q
+    c._numerator, c._denominator = num >> u, 1 << (k - u)
     return c
 
 
@@ -331,18 +325,18 @@ def _radius_exact(N: int, alpha: int, T: int, lead: int) -> float:
 
 
 def _sandwich_ok(N: int, alpha: int, rho: float, T: int, lead: int) -> bool:
-    """I(rho) <= T/(N lead) <= I(3 rho)/3, each within SANDWICH_TOL, with
-    (alpha, T, lead) = _tail_terms(N, alpha)."""
-    # G at formal alpha = -1 equals G at +1 (swap z -> -z in the supremum);
-    # the combinatorial side keeps b from the true alpha.
+    """I(rho) <= min(T, 2^N - T)/(N lead) <= I(3 rho)/3, each within
+    SANDWICH_TOL, with (alpha, T, lead) = _tail_terms(N, alpha)."""
+    # G at formal alpha = -1 equals G at +1 (swap z -> -z in the supremum); there
+    # T counts the tie and exceeds 2^(N-1), so the middle term is the minority count.
     a_eff = abs(alpha)
-    mid = math.exp(math.log(T) - math.log(N) - math.log(lead))
+    mid = math.exp(math.log(min(T, 2**N - T)) - math.log(N) - math.log(lead))
     lo, hi = i_integral(N, a_eff, rho), i_integral(N, a_eff, 3.0 * rho) / 3.0
     return lo <= mid * (1.0 + SANDWICH_TOL) and mid <= hi * (1.0 + SANDWICH_TOL)
 
 
 def sandwich_check(N: int, alpha: int) -> bool:
-    """I(rho) <= tail/(N binom(N-1,b)) <= I(3 rho)/3 at the solved radius rho.
+    """I(rho) <= min(T, 2^N - T)/(N binom(N-1,b)) <= I(3 rho)/3 at the solved radius rho.
 
     The left side can be an equality up to rounding (for majority it is one
     exactly), hence the relative slack.

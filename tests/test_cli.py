@@ -53,6 +53,15 @@ class TestRadiusCommand:
         code, out = run_cli(["radius", "--input", str(path)], capsys)
         assert json.loads(out)["radius"] == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["radius", "spectrum"])
+    def test_table_with_byte_order_mark(self, command, tmp_path, capsys):
+        got = []
+        for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes the mark
+            path = tmp_path / f"{encoding}.json"
+            path.write_text('{"n": 2, "values": [-1, 1, 1, 1]}', encoding=encoding)
+            got.append(run_cli([command, "--n", "2", "--input", str(path)], capsys))
+        assert got[0][0] == 0 and got[1] == got[0]
+
     def test_huge_finite_table_is_scaled(self, tmp_path, capsys):
         values = np.random.default_rng(7).choice([-1e308, 1e308], size=16)
         values[3] = 0.25e308

@@ -11,8 +11,8 @@ from cuberadius.radius import boolean_radius, boolean_radius_symmetric, level_pr
 from cuberadius.threshold import (
     MAX_TN_N,
     ThresholdReport,
+    _dyadic,
     _krawtchouk,
-    _lowest_terms,
     branch_point,
     g_function,
     gamma_constant,
@@ -133,18 +133,31 @@ class TestExactSpectrum:
                 self._assert_lowest_terms_exact(N, alpha)
 
     def test_lowest_terms_matches_the_fraction_constructor(self):
-        # _lowest_terms writes Fraction's two private slots; a changed layout fails here first
+        # _dyadic writes Fraction's two private slots; a changed layout fails here first
         assert Fraction.__slots__ == ("_numerator", "_denominator")
         cases = [
-            (0, 5, 3), (-3, 1, 2), (12, 6, 0), (1, 1, 0),
-            (5 * 2**40, 3 * 2**7, 9), (-(3**50) * 2**3, 7 * 3**20, 70),
+            (0, 3), (0, 0), (-3, 2), (12, 0), (1, 0), (12, 5), (-(2**75), 70),
+            (5 * 2**40, 9), (-(3**50) * 2**3, 70), (2**70, 70), (2**69 * 7, 70),
         ]
-        for num, B, k in cases:
-            got = _lowest_terms(num, B, k)
-            want = Fraction(num, 2**k * B)
-            assert type(got) is Fraction, (num, B, k)
-            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (num, B, k)
-            assert got == want and hash(got) == hash(want), (num, B, k)
+        for num, k in cases:
+            got = _dyadic(num, k)
+            want = Fraction(num, 2**k)
+            assert type(got) is Fraction, (num, k)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (num, k)
+            assert got == want and hash(got) == hash(want), (num, k)
+
+    def test_levels_are_dual_integers_over_a_power_of_two(self):
+        # every admissible alpha, -1 (even N) included: each level is d_x / 2^(N-1)
+        # with integer d_x, and Krawtchouk reciprocity lead c_x = binom(N-1, x) d_x holds
+        for N in range(1, 61):
+            for alpha in range(-1 + N % 2, N, 2):
+                levels = threshold_spectrum_exact(N, alpha).level_coeffs
+                dens = [f.denominator for f in levels]
+                assert all(q & (q - 1) == 0 and q <= 2 ** (N - 1) for q in dens), (N, alpha)
+                d = [f.numerator * (2 ** (N - 1) // f.denominator) for f in levels[1:]]
+                lead = math.comb(N - 1, (N - alpha - 1) // 2)
+                c = _krawtchouk(N, alpha)
+                assert [lead * v for v in c] == [math.comb(N - 1, x) * v for x, v in enumerate(d)], (N, alpha)
 
     @pytest.mark.parametrize("N,alpha", [(3995, 1994), (4001, 2000), (4000, -1)])
     def test_lowest_terms_at_the_cap(self, N, alpha):
@@ -322,7 +335,9 @@ class TestSandwich:
         assert sandwich_check(N, alpha)
 
     def test_even_dimension_canonical_minus_one(self):
-        assert sandwich_check(8, -1)
+        # the middle term is the minority count; the raw tail T exceeds 2^(N-1) here
+        for N in range(2, 61, 2):
+            assert sandwich_check(N, -1), N
 
 
 class TestThresholdRadius:
