@@ -130,17 +130,10 @@ def _alpha_tokens(spec: str, N: int):
 def cmd_threshold_scan(args) -> int:
     Ns = [int(t) for t in args.n_list.split(",") if t.strip()]
     pairs = [(N, a) for N in Ns for a in _alpha_tokens(args.alphas, N)]
-    for N, a in pairs:  # every range and cap before the first report
+    for N, a in pairs:  # every range before the scan, which checks every cap
         if not 0 <= a < N:
             raise ValueError(f"alpha = {a} out of range for N = {N}")
-        threshold._check_parity(N, families.canonical_alpha(N, a))
-    reports, seen = [], set()
-    for N, a in pairs:
-        rep = threshold.threshold_radius(N, a)
-        if (rep.n, rep.alpha) not in seen:
-            seen.add((rep.n, rep.alpha))
-            reports.append(rep)
-    _write(args, serialize.threshold_scan_csv(reports))
+    _write(args, serialize.threshold_scan_csv(threshold.threshold_scan(pairs)))
     return 0
 
 

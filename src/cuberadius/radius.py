@@ -257,7 +257,7 @@ def bn_radius_formula(N: int) -> float:
     """Exact radius 2^{1/N} - 1 of the class of all functions on {-1,+1}^N."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    return 2.0 ** (1.0 / N) - 1.0
+    return math.expm1(math.log(2.0) / N)
 
 
 # -- exhaustive confirmation over +-1-valued tables -------------------------

@@ -9,8 +9,9 @@ comes from the generating identity
 with a = (N+alpha-1)/2 and b = (N-alpha-1)/2, whose integer coefficients
 follow a three-term (Krawtchouk) recurrence; the empty-set coefficient is the
 exact binomial tail 2 sigma(x_1 + ... + x_N > alpha) - 1.  Radii are solved
-from these integers, the published spectrum (an integer over 2^{N-1} per level,
-by Krawtchouk reciprocity) from the dual recurrence.  On top of this the module
+from these integers, a whole scan in one batch, the published spectrum (an
+integer over 2^{N-1} per level, by Krawtchouk reciprocity) from the dual
+recurrence.  On top of this the module
 provides the torus supremum G and its antiderivative I, the Mills-ratio-type
 function Y, the binomial-tail correction term bounded by sqrt(pi/2), the
 radius sandwich between I(rho) and I(3 rho)/3, the majority constant gamma,
@@ -28,10 +29,13 @@ import numpy as np
 
 from .cube import SymmetricSpectrum
 from .families import ThresholdSpec, canonical_alpha
-from .radius import LevelProfile, _bisect, _one_radius
+from .radius import SCAN_BLOCK_DOUBLES, LevelProfile, _bisect, _solve_reduced
 
 #: Dimension cap for exact symmetric spectra.
 MAX_SYMMETRIC_N = 4001
+
+#: Leading bits kept of each big integer factor of a level weight.
+HEAD_BITS = 128
 
 #: Relative slack for the sandwich inequalities.
 SANDWICH_TOL = 1e-9
@@ -306,22 +310,40 @@ def _mckay(N: int, alpha: int, T: int, lead: int) -> float:
     return c
 
 
-def _log_ratio(p: int, q: int) -> float:
-    """log(p / q) for positive integers of any size, via one quotient in (1/2, 2)."""
+def _log_ratio(p: int, q: int, shift: int) -> float:
+    """log(p 2^shift / q) for integers p, q > 0: one correctly rounded quotient in (1/2, 2) plus k log 2."""
     k = p.bit_length() - q.bit_length()
-    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + k * math.log(2.0)
+    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + (k + shift) * math.log(2.0)
 
 
-def _radius_exact(N: int, alpha: int, T: int, lead: int) -> float:
-    """Radius of psi_{N,alpha} from exact integers, with
-    (alpha, T, lead) = _tail_terms(N, alpha).  The level weight W_m = binom(N, m)
-    |psihat([m])| over the reduced target 1 - |psihat(empty)| =
-    min(T, 2^N - T) / 2^{N-1} is the integer ratio
-    N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0."""
+def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
+    """log(W_m / target), m = 1..N, for psi_{N,alpha} with (alpha, T, lead) =
+    _tail_terms(N, alpha).  Over the reduced target 1 - |psihat(empty)| =
+    min(T, 2^N - T) / 2^{N-1}, the level weight W_m = binom(N, m) |psihat([m])|
+    is N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0.
+    Each of the three big factors enters as its HEAD_BITS-bit head, which moves
+    the quotient by about 2^-126 relative: far below one rounding of a double."""
     num, den = N * lead, min(T, 2**N - T)
-    c = _krawtchouk(N, alpha)
-    logs = [_log_ratio(num * abs(ck), (k + 1) * den) if ck else -math.inf for k, ck in enumerate(c)]
-    return _one_radius(np.array(logs), 0.0).radius
+    sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
+    num, den, logs = num >> sn, den >> sd, []
+    for k, ck in enumerate(_krawtchouk(N, alpha)):
+        s = max(ck.bit_length() - HEAD_BITS, 0)
+        logs.append(_log_ratio(num * (abs(ck) >> s), (k + 1) * den, sn + s - sd) if ck else -math.inf)
+    return logs
+
+
+def _radii_exact(rows) -> list:
+    """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _tail_terms.
+    Consecutive rows are padded with -inf to a common width in blocks of at most
+    SCAN_BLOCK_DOUBLES, and each block is solved by one _solve_reduced."""
+    radii, step = [], max(1, SCAN_BLOCK_DOUBLES // max((row[0] for row in rows), default=1))
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        tail = np.full((len(block), max(row[0] for row in block)), -math.inf)
+        for r, row in enumerate(block):
+            tail[r, : row[0]] = _level_logs(*row)
+        radii += _solve_reduced(tail, np.zeros(len(block)))[0].tolist()
+    return radii
 
 
 def _sandwich_ok(N: int, alpha: int, rho: float, T: int, lead: int) -> bool:
@@ -342,7 +364,7 @@ def sandwich_check(N: int, alpha: int) -> bool:
     exactly), hence the relative slack.
     """
     alpha, T, lead = _tail_terms(N, alpha)
-    return _sandwich_ok(N, alpha, _radius_exact(N, alpha, T, lead), T, lead)
+    return _sandwich_ok(N, alpha, _radii_exact([(N, alpha, T, lead)])[0], T, lead)
 
 
 def threshold_radius(N: int, alpha: float) -> ThresholdReport:
@@ -353,17 +375,22 @@ def threshold_radius(N: int, alpha: float) -> ThresholdReport:
     ratio radius * (alpha + sqrt(N)), the tail correction and the sandwich
     verdict.
     """
-    a, T, lead = _tail_terms(N, canonical_alpha(N, alpha))
-    rho = _radius_exact(N, a, T, lead)
-    return ThresholdReport(
-        n=N,
-        alpha=a,
-        radius=rho,
-        ratio=rho * (a + math.sqrt(N)),
-        mckay_c=_mckay(N, a, T, lead),
-        sandwich_ok=_sandwich_ok(N, a, rho, T, lead),
-        y_value=y_function((a + 1) / math.sqrt(N)),
-    )
+    return threshold_scan([(N, alpha)])[0]
+
+
+def threshold_scan(pairs) -> list:
+    """threshold_radius of each (N, alpha), all radii from one _radii_exact call.
+
+    Every pair is canonicalized and checked before the first radius.  Reports
+    follow the input order; a repeated canonical (N, alpha) is dropped.
+    """
+    keys = dict.fromkeys((N, _check_parity(N, canonical_alpha(N, alpha))) for N, alpha in pairs)
+    rows = [(N, *_tail_terms(N, a)) for N, a in keys]
+    return [
+        ThresholdReport(N, a, rho, rho * (a + math.sqrt(N)), _mckay(N, a, T, lead), _sandwich_ok(N, a, rho, T, lead),
+                        y_function((a + 1) / math.sqrt(N)))
+        for (N, a, T, lead), rho in zip(rows, _radii_exact(rows))
+    ]
 
 
 @functools.cache
@@ -391,12 +418,8 @@ def majority_scan(Ns, workers: int = 1):
             raise ValueError(f"majority scan needs odd N, got {N}")
         _check_parity(N, 0)  # the dimension cap, before the first radius
     gam = gamma_constant()
-
-    def row(N: int):
-        rho = _radius_exact(N, *_tail_terms(N, 0))
-        return N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam
-
-    return [row(N) for N in Ns]
+    radii = _radii_exact([(N, *_tail_terms(N, 0)) for N in Ns])
+    return [(N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam) for N, rho in zip(Ns, radii)]
 
 
 def tail_lower_bound_check(N: int, alpha: float) -> bool:

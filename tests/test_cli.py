@@ -316,8 +316,8 @@ class TestScanCommands:
         from cuberadius import threshold
 
         calls = []
-        exact = threshold._radius_exact
-        monkeypatch.setattr(threshold, "_radius_exact", lambda *a: calls.append(a) or exact(*a))
+        exact = threshold._radii_exact
+        monkeypatch.setattr(threshold, "_radii_exact", lambda *a: calls.append(a) or exact(*a))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "cuberadius: error: need 1 <= N <= 4001\n"

@@ -325,6 +325,16 @@ class TestBnFormula:
         assert bn_radius_formula(1) == 1.0
         assert bn_radius_formula(2) == pytest.approx(SQRT2M1, abs=1e-15)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 4001, 10**6])
+    def test_against_high_precision_oracle(self, N):
+        # 2^(1/N) - 1 in doubles cancels (relative error 1e-11 at N = 10^6);
+        # expm1(log 2 / N) keeps the full precision at every N
+        import mpmath as mp
+
+        with mp.workdps(40):
+            want = mp.mpf(2) ** (mp.mpf(1) / N) - 1
+            assert abs(bn_radius_formula(N) - want) <= 2e-16 * want
+
     def test_limit_n_times_radius(self):
         n = 1000
         assert n * bn_radius_formula(n) == pytest.approx(math.log(2), rel=0.01)

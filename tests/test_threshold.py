@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cuberadius import threshold as threshold_module
 from cuberadius.cube import log_abs_fraction, subset_levels, sup_norm, walsh_transform
 from cuberadius.families import ThresholdSpec, canonical_alpha, majority_spec, threshold
-from cuberadius.radius import boolean_radius, boolean_radius_symmetric, level_profile
+from cuberadius.radius import SCAN_BLOCK_DOUBLES, _solve_reduced, boolean_radius, boolean_radius_symmetric, level_profile
 from cuberadius.threshold import (
     MAX_TN_N,
     ThresholdReport,
     _dyadic,
     _krawtchouk,
+    _level_logs,
+    _radii_exact,
+    _tail_terms,
     branch_point,
     g_function,
     gamma_constant,
@@ -24,6 +28,7 @@ from cuberadius.threshold import (
     tail_lower_bound_check,
     threshold_level_profile,
     threshold_radius,
+    threshold_scan,
     threshold_spectrum_exact,
     tn_lower_bound,
     y_function,
@@ -542,10 +547,9 @@ def test_radius_upper_bound_via_y_function():
             assert rep.radius <= cap * (1 + 1e-12), (N, alpha)
 
 
-@pytest.mark.parametrize("N,alpha", [(101, 50), (1001, 0), (2001, 44), (2001, 1000)])
-def test_threshold_radius_against_high_precision_oracle(N, alpha):
-    # the integer level weights threshold_radius solves from, re-solved with
-    # 60-digit arithmetic from the exact rational spectrum
+def _oracle_root(N, alpha):
+    """The radius of psi_{N,alpha} from the exact rational spectrum, bisected
+    with 60-digit arithmetic: an mpf far inside one ulp of the true root."""
     import mpmath as mp
 
     spec = threshold_spectrum_exact(N, alpha).level_coeffs
@@ -564,5 +568,104 @@ def test_threshold_radius_against_high_precision_oracle(N, alpha):
         for _ in range(120):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if s(mid) < target else (lo, mid)
-        oracle = float((lo + hi) / 2)
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("N,alpha", [(101, 50), (1001, 0), (2001, 44), (2001, 1000)])
+def test_threshold_radius_against_high_precision_oracle(N, alpha):
+    # the integer level weights threshold_radius solves from, re-solved with
+    # 60-digit arithmetic from the exact rational spectrum
+    oracle = float(_oracle_root(N, alpha))
     assert threshold_radius(N, alpha).radius == pytest.approx(oracle, rel=1e-12)
+
+
+def _full_width_log_ratio(p, q):
+    """log(p / q) from the whole integers: one correctly rounded quotient in (1/2, 2) plus k log 2."""
+    k = p.bit_length() - q.bit_length()
+    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + k * math.log(2.0)
+
+
+def _full_width_level_logs(N, alpha, T, lead):
+    """Oracle for _level_logs: every level ratio formed from its full N-bit products."""
+    num, den = N * lead, min(T, 2**N - T)
+    c = _krawtchouk(N, alpha)
+    return [_full_width_log_ratio(num * abs(ck), (k + 1) * den) if ck else -math.inf for k, ck in enumerate(c)]
+
+
+class TestLevelLogs:
+    @staticmethod
+    def _assert_heads_match(N, alpha):
+        row = (N, *_tail_terms(N, alpha))
+        assert _same_bits(np.array(_level_logs(*row)), np.array(_full_width_level_logs(*row))), (N, alpha)
+
+    @pytest.mark.parametrize("first", range(1, 201, 40))
+    def test_every_admissible_alpha_up_to_200(self, first):
+        # heads start dropping bits at N of about 125
+        for N in range(first, first + 40):
+            for alpha in range(N % 2 - 1, N, 2):
+                self._assert_heads_match(N, alpha)
+
+    @pytest.mark.parametrize("N,alpha", [(1993, 996), (3995, 1994), (4001, 0), (4000, -1)])
+    def test_near_the_cap(self, N, alpha):
+        self._assert_heads_match(N, alpha)
+
+
+def _one_row_radius(logs):
+    """The radius of one row of level logs solved on its own: width N, no padding."""
+    return float(_solve_reduced(np.array([logs]), np.zeros(1))[0][0])
+
+
+@pytest.fixture
+def recorded_level_logs(monkeypatch):
+    """(N, alpha) -> the level logs of that row, as _radii_exact last formed them."""
+    logs, level_logs = {}, threshold_module._level_logs
+
+    def record(N, alpha, *rest):
+        logs[N, alpha] = level_logs(N, alpha, *rest)
+        return logs[N, alpha]
+
+    monkeypatch.setattr(threshold_module, "_level_logs", record)
+    return logs
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("N,alphas", [(200, range(-1, 200, 2)), (1001, range(0, 201, 2))])
+    def test_equal_widths_equal_one_row_solves(self, N, alphas):
+        rows = [(N, *_tail_terms(N, a)) for a in alphas]
+        want = [_one_row_radius(_level_logs(*row)).hex() for row in rows]
+        assert [rho.hex() for rho in _radii_exact(rows)] == want
+
+    @pytest.mark.parametrize("first,last", [(301, 1001), (3001, 4001)])
+    def test_majority_scan_equals_one_row_solves(self, recorded_level_logs, first, last):
+        rows = majority_scan(range(first, last + 1, 2))
+        assert len(rows) * last > SCAN_BLOCK_DOUBLES  # several padded blocks
+        want = [_one_row_radius(recorded_level_logs[N, 0]).hex() for N, *_ in rows]
+        assert [rho.hex() for _, rho, *_ in rows] == want
+
+    @pytest.mark.parametrize("scan", ["majority", "threshold"])
+    def test_rows_moved_by_padding_stay_near_the_root(self, recorded_level_logs, scan):
+        # padding a row with zero weights changes numpy's pairwise-summation
+        # blocking, which may move a radius that sits near a rounding boundary
+        import mpmath as mp
+
+        if scan == "majority":
+            rows = [(N, 0, rho) for N, rho, *_ in majority_scan(range(1, 1002, 2))]
+        else:
+            pairs = [(N, a) for N in range(1, 41) for a in (0, math.isqrt(N), N // 2) if a < N]
+            rows = [(r.n, r.alpha, r.radius) for r in threshold_scan(pairs)]
+        moved = [(N, a, rho) for N, a, rho in rows if rho != _one_row_radius(recorded_level_logs[N, a])]
+        for N, a, rho in moved:
+            assert abs(mp.mpf(rho) - _oracle_root(N, a)) <= 4 * math.ulp(rho), (N, a)
+
+
+class TestThresholdScan:
+    def test_canonical_pairs_once_in_input_order(self):
+        reports = threshold_scan([(9, 3), (8, 0), (9, 2), (9, 2.5), (8, 1), (8, 0)])
+        assert [(r.n, r.alpha) for r in reports] == [(9, 2), (8, -1), (8, 1)]
+        assert reports == [threshold_radius(N, a) for N, a in [(9, 2), (8, 0), (8, 1)]]
+        assert threshold_scan([]) == []
+
+    def test_every_cap_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(threshold_module, "_radii_exact", lambda rows: pytest.fail("solved before the caps"))
+        with pytest.raises(ValueError, match="need 1 <= N <= 4001"):
+            threshold_scan([(11, 0), (5001, 0)])
