@@ -28,26 +28,38 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _threshold_spec(args):
-    """Check --family and --n; the ThresholdSpec of threshold and majority, None otherwise."""
+def _family(args) -> str:
+    """Check --family and --n, and the arguments that threshold and majority need."""
     if args.family is None:
         raise ValueError("need --family (or --input where supported)")
     if args.n is None:
         raise ValueError("--n is required with --family")
-    if args.family == "threshold":
-        if args.alpha is None:
-            raise ValueError("threshold needs --alpha")
-        return families.ThresholdSpec(args.n, args.alpha)
-    if args.family == "majority":
-        return families.majority_spec(args.n)
-    return None
+    if args.family == "threshold" and args.alpha is None:
+        raise ValueError("threshold needs --alpha")
+    if args.family == "majority" and args.n % 2 == 0:
+        raise ValueError("majority needs odd n")
+    return args.family
+
+
+def _threshold_pair(args):
+    """(N, canonical alpha) of the threshold function psi_{N,alpha} that the
+    family threshold, majority or extremal names; None for the other families.
+    The extremal indicator flip is -psi_{N,N-1}."""
+    name = _family(args)
+    if name not in ("threshold", "majority", "extremal"):
+        return None
+    if not 1 <= args.n <= threshold.MAX_SYMMETRIC_N:
+        raise ValueError(f"need 1 <= N <= {threshold.MAX_SYMMETRIC_N}")
+    alpha = {"threshold": args.alpha, "majority": 0, "extremal": args.n - 1}[name]
+    return args.n, families.canonical_alpha(args.n, alpha)
 
 
 def _build_family(args):
-    spec = _threshold_spec(args)
-    if spec is not None:
-        return families.threshold(spec)
-    name = args.family
+    name = _family(args)
+    if name == "threshold":
+        return families.threshold(families.ThresholdSpec(args.n, args.alpha))
+    if name == "majority":
+        return families.majority(args.n)
     if name == "extremal":
         return families.extremal_indicator_flip(args.n)
     if name == "dictator":
@@ -71,13 +83,12 @@ def _load_input_function(path: str):
 
 
 def cmd_radius(args) -> int:
-    if not (args.input or args.family):
-        raise ValueError("radius needs --family or --input")
-    # threshold and majority are symmetric: their exact integer level weights
-    # equal the dense ones bit for bit, with no 2^n table
-    spec = None if args.input else _threshold_spec(args)
-    if spec is not None:
-        result = radius.boolean_radius(threshold.threshold_level_profile(spec))
+    # threshold, majority and extremal are threshold functions up to sign: their
+    # radius is solved from exact integer level weights, with no 2^n table, up to
+    # N = 4001 and with the bits threshold-scan prints
+    pair = None if args.input else _threshold_pair(args)
+    if pair is not None:
+        result = threshold.exact_radius(*pair)
     else:
         f = _load_input_function(args.input) if args.input else _build_family(args)
         # The radius does not change under scaling.  A table whose butterfly
@@ -149,17 +160,10 @@ def cmd_majority_scan(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.symmetric:
-        if args.family == "majority":
-            if args.n % 2 == 0:
-                raise ValueError("majority needs odd n")
-            alpha = 0
-        elif args.family == "threshold":
-            if args.alpha is None:
-                raise ValueError("threshold needs --alpha")
-            alpha = families.canonical_alpha(args.n, args.alpha)
-        else:
+        pair = _threshold_pair(args)
+        if pair is None or args.family == "extremal":
             raise ValueError("--symmetric supports only threshold and majority")
-        text = serialize.dumps_symmetric_spectrum(threshold.threshold_spectrum_exact(args.n, alpha))
+        text = serialize.dumps_symmetric_spectrum(threshold.threshold_spectrum_exact(*pair))
     else:
         f = _load_input_function(args.input) if args.input else _build_family(args)
         text = serialize.dumps_spectrum(walsh_transform(f))

@@ -99,8 +99,8 @@ def threshold_top(spec: ThresholdSpec) -> int:
     """The last level m (count of -1 coordinates) where the threshold is +1.
 
     The sum x_1 + ... + x_n = n - 2 m falls with m, and the smallest
-    reachable sum at or above alpha is canonical_alpha + 1; one rule for the
-    table and the exact level profile.
+    reachable sum at or above alpha is canonical_alpha + 1.  This is the b
+    that bounds the exact tail count in threshold._tail_terms.
     """
     return (spec.n - 1 - canonical_alpha(spec.n, spec.alpha)) // 2
 

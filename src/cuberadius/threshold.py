@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import SymmetricSpectrum
-from .families import ThresholdSpec, canonical_alpha
-from .radius import SCAN_BLOCK_DOUBLES, LevelProfile, _bisect, _solve_reduced
+from .families import canonical_alpha
+from .radius import SCAN_BLOCK_DOUBLES, RadiusResult, _bisect, _solve_reduced
 
 #: Dimension cap for exact symmetric spectra.
 MAX_SYMMETRIC_N = 4001
@@ -136,25 +136,6 @@ def _dyadic(num: int, k: int) -> Fraction:
     c = object.__new__(Fraction)
     c._numerator, c._denominator = num >> u, 1 << (k - u)
     return c
-
-
-def threshold_level_profile(spec: ThresholdSpec) -> LevelProfile:
-    """Level profile of ``families.threshold(spec)`` from exact integers, no 2^n table.
-
-    The table is the odd-parity threshold a = canonical_alpha(n, alpha), whose
-    T = sum_{m <= top} binom(n, m) points are +1, top = (n - 1 - a) / 2; with
-    lead = binom(n-1, top), 2^n W_0 = |2^n - 2T| and
-    2^n W_m = binom(n, m) 2 lead |c_{m-1}| / binom(n-1, m-1) = 2 n lead |c_{m-1}| / m.
-    For a +-1 table every step of the dense path is exact while n <= 24
-    (integer butterfly sums, level sums below 2^48), so these weights equal
-    level_profile(walsh_transform(threshold(spec)), 1.0) bit for bit.
-    """
-    n = spec.n
-    a, T, lead = _tail_terms(n, canonical_alpha(n, spec.alpha))
-    c = _krawtchouk(n, a)
-    w = np.array([abs(2**n - 2 * T)] + [2 * n * lead * abs(c[m - 1]) // m for m in range(1, n + 1)], dtype=float)
-    w /= 2**n
-    return LevelProfile(n, w, 1.0)
 
 
 def maj_identity_eval(N: int, r: float) -> float:
@@ -332,18 +313,32 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
     return logs
 
 
-def _radii_exact(rows) -> list:
-    """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _tail_terms.
+def _radii_exact(rows) -> tuple:
+    """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _tail_terms,
+    with the residual of each reduced equation (over its target) and the halvings.
     Consecutive rows are padded with -inf to a common width in blocks of at most
     SCAN_BLOCK_DOUBLES, and each block is solved by one _solve_reduced."""
-    radii, step = [], max(1, SCAN_BLOCK_DOUBLES // max((row[0] for row in rows), default=1))
+    out, step = ([], [], []), max(1, SCAN_BLOCK_DOUBLES // max((row[0] for row in rows), default=1))
     for i in range(0, len(rows), step):
         block = rows[i : i + step]
         tail = np.full((len(block), max(row[0] for row in block)), -math.inf)
         for r, row in enumerate(block):
             tail[r, : row[0]] = _level_logs(*row)
-        radii += _solve_reduced(tail, np.zeros(len(block)))[0].tolist()
-    return radii
+        for acc, part in zip(out, _solve_reduced(tail, np.zeros(len(block)))):
+            acc += part.tolist()
+    return out
+
+
+def exact_radius(N: int, alpha: int) -> RadiusResult:
+    """The RadiusResult of psi_{N,alpha}, N - alpha odd, from the exact integers.
+
+    This is the one-row solve that threshold_scan runs for a single pair, so
+    both give the same radius bits.  _level_logs divides the equation by the
+    target min(T, 2^N - T) / 2^{N-1}; the residual is scaled back by it.
+    """
+    alpha, T, lead = _tail_terms(N, alpha)
+    (rho,), (residual,), (iterations,) = _radii_exact([(N, alpha, T, lead)])
+    return RadiusResult(rho, residual * math.exp(_log_ratio(min(T, 2**N - T), 1, 1 - N)), iterations, "bisection")
 
 
 def _sandwich_ok(N: int, alpha: int, rho: float, T: int, lead: int) -> bool:
@@ -364,7 +359,7 @@ def sandwich_check(N: int, alpha: int) -> bool:
     exactly), hence the relative slack.
     """
     alpha, T, lead = _tail_terms(N, alpha)
-    return _sandwich_ok(N, alpha, _radii_exact([(N, alpha, T, lead)])[0], T, lead)
+    return _sandwich_ok(N, alpha, _radii_exact([(N, alpha, T, lead)])[0][0], T, lead)
 
 
 def threshold_radius(N: int, alpha: float) -> ThresholdReport:
@@ -389,7 +384,7 @@ def threshold_scan(pairs) -> list:
     return [
         ThresholdReport(N, a, rho, rho * (a + math.sqrt(N)), _mckay(N, a, T, lead), _sandwich_ok(N, a, rho, T, lead),
                         y_function((a + 1) / math.sqrt(N)))
-        for (N, a, T, lead), rho in zip(rows, _radii_exact(rows))
+        for (N, a, T, lead), rho in zip(rows, _radii_exact(rows)[0])
     ]
 
 
@@ -418,7 +413,7 @@ def majority_scan(Ns, workers: int = 1):
             raise ValueError(f"majority scan needs odd N, got {N}")
         _check_parity(N, 0)  # the dimension cap, before the first radius
     gam = gamma_constant()
-    radii = _radii_exact([(N, *_tail_terms(N, 0)) for N in Ns])
+    radii = _radii_exact([(N, *_tail_terms(N, 0)) for N in Ns])[0]
     return [(N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam) for N, rho in zip(Ns, radii)]
 
 

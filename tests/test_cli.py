@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuberadius import cube, families, inequalities
+from cuberadius import radius as radius_module
 from cuberadius.cli import main
 from cuberadius.serialize import dumps_truth_table, loads_symmetric_spectrum
-from cuberadius.threshold import MAX_TN_N
+from cuberadius.threshold import MAX_TN_N, threshold_radius
 
 
 def run_cli(args, capsys):
@@ -132,25 +133,48 @@ class TestRadiusCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "args, radius",
+        "args, radius, residual, iterations",
         [
-            (["--family", "threshold", "--n", "24", "--alpha", "1.5"], 0.17627162439628852),
-            (["--family", "majority", "--n", "23"], 0.21589669992468447),
+            (["--family", "threshold", "--n", "24", "--alpha", "1.5"], 0.17627162439628852, 0.0, 55),
+            (["--family", "majority", "--n", "23"], 0.21589669992468447, 1.1102230246251565e-16, 55),
+            (["--family", "extremal", "--n", "24"], 0.029302236643492033, 0.0, 58),
+            (["--family", "majority", "--n", "4001"], 0.016359273211215608, 9.9920072216264089e-16, 58),
         ],
     )
-    def test_threshold_and_majority_build_no_table(self, monkeypatch, capsys, args, radius):
+    def test_threshold_and_majority_build_no_table(self, monkeypatch, capsys, args, radius, residual, iterations):
+        from cuberadius import threshold
+
         def refuse(*_):
-            raise AssertionError("a dense table or butterfly was used")
+            raise AssertionError("a dense table, a butterfly or Y was used")
 
         monkeypatch.setattr(cube, "_fwht_inplace", refuse)
         monkeypatch.setattr(families, "threshold", refuse)
+        monkeypatch.setattr(families, "extremal_indicator_flip", refuse)
+        monkeypatch.setattr(threshold, "y_function", refuse)
         code, out = run_cli(["radius"] + args, capsys)
         assert code == 0
         obj = json.loads(out)
-        # the output of the dense path: table, butterfly and level sums
+        # the output of the exact path: integer level weights and a one-row solve
         assert obj["radius"].hex() == radius.hex()
-        assert obj["residual"] == 1.1102230246251565e-16
-        assert obj["iterations"] == 55 and obj["method"] == "bisection"
+        assert obj["residual"] == residual
+        assert obj["iterations"] == iterations and obj["method"] == "bisection"
+
+    @pytest.mark.parametrize(
+        "args", [["majority", "--n", "4003"], ["threshold", "--n", "4002", "--alpha", "0"], ["extremal", "--n", "4002"]]
+    )
+    def test_symmetric_families_are_capped_at_4001(self, args):
+        code, out, err = _capture(["radius", "--family"] + args)
+        assert (code, out, err) == (2, "", "cuberadius: error: need 1 <= N <= 4001\n")
+
+    def test_dense_families_are_capped_at_24(self):
+        code, out, err = _capture(["radius", "--family", "dictator", "--n", "25"])
+        assert code == 2 and not out and err.startswith("cuberadius: error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", list(range(1, 25)) + [4001])
+    def test_extremal_matches_the_class_radius(self, n, capsys):
+        got = json.loads(run_cli(["radius", "--family", "extremal", "--n", str(n)], capsys)[1])["radius"]
+        want = radius_module.bn_radius_formula(n)
+        assert abs(got - want) <= (want * 1e-12 if n > 24 else 8 * math.ulp(want)), n
 
 
 def _capture(argv):
@@ -184,13 +208,20 @@ def test_radius_family_fuzz(family, n, alpha, lam, m, fmt):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("cuberadius: error: ") and not out, argv
-    elif family in ("threshold", "majority"):
-        # the oracle: the dense path on the family's own table
-        spec = families.majority_spec(n) if family == "majority" else families.ThresholdSpec(n, alpha)
+    elif family in ("threshold", "majority", "extremal"):
+        # the oracle: the exact radius threshold-scan reports, and near it the dense path on the table
+        a = {"threshold": alpha, "majority": 0, "extremal": n - 1}[family]
+        got = float(json.loads(out)["radius"] if fmt == "json" else out.splitlines()[1].split(",")[0])
+        assert got.hex() == threshold_radius(n, a).radius.hex(), argv
+        table = {"threshold": lambda: families.threshold(families.ThresholdSpec(n, alpha)),
+                 "majority": lambda: families.majority(n),
+                 "extremal": lambda: families.extremal_indicator_flip(n)}[family]()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.json"
-            path.write_text(dumps_truth_table(families.threshold(spec)))
-            assert _capture(["radius", "--input", str(path), "--format", fmt]) == (0, out, ""), argv
+            path.write_text(dumps_truth_table(table))
+            code, out, err = _capture(["radius", "--input", str(path)])
+        dense = json.loads(out)["radius"]
+        assert code == 0 and abs(got - dense) <= 12 * math.ulp(dense), argv
 
 
 def _flag(name, value):

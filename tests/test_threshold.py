@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 
 from cuberadius import threshold as threshold_module
 from cuberadius.cube import log_abs_fraction, subset_levels, sup_norm, walsh_transform
-from cuberadius.families import ThresholdSpec, canonical_alpha, majority_spec, threshold
+from cuberadius.families import ThresholdSpec, canonical_alpha, threshold
 from cuberadius.radius import SCAN_BLOCK_DOUBLES, _solve_reduced, boolean_radius, boolean_radius_symmetric, level_profile
 from cuberadius.threshold import (
     MAX_TN_N,
@@ -26,7 +27,6 @@ from cuberadius.threshold import (
     mckay_residual,
     sandwich_check,
     tail_lower_bound_check,
-    threshold_level_profile,
     threshold_radius,
     threshold_scan,
     threshold_spectrum_exact,
@@ -484,28 +484,6 @@ def _same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _assert_profile_matches_dense(spec):
-    exact = threshold_level_profile(spec)
-    dense = level_profile(walsh_transform(threshold(spec)), 1.0)
-    assert _same_bits(exact.weights, dense.weights), spec
-    assert _same_bits(exact.log_weights, dense.log_weights), spec
-    assert exact.n == dense.n and exact.sup_norm == dense.sup_norm == 1.0
-    assert boolean_radius(exact) == boolean_radius(dense), spec
-
-
-class TestThresholdLevelProfile:
-    @pytest.mark.parametrize("N", range(1, 17))
-    def test_bit_identical_to_the_dense_profile(self, N):
-        alphas = [0, 5e-324, 1e-300, N - 1, N - 1e-9] + [k + 0.5 for k in range(N)]
-        for alpha in alphas:
-            _assert_profile_matches_dense(ThresholdSpec(N, alpha))
-        if N % 2:
-            _assert_profile_matches_dense(majority_spec(N))
-
-    def test_bit_identical_at_n20(self):
-        _assert_profile_matches_dense(ThresholdSpec(20, 2.5))
-
-
 def test_biased_threshold_radius_against_high_precision_oracle():
     # N=101, alpha=50 is the ill-conditioned case: the constant coefficient
     # sits within 1e-6 of the sup norm, so a naive P(rho)=sup bisection in
@@ -579,6 +557,24 @@ def test_threshold_radius_against_high_precision_oracle(N, alpha):
     assert threshold_radius(N, alpha).radius == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", range(1, 25))
+def test_cli_radius_against_the_oracle_and_the_dense_profile(N, capsys):
+    # every canonical pair: the bits threshold_radius reports, within 4 ulp of
+    # the 60-digit root, and (n <= 16) within 12 ulp of the dense table's radius
+    import mpmath as mp
+
+    from cuberadius.cli import main
+
+    for a in range(N % 2 - 1, N, 2):  # alpha = 0 stands for the formal -1 of even N
+        assert main(["radius", "--family", "threshold", "--n", str(N), "--alpha", str(max(a, 0))]) == 0
+        rho = float(json.loads(capsys.readouterr().out)["radius"])
+        assert rho.hex() == threshold_radius(N, max(a, 0)).radius.hex(), (N, a)
+        assert abs(mp.mpf(rho) - _oracle_root(N, a)) <= 4 * math.ulp(rho), (N, a)
+        if N <= 16:
+            dense = boolean_radius(level_profile(walsh_transform(threshold(ThresholdSpec(N, max(a, 0)))), 1.0))
+            assert abs(rho - dense.radius) <= 12 * math.ulp(rho), (N, a)
+
+
 def _full_width_log_ratio(p, q):
     """log(p / q) from the whole integers: one correctly rounded quotient in (1/2, 2) plus k log 2."""
     k = p.bit_length() - q.bit_length()
@@ -633,7 +629,7 @@ class TestBatchedSolve:
     def test_equal_widths_equal_one_row_solves(self, N, alphas):
         rows = [(N, *_tail_terms(N, a)) for a in alphas]
         want = [_one_row_radius(_level_logs(*row)).hex() for row in rows]
-        assert [rho.hex() for rho in _radii_exact(rows)] == want
+        assert [rho.hex() for rho in _radii_exact(rows)[0]] == want
 
     @pytest.mark.parametrize("first,last", [(301, 1001), (3001, 4001)])
     def test_majority_scan_equals_one_row_solves(self, recorded_level_logs, first, last):
