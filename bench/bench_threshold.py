@@ -6,17 +6,18 @@
 
 Times ``majority-scan --n-start 911 --n-stop 989`` and ``threshold-scan
 --n-list 1007,1993 --alphas 0,sqrt,half`` through ``cli.main`` (stdout
-captured), then the two layers under the majority scan for its 40 rows: the
-level logs, and their solve.  A checkout with ``threshold._level_logs`` forms
-the logs from 128-bit heads and solves them as one -inf-padded block with one
-``radius._solve_reduced``; an older one forms each log from the full N-bit
-product and bisects each row on its own with ``radius._one_radius``, as its
-``_radius_exact`` did.  Each case reports the median of 5 runs, after one
-untimed warm-up; a run is the mean of enough calls to last about 0.1 s (see
-``bench_fwht.median_s``).  The numbers are added under ``--label`` to
-``--out`` (``BENCH_threshold.json`` at the repository root by default)
-together with the machine; repeated runs under one label are kept in order,
-so parent and change can be run alternately.
+captured), then the layers under them: the level logs of the 40 majority
+rows, their solve as one -inf-padded block by ``radius._solve_reduced``, and
+the solve of the scan's 6 rows.  Each block is padded as the checkout's
+``threshold._radii_exact`` pads it: to ``_block_width`` of its widest row
+where the checkout has that helper, else to the widest row.  Each case
+reports the median of 5 runs, after one untimed warm-up; a run is the mean of
+enough calls to last about 0.1 s (see ``bench_fwht.median_s``).  The two
+solves also report their minor page faults per call (``ru_minflt`` of
+``resource.getrusage``, over 20 calls after the warm-up).  The numbers are
+added under ``--label`` to ``--out`` (``BENCH_threshold.json`` at the
+repository root by default) together with the machine; repeated runs under
+one label are kept in order, so parent and change can be run alternately.
 
 Uses only the standard library and numpy; it is not part of the test suite.
 """
@@ -28,6 +29,7 @@ import contextlib
 import io
 import json
 import math
+import resource
 import sys
 from pathlib import Path
 
@@ -35,7 +37,6 @@ import numpy as np
 
 from bench_fwht import ROOT, machine, median_s
 
-MAJORITY_NS = range(911, 990, 2)
 MAJORITY_ARGV = ["majority-scan", "--n-start", "911", "--n-stop", "989", "--workers", "1"]
 SCAN_ARGV = ["threshold-scan", "--n-list", "1007,1993", "--alphas", "0,sqrt,half"]
 CASES = {
@@ -43,45 +44,49 @@ CASES = {
     "threshold_scan_1007_1993": "cli.main of " + " ".join(SCAN_ARGV),
     "level_logs_911_989": "level logs of the 40 majority rows N = 911..989",
     "solve_911_989": "radius solve of those 40 rows of level logs",
+    "solve_scan_1007_1993": "radius solve of the 6 rows of the threshold scan",
 }
+MAJORITY_PAIRS = [(N, 0) for N in range(911, 990, 2)]
+SCAN_PAIRS = [(N, a) for N in (1007, 1993) for a in (0, math.isqrt(N), N // 2)]
+FAULT_CALLS = 20
 
 
-def full_width_logs(threshold, N, alpha, T, lead) -> list:
-    """The level logs as a checkout without heads forms them: full N-bit products."""
-    num, den = N * lead, min(T, 2**N - T)
-    c = threshold._krawtchouk(N, alpha)
-    return [threshold._log_ratio(num * abs(ck), (k + 1) * den) if ck else -math.inf for k, ck in enumerate(c)]
+def minor_faults(call) -> float:
+    """Minor page faults per call over FAULT_CALLS calls, after one untimed call."""
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(FAULT_CALLS):
+        call()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / FAULT_CALLS
 
 
-def layer_calls(threshold, radius):
-    """(level logs of the majority rows, solve of those logs) as this checkout does them."""
-    rows = [(N, *threshold._tail_terms(N, 0)) for N in MAJORITY_NS]
-    if hasattr(threshold, "_level_logs"):
-        tail = np.full((len(rows), max(MAJORITY_NS)), -math.inf)
-        for r, row in enumerate(rows):
-            tail[r, : row[0]] = threshold._level_logs(*row)
-        return (
-            lambda: [threshold._level_logs(*row) for row in rows],
-            lambda: radius._solve_reduced(tail, np.zeros(len(rows))),
-        )
-    logs = [np.array(full_width_logs(threshold, *row)) for row in rows]
-    return (
-        lambda: [full_width_logs(threshold, *row) for row in rows],
-        lambda: [radius._one_radius(row, 0.0) for row in logs],
-    )
+def solve_call(threshold, radius, pairs):
+    """The solve of the rows of ``pairs`` as one block padded as this checkout pads it."""
+    from cuberadius.families import canonical_alpha
+
+    rows = [(N, *threshold._tail_terms(N, canonical_alpha(N, a))) for N, a in pairs]
+    width = getattr(threshold, "_block_width", lambda n: n)(max(N for N, _ in pairs))
+    tail = np.full((len(rows), width), -math.inf)
+    for r, row in enumerate(rows):
+        tail[r, : row[0]] = threshold._level_logs(*row)
+    return lambda: radius._solve_reduced(tail, np.zeros(len(rows)))
 
 
-def medians() -> dict:
+def medians() -> tuple:
     from cuberadius import cli, radius, threshold
 
     out = {}
     with contextlib.redirect_stdout(io.StringIO()):
         out["majority_scan_911_989"] = median_s(lambda: cli.main(MAJORITY_ARGV))
         out["threshold_scan_1007_1993"] = median_s(lambda: cli.main(SCAN_ARGV))
-    logs, solve = layer_calls(threshold, radius)
-    out["level_logs_911_989"] = median_s(logs)
-    out["solve_911_989"] = median_s(solve)
-    return out
+    rows = [(N, *threshold._tail_terms(N, a)) for N, a in MAJORITY_PAIRS]
+    out["level_logs_911_989"] = median_s(lambda: [threshold._level_logs(*row) for row in rows])
+    faults = {}
+    for name, pairs in [("solve_911_989", MAJORITY_PAIRS), ("solve_scan_1007_1993", SCAN_PAIRS)]:
+        solve = solve_call(threshold, radius, pairs)
+        out[name] = median_s(solve)
+        faults[name] = minor_faults(solve)
+    return out, faults
 
 
 def main(argv=None) -> int:
@@ -97,13 +102,16 @@ def main(argv=None) -> int:
     if not Path(cuberadius.__file__).resolve().is_relative_to(src):
         print(f"cuberadius was imported from {cuberadius.__file__}, not from {args.src}", file=sys.stderr)
         return 2
-    result = medians()
+    result, faults = medians()
     for name, t in result.items():
         print(f"{args.label:>10} {name:>24} {t * 1e3:10.3f} ms")
+    for name, f in faults.items():
+        print(f"{args.label:>10} {name:>24} {f:10.1f} minor faults per call")
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("what", "median of 5 runs of the mean seconds per call (bench/bench_threshold.py)")
     data["cases"] = CASES
-    data.setdefault("runs", {}).setdefault(args.label, []).append({"machine": machine(), "median_s": result})
+    run = {"machine": machine(), "median_s": result, "minor_faults_per_call": faults}
+    data.setdefault("runs", {}).setdefault(args.label, []).append(run)
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 

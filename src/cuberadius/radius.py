@@ -48,6 +48,9 @@ UNIT_RADIUS_TOL = 1e-10
 #: Relative shortfall of sum(W) below sup treated as a non-function profile.
 PROFILE_TOL = 1e-9
 
+#: Shifted log below which a term of a tail sum counts as 0 (e^-700 of the row's largest term).
+LOG_TINY = -700.0
+
 
 @dataclass(frozen=True)
 class LevelProfile:
@@ -122,7 +125,7 @@ def majorant(p: LevelProfile, rho: float) -> float:
     w0, tail = float(p.weights[0]), p.log_weights[None, 1:]
     if rho == 0 or not np.any(tail > -math.inf):
         return w0
-    lp = float(_log_tail_sums(tail, np.array([rho]))[0])
+    lp = float(_tail_sums(tail)(np.array([rho]))[0])
     return w0 + math.exp(lp) if lp <= 709.0 else math.inf
 
 
@@ -131,9 +134,11 @@ def _bisect(below, lo, hi):
 
     ``lo`` and ``hi`` are arrays of one shape (0-d allowed); ``below(mid)``
     is True where the root lies above ``mid``.  It sees every bracket, the
-    finished ones too, whose ends no longer move.  Stopping only when a
-    bracket cannot shrink in doubles puts each root within one ulp.  Returns
-    the roots and the number of halvings of each bracket.
+    finished ones too: their midpoint is one of their ends, so moving an end
+    to it changes neither that midpoint nor the bracket's halving count.
+    Stopping only when a bracket cannot shrink in doubles puts each root
+    within one ulp.  Returns the roots and the number of halvings of each
+    bracket.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     iterations = np.zeros(lo.shape, dtype=np.int64)
@@ -144,8 +149,7 @@ def _bisect(below, lo, hi):
             return mid, iterations
         iterations += active
         up = np.asarray(below(mid), dtype=bool)
-        lo = np.where(active & up, mid, lo)
-        hi = np.where(active & ~up, mid, hi)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
 
 
 def _level_sums(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -163,11 +167,33 @@ def _log_targets(w0: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return _log(np.where(w0 > sup * (1.0 + PROFILE_TOL), math.nan, target))
 
 
-def _log_tail_sums(log_tail: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """log sum_{m>=1} W_m rho^m per row, max-shifted so that no term overflows."""
-    a = log_tail + np.arange(1.0, log_tail.shape[1] + 1.0) * np.log(rho)[:, None]
-    top = np.max(a, axis=1)
-    return top + np.log(np.sum(np.exp(a - top[:, None]), axis=1))
+def _tail_sums(log_tail: np.ndarray):
+    """The map rho -> log sum_{m>=1} W_m rho^m per row, log_tail[r, m-1] = log W_m.
+
+    The terms are max-shifted, so the largest is exactly 1 and none
+    overflows.  A term whose shifted log is below LOG_TINY is set to exactly
+    0 (clamp, exp, then a 0/1 mask): against the top term it is far below one
+    rounding of the sum, and ``exp`` is slow on underflowing, subnormal and
+    -inf inputs.  The work arrays are allocated once and reused by every
+    call; each call returns a fresh array.
+    """
+    powers = np.arange(1.0, log_tail.shape[1] + 1.0)
+    terms = np.empty(log_tail.shape)
+    keep = np.empty(log_tail.shape, dtype=bool)
+    top = np.empty(log_tail.shape[0])
+
+    def tail_sums(rho: np.ndarray) -> np.ndarray:
+        np.multiply(powers, np.log(rho)[:, None], out=terms)
+        np.add(log_tail, terms, out=terms)
+        np.max(terms, axis=1, out=top)
+        np.subtract(terms, top[:, None], out=terms)
+        np.greater_equal(terms, LOG_TINY, out=keep)
+        np.maximum(terms, LOG_TINY, out=terms)
+        np.exp(terms, out=terms)
+        np.multiply(terms, keep, out=terms)
+        return top + np.log(np.sum(terms, axis=1))
+
+    return tail_sums
 
 
 def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
@@ -190,18 +216,19 @@ def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
         raise ValueError("constant coefficient exceeds the sup norm; not a function profile")
     if np.any(target == -math.inf):
         raise ValueError("constant part equals the sup norm on a nonconstant profile")
-    at_one = _log_tail_sums(tail, np.ones(live.size))
+    sums = _tail_sums(tail)
+    at_one = sums(np.ones(live.size))
     if np.any(at_one < target + math.log1p(-PROFILE_TOL)):
         raise ValueError("sum of level weights falls below the sup norm; not a function profile")
     rho = np.ones(live.size)
     inner = np.flatnonzero(at_one > target + math.log1p(UNIT_RADIUS_TOL))
-    a, b = tail[inner], target[inner]
+    inner_sums, b = _tail_sums(tail[inner]), target[inner]
     with np.errstate(divide="ignore", invalid="ignore"):  # finished brackets may sit at 0
         rho[inner], iterations[live[inner]] = _bisect(
-            lambda mid: _log_tail_sums(a, mid) < b, np.zeros(inner.size), np.ones(inner.size)
+            lambda mid: inner_sums(mid) < b, np.zeros(inner.size), np.ones(inner.size)
         )
     radius[live] = rho
-    residual[live] = np.abs(np.exp(_log_tail_sums(tail, rho)) - np.exp(target))
+    residual[live] = np.abs(np.exp(sums(rho)) - np.exp(target))
     return radius, residual, iterations
 
 

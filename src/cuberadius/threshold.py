@@ -79,18 +79,6 @@ def _check_parity(N: int, alpha) -> int:
     return int(alpha)
 
 
-def _krawtchouk(N: int, alpha: int) -> list:
-    """Integer coefficients c_0..c_{N-1} of (1+z)^a (1-z)^b.
-
-    (1 - z^2) P' = (alpha - (N-1) z) P gives c_0 = 1, c_1 = alpha and
-    (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1}; every division is exact.
-    """
-    c = [1, alpha][:N]
-    for k in range(1, N - 1):
-        c.append((alpha * c[k] - (N - k) * c[k - 1]) // (k + 1))
-    return c
-
-
 def _tail_count(N: int, upto: int) -> int:
     """sum_{m <= upto} binom(N, m), exact."""
     total, term = 0, 1
@@ -303,25 +291,54 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
     min(T, 2^N - T) / 2^{N-1}, the level weight W_m = binom(N, m) |psihat([m])|
     is N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0.
     Each of the three big factors enters as its HEAD_BITS-bit head, which moves
-    the quotient by about 2^-126 relative: far below one rounding of a double."""
+    the quotient by about 2^-126 relative: far below one rounding of a double.
+
+    c_k, the z^k coefficient of (1+z)^a (1-z)^b, comes from the Krawtchouk
+    recurrence c_0 = 1, (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1} (from
+    (1 - z^2) P' = (alpha - (N-1) z) P; every division is exact), run inline
+    with _log_ratio's quotient: one correctly rounded p / q in (1/2, 2)."""
     num, den = N * lead, min(T, 2**N - T)
     sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
-    num, den, logs = num >> sn, den >> sd, []
-    for k, ck in enumerate(_krawtchouk(N, alpha)):
-        s = max(ck.bit_length() - HEAD_BITS, 0)
-        logs.append(_log_ratio(num * (abs(ck) >> s), (k + 1) * den, sn + s - sd) if ck else -math.inf)
+    num, den, shift = num >> sn, den >> sd, sn - sd
+    log, log2, logs = math.log, math.log(2.0), []
+    c_prev, c = 0, 1
+    for k in range(N):
+        if c:
+            h = abs(c)
+            s = h.bit_length() - HEAD_BITS
+            if s > 0:
+                p, e = num * (h >> s), shift + s
+            else:
+                p, e = num * h, shift
+            q = (k + 1) * den
+            d = p.bit_length() - q.bit_length()
+            logs.append(log(p / (q << d) if d >= 0 else (p << -d) / q) + (d + e) * log2)
+        else:
+            logs.append(-math.inf)
+        c_prev, c = c, (alpha * c - (N - k) * c_prev) // (k + 1)
     return logs
+
+
+def _block_width(n: int) -> int:
+    """Width of a block whose widest row has n levels: max(8, the next power of two).
+
+    numpy's pairwise sum splits a row of such a width at exact halves, and
+    the all-zero halves of the padding add exactly 0, so the sum of a row,
+    and with it its radius, is the same in every block it can land in."""
+    return max(8, 1 << (n - 1).bit_length())
 
 
 def _radii_exact(rows) -> tuple:
     """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _tail_terms,
     with the residual of each reduced equation (over its target) and the halvings.
-    Consecutive rows are padded with -inf to a common width in blocks of at most
-    SCAN_BLOCK_DOUBLES, and each block is solved by one _solve_reduced."""
-    out, step = ([], [], []), max(1, SCAN_BLOCK_DOUBLES // max((row[0] for row in rows), default=1))
+    Consecutive rows are padded with -inf to the _block_width of their widest
+    row in blocks of at most SCAN_BLOCK_DOUBLES, and each block is solved by
+    one _solve_reduced."""
+    widest = _block_width(max((row[0] for row in rows), default=1))
+    out, step = ([], [], []), max(1, SCAN_BLOCK_DOUBLES // widest)
     for i in range(0, len(rows), step):
         block = rows[i : i + step]
-        tail = np.full((len(block), max(row[0] for row in block)), -math.inf)
+        tail = np.full((len(block), _block_width(max(row[0] for row in block))), -math.inf)
         for r, row in enumerate(block):
             tail[r, : row[0]] = _level_logs(*row)
         for acc, part in zip(out, _solve_reduced(tail, np.zeros(len(block)))):

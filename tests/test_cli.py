@@ -136,7 +136,7 @@ class TestRadiusCommand:
         "args, radius, residual, iterations",
         [
             (["--family", "threshold", "--n", "24", "--alpha", "1.5"], 0.17627162439628852, 0.0, 55),
-            (["--family", "majority", "--n", "23"], 0.21589669992468447, 1.1102230246251565e-16, 55),
+            (["--family", "majority", "--n", "23"], 0.21589669992468441, 3.3306690738754696e-16, 55),
             (["--family", "extremal", "--n", "24"], 0.029302236643492033, 0.0, 58),
             (["--family", "majority", "--n", "4001"], 0.016359273211215608, 9.9920072216264089e-16, 58),
         ],

@@ -18,9 +18,11 @@ from cuberadius.cube import (
 )
 from cuberadius.families import extremal_indicator_flip, majority
 from cuberadius.radius import (
+    LOG_TINY,
     RESIDUAL_TOL,
     LevelProfile,
     _solve_reduced,
+    _tail_sums,
     bn_radius_formula,
     boolean_radius,
     boolean_radius_symmetric,
@@ -248,6 +250,83 @@ class TestBatchedSolver:
         assert np.all(np.isinf(radius[constant]))
         assert np.all((radius[~constant] > 0) & (radius[~constant] <= 1))
         assert np.all(residual <= RESIDUAL_TOL * np.maximum(1.0, sup))
+
+
+def _log_tail_sums(log_tail, rho):
+    """The former tail-sum evaluator: fresh arrays per call and ``exp`` of every term."""
+    a = log_tail + np.arange(1.0, log_tail.shape[1] + 1.0) * np.log(rho)[:, None]
+    top = np.max(a, axis=1)
+    return top + np.log(np.sum(np.exp(a - top[:, None]), axis=1))
+
+
+def _threshold_block(pairs):
+    """The -inf-padded level logs of threshold rows, as threshold._radii_exact forms one block."""
+    from cuberadius.families import canonical_alpha
+    from cuberadius.threshold import _block_width, _level_logs, _tail_terms
+
+    rows = [(N, *_tail_terms(N, canonical_alpha(N, a))) for N, a in pairs]
+    tail = np.full((len(rows), _block_width(max(N for N, _ in pairs))), -math.inf)
+    for r, row in enumerate(rows):
+        tail[r, : row[0]] = _level_logs(*row)
+    return tail
+
+
+def _subnormal_band_block():
+    """Dense log weights spread across the band where exp of a shifted term is
+    subnormal or tiny, some levels zero."""
+    rng = np.random.default_rng(7)
+    tail = rng.uniform(-760.0, -680.0, size=(12, 200))
+    tail[:, ::7] = -math.inf
+    tail[:, 3] = 0.0
+    tail[::3, 150] = 2.0
+    return tail
+
+
+def _rho_values(tail):
+    """About 60 rho in (0, 1]: the midpoints a bisection visits on its way to
+    the first row's root, then a grid."""
+    root = float(_solve_reduced(tail[:1], np.zeros(1))[0][0])
+    lo, hi, mids = 0.0, 1.0, []
+    while len(mids) < 50:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = (mid, hi) if mid < root else (lo, mid)
+    return mids + list(np.linspace(0.05, 1.0, 10))
+
+
+class TestTailSums:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _threshold_block([(N, 0) for N in range(911, 990, 2)]),  # the majority-scan block
+            lambda: _threshold_block([(N, a) for N in (1007, 1993) for a in (0, math.isqrt(N), N // 2)]),
+            _subnormal_band_block,
+        ],
+        ids=["majority-911-989", "threshold-scan-1007-1993", "subnormal-band"],
+    )
+    def test_same_bits_as_the_former_evaluator(self, make):
+        tail = make()
+        sums = _tail_sums(tail)
+        for value in _rho_values(tail):
+            rho = np.full(tail.shape[0], value)
+            assert sums(rho).tobytes() == _log_tail_sums(tail, rho).tobytes(), value
+        roots = _solve_reduced(tail, np.zeros(tail.shape[0]))[0]
+        assert sums(roots).tobytes() == _log_tail_sums(tail, roots).tobytes()
+
+    def test_subnormal_band_is_exercised(self):
+        tail = _subnormal_band_block()
+        shifted = tail - tail.max(axis=1, keepdims=True)
+        assert np.any((shifted > -745.0) & (shifted < LOG_TINY))  # exp of these is subnormal or tiny
+        assert np.any(shifted < -746.0)  # and of these exactly 0
+
+    def test_calls_do_not_alias(self):
+        tail = _subnormal_band_block()
+        sums = _tail_sums(tail)
+        first = sums(np.full(tail.shape[0], 0.5))
+        kept = first.copy()
+        second = sums(np.full(tail.shape[0], 0.25))
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() and second.tobytes() != kept.tobytes()
 
 
 class TestSymmetricSolver:

@@ -13,8 +13,8 @@ from cuberadius.radius import SCAN_BLOCK_DOUBLES, _solve_reduced, boolean_radius
 from cuberadius.threshold import (
     MAX_TN_N,
     ThresholdReport,
+    _block_width,
     _dyadic,
-    _krawtchouk,
     _level_logs,
     _radii_exact,
     _tail_terms,
@@ -39,6 +39,18 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2)
 
 def valid_alphas(N):
     return range(1 - N % 2, N, 2)  # alpha >= 0 with N - alpha odd
+
+
+def _krawtchouk(N, alpha):
+    """Integer coefficients c_0..c_{N-1} of (1+z)^a (1-z)^b, as a list.
+
+    (1 - z^2) P' = (alpha - (N-1) z) P gives c_0 = 1, c_1 = alpha and
+    (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1}; every division is exact.
+    """
+    c = [1, alpha][:N]
+    for k in range(1, N - 1):
+        c.append((alpha * c[k] - (N - k) * c[k - 1]) // (k + 1))
+    return c
 
 
 def _binomial_row(n):
@@ -606,9 +618,16 @@ class TestLevelLogs:
         self._assert_heads_match(N, alpha)
 
 
+def _one_row_solve(logs):
+    """(radius, residual, halvings) of one row of level logs solved on its own,
+    padded with -inf to its own _block_width, as _radii_exact pads a block."""
+    tail = np.full((1, _block_width(len(logs))), -math.inf)
+    tail[0, : len(logs)] = logs
+    return tuple(part[0].item() for part in _solve_reduced(tail, np.zeros(1)))
+
+
 def _one_row_radius(logs):
-    """The radius of one row of level logs solved on its own: width N, no padding."""
-    return float(_solve_reduced(np.array([logs]), np.zeros(1))[0][0])
+    return _one_row_solve(logs)[0]
 
 
 @pytest.fixture
@@ -631,27 +650,27 @@ class TestBatchedSolve:
         want = [_one_row_radius(_level_logs(*row)).hex() for row in rows]
         assert [rho.hex() for rho in _radii_exact(rows)[0]] == want
 
-    @pytest.mark.parametrize("first,last", [(301, 1001), (3001, 4001)])
+    @pytest.mark.parametrize("first,last", [(1, 299), (301, 1001), (1003, 2999), (3001, 4001)])
     def test_majority_scan_equals_one_row_solves(self, recorded_level_logs, first, last):
+        # the four ranges tile every odd N in 1..4001
         rows = majority_scan(range(first, last + 1, 2))
-        assert len(rows) * last > SCAN_BLOCK_DOUBLES  # several padded blocks
+        assert len(rows) > SCAN_BLOCK_DOUBLES // _block_width(last)  # several padded blocks
         want = [_one_row_radius(recorded_level_logs[N, 0]).hex() for N, *_ in rows]
         assert [rho.hex() for _, rho, *_ in rows] == want
 
-    @pytest.mark.parametrize("scan", ["majority", "threshold"])
-    def test_rows_moved_by_padding_stay_near_the_root(self, recorded_level_logs, scan):
-        # padding a row with zero weights changes numpy's pairwise-summation
-        # blocking, which may move a radius that sits near a rounding boundary
-        import mpmath as mp
+    def test_threshold_scan_equals_one_row_solves(self, recorded_level_logs):
+        # every canonical pair up to N = 40 among wider rows, shuffled so that
+        # blocks mix widths: radius, residual and halvings as solved alone
+        import random
 
-        if scan == "majority":
-            rows = [(N, 0, rho) for N, rho, *_ in majority_scan(range(1, 1002, 2))]
-        else:
-            pairs = [(N, a) for N in range(1, 41) for a in (0, math.isqrt(N), N // 2) if a < N]
-            rows = [(r.n, r.alpha, r.radius) for r in threshold_scan(pairs)]
-        moved = [(N, a, rho) for N, a, rho in rows if rho != _one_row_radius(recorded_level_logs[N, a])]
-        for N, a, rho in moved:
-            assert abs(mp.mpf(rho) - _oracle_root(N, a)) <= 4 * math.ulp(rho), (N, a)
+        pairs = [(N, a) for N in range(1, 41) for a in range(N % 2 - 1, N, 2)]
+        for N in range(41, 2002, 97):  # alpha -1 or 0, near sqrt(N), and N - 1
+            pairs += [(N, a - 1 + (N - a) % 2) for a in (0, math.isqrt(N), N)]
+        random.Random(0).shuffle(pairs)
+        rows = [(N, *_tail_terms(N, a)) for N, a in pairs]
+        got = repr(list(zip(*_radii_exact(rows))))  # repr tells every bit of a float apart
+        assert len(rows) > SCAN_BLOCK_DOUBLES // _block_width(2001)  # several padded blocks
+        assert got == repr([_one_row_solve(recorded_level_logs[N, a]) for N, a in pairs])
 
 
 class TestThresholdScan:
