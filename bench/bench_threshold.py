@@ -14,10 +14,18 @@ where the checkout has that helper, else to the widest row.  Each case
 reports the median of 5 runs, after one untimed warm-up; a run is the mean of
 enough calls to last about 0.1 s (see ``bench_fwht.median_s``).  The two
 solves also report their minor page faults per call (``ru_minflt`` of
-``resource.getrusage``, over 20 calls after the warm-up).  The numbers are
-added under ``--label`` to ``--out`` (``BENCH_threshold.json`` at the
-repository root by default) together with the machine; repeated runs under
-one label are kept in order, so parent and change can be run alternately.
+``resource.getrusage``, over 20 calls after the warm-up).
+
+A cold case runs ``threshold-scan --n-list 1011,1991`` in COLD_RUNS fresh
+processes (``python -m cuberadius.cli`` with ``--src`` as PYTHONPATH, stdout
+to the null device), so the imports of a first call are counted; it reports
+the median wall time of a process and the median of its peak RSS
+(``ru_maxrss`` from ``os.wait4``).
+
+The numbers are added under ``--label`` to ``--out`` (``BENCH_threshold.json``
+at the repository root by default) together with the machine; repeated runs
+under one label are kept in order, so parent and change can be run
+alternately.
 
 Uses only the standard library and numpy; it is not part of the test suite.
 """
@@ -29,8 +37,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import resource
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +56,10 @@ CASES = {
     "level_logs_911_989": "level logs of the 40 majority rows N = 911..989",
     "solve_911_989": "radius solve of those 40 rows of level logs",
     "solve_scan_1007_1993": "radius solve of the 6 rows of the threshold scan",
+    "cold_threshold_scan_1011_1991": "a fresh process running threshold-scan --n-list 1011,1991",
 }
+COLD_ARGV = ["-m", "cuberadius.cli", "threshold-scan", "--n-list", "1011,1991"]
+COLD_RUNS = 11
 MAJORITY_PAIRS = [(N, 0) for N in range(911, 990, 2)]
 SCAN_PAIRS = [(N, a) for N in (1007, 1993) for a in (0, math.isqrt(N), N // 2)]
 FAULT_CALLS = 20
@@ -70,6 +84,24 @@ def solve_call(threshold, radius, pairs):
     for r, row in enumerate(rows):
         tail[r, : row[0]] = threshold._level_logs(*row)
     return lambda: radius._solve_reduced(tail, np.zeros(len(rows)))
+
+
+def cold_process(src: Path) -> tuple:
+    """(wall seconds, peak RSS in MB) of one fresh process running COLD_ARGV."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    t0 = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable] + COLD_ARGV, env, file_actions=devnull)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - t0
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"{' '.join(COLD_ARGV)} failed with status {status}")
+    return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def cold_medians(src: Path) -> tuple:
+    runs = [cold_process(src) for _ in range(COLD_RUNS)]
+    return statistics.median(w for w, _ in runs), statistics.median(m for _, m in runs)
 
 
 def medians() -> tuple:
@@ -103,14 +135,17 @@ def main(argv=None) -> int:
         print(f"cuberadius was imported from {cuberadius.__file__}, not from {args.src}", file=sys.stderr)
         return 2
     result, faults = medians()
+    result["cold_threshold_scan_1011_1991"], maxrss = cold_medians(src)
     for name, t in result.items():
-        print(f"{args.label:>10} {name:>24} {t * 1e3:10.3f} ms")
+        print(f"{args.label:>10} {name:>29} {t * 1e3:10.3f} ms")
     for name, f in faults.items():
-        print(f"{args.label:>10} {name:>24} {f:10.1f} minor faults per call")
+        print(f"{args.label:>10} {name:>29} {f:10.1f} minor faults per call")
+    print(f"{args.label:>10} {'cold_threshold_scan_1011_1991':>29} {maxrss:10.1f} MB peak RSS")
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("what", "median of 5 runs of the mean seconds per call (bench/bench_threshold.py)")
     data["cases"] = CASES
-    run = {"machine": machine(), "median_s": result, "minor_faults_per_call": faults}
+    run = {"machine": machine(), "median_s": result, "minor_faults_per_call": faults,
+           "cold_maxrss_mb": {"cold_threshold_scan_1011_1991": maxrss}}
     data.setdefault("runs", {}).setdefault(args.label, []).append(run)
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0

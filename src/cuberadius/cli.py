@@ -54,6 +54,27 @@ def _threshold_pair(args):
     return args.n, families.canonical_alpha(args.n, alpha)
 
 
+def _parity_set(args) -> range:
+    m = args.m if args.m is not None else args.n
+    if m < 0:
+        raise ValueError(f"--m must be >= 0, got {m}")
+    return range(1, m + 1)
+
+
+def _character_profile(args):
+    """The level profile of the character x^S that dictator (S = {1}) or
+    parity (S = {1..m}) names, with the checks of its dense table: weight 1
+    at level |S| (the constant at S empty), sup norm 1, the profile the
+    butterfly would find.  None for the other families."""
+    name = _family(args)
+    if name not in ("dictator", "parity"):
+        return None
+    degree = families.subset_mask(args.n, [1] if name == "dictator" else _parity_set(args)).bit_count()
+    w = np.zeros(args.n + 1)
+    w[degree] = 1.0
+    return radius.LevelProfile(args.n, w, 1.0)
+
+
 def _build_family(args):
     name = _family(args)
     if name == "threshold":
@@ -65,10 +86,7 @@ def _build_family(args):
     if name == "dictator":
         return families.dictator(args.n, 1)
     if name == "parity":
-        m = args.m if args.m is not None else args.n
-        if m < 0:
-            raise ValueError(f"--m must be >= 0, got {m}")
-        return families.parity(args.n, range(1, m + 1))
+        return families.parity(args.n, _parity_set(args))
     if name == "biased":
         if args.lam is None:
             raise ValueError("biased needs --lambda")
@@ -85,10 +103,12 @@ def _load_input_function(path: str):
 def cmd_radius(args) -> int:
     # threshold, majority and extremal are threshold functions up to sign: their
     # radius is solved from exact integer level weights, with no 2^n table, up to
-    # N = 4001 and with the bits threshold-scan prints
-    pair = None if args.input else _threshold_pair(args)
-    if pair is not None:
+    # N = 4001 and with the bits threshold-scan prints; dictator and parity are
+    # characters, whose level profile is known, so they build no table either
+    if not args.input and (pair := _threshold_pair(args)):
         result = threshold.exact_radius(*pair)
+    elif not args.input and (profile := _character_profile(args)):
+        result = radius.boolean_radius(profile)
     else:
         f = _load_input_function(args.input) if args.input else _build_family(args)
         # The radius does not change under scaling.  A table whose butterfly

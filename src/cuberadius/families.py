@@ -56,14 +56,20 @@ def dictator(N: int, i: int) -> BooleanFunction:
     return BooleanFunction._adopt(N, 1.0 - 2.0 * bits)
 
 
-def parity(N: int, S) -> BooleanFunction:
-    """f(x) = x^S = prod_{k in S} x_k; the empty set gives the constant 1."""
+def subset_mask(N: int, S) -> int:
+    """The bit mask of S, a subset of [1, N], after the checks of a dense table."""
     _validate_dimension(N)
     mask = 0
     for k in S:  # stops at the first stray member, even of a huge range
         if not 1 <= int(k) <= N:
             raise ValueError(f"subset members must lie in [1, {N}]")
         mask |= 1 << (int(k) - 1)
+    return mask
+
+
+def parity(N: int, S) -> BooleanFunction:
+    """f(x) = x^S = prod_{k in S} x_k; the empty set gives the constant 1."""
+    mask = subset_mask(N, S)
     signs = np.bitwise_count(np.arange(2**N, dtype=np.uint32) & np.uint32(mask)) & 1
     return BooleanFunction._adopt(N, 1.0 - 2.0 * signs)
 

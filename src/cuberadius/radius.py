@@ -295,11 +295,13 @@ BRUTE_FORCE_MAX_N = 4
 def brute_force_bn_radius(N: int, workers: int = 1):
     """Minimum radius over every nonconstant +-1-valued function on {-1,+1}^N.
 
-    Enumerates all 2^(2^N) sign tables (N <= 4), table entry j of function k
+    Ranges over all 2^(2^N) sign tables (N <= 4), table entry j of function k
     being +1 when bit j of k is clear.  Returns (radius, minimizer) with ties
-    broken by the first table in enumeration order.  All tables go through
-    one batched butterfly; only their distinct level profiles (172 of 65,536
-    at N = 4) are solved.  ``workers`` is accepted and starts no threads.
+    broken by the first table in enumeration order.  Table k and its negation
+    2^(2^N) - 1 - k share their level profile, so only k < 2^(2^N - 1) is
+    enumerated: the first minimizer lies there.  Those tables go through one
+    batched butterfly; only their distinct level profiles (172 at N = 4) are
+    solved.  ``workers`` is accepted and starts no threads.
 
     The matching lower-bound argument for 2^(1/N) - 1 covers all real-valued
     functions, so the +-1-valued sweep is a confirmation, not an independent
@@ -308,16 +310,16 @@ def brute_force_bn_radius(N: int, workers: int = 1):
     if not 1 <= N <= BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force is limited to 1 <= N <= {BRUTE_FORCE_MAX_N}")
     points = 2**N
-    ks = np.arange(2**points, dtype=np.uint64)
-    tables = 1.0 - 2.0 * ((ks[:, None] >> np.arange(points, dtype=np.uint64)[None, :]) & 1)
-    coeffs = _fwht_inplace(tables.copy()) / points
+    bits = np.arange(points, dtype=np.uint64)
+    table = lambda ks: 1.0 - 2.0 * ((ks[..., None] >> bits) & 1)
+    coeffs = _fwht_inplace(table(np.arange(2 ** (points - 1), dtype=np.uint64))) / points
     sums = _level_sums(np.abs(coeffs), subset_levels(N))
     # distinct rows by their bytes; each is solved on its own, so their order does not matter
     rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1])))[:, 0]
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     rho = _dense_radii(sums[first], 1.0)[inverse]
     i = int(np.argmin(rho))  # ties resolve to the smallest enumeration index
-    return float(rho[i]), BooleanFunction(N, tables[i])
+    return float(rho[i]), BooleanFunction(N, table(np.uint64(i)))
 
 
 #: Most doubles in one block of sign tables of the homogeneous scan (512 KiB).

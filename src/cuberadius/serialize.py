@@ -55,9 +55,17 @@ def truth_table_obj(f: BooleanFunction) -> dict:
     return {"n": f.n, "values": [float(v) for v in f.values]}
 
 
+#: Most values formatted by one ``%`` in _dumps_vector.
+VECTOR_PIECE = 2**16
+
+
 def _dumps_vector(n: int, key: str, arr: np.ndarray) -> str:
-    # what dumps emits for {"n": n, key: arr}; the arrays are finite by construction
-    return '{"n": %d, "%s": [%s]}\n' % (n, key, ", ".join(["%.17g" % x for x in arr.tolist()]))
+    # what dumps emits for {"n": n, key: arr}; the arrays are finite by construction.
+    # One "%.17g, %.17g, ..." % piece per VECTOR_PIECE values, not one string per value.
+    values = arr.tolist()
+    pieces = [tuple(values[i : i + VECTOR_PIECE]) for i in range(0, len(values), VECTOR_PIECE)]
+    body = ", ".join([", ".join(["%.17g"] * len(p)) % p for p in pieces])
+    return '{"n": %d, "%s": [%s]}\n' % (n, key, body)
 
 
 def dumps_truth_table(f: BooleanFunction) -> str:

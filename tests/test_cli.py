@@ -176,6 +176,44 @@ class TestRadiusCommand:
         want = radius_module.bn_radius_formula(n)
         assert abs(got - want) <= (want * 1e-12 if n > 24 else 8 * math.ulp(want)), n
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_characters_match_the_dense_path(self, n, tmp_path):
+        cases = [("dictator", [], families.dictator(n, 1))]
+        cases += [("parity", [f"--m={m}"], families.parity(n, range(1, m + 1))) for m in range(n + 1)]
+        path = tmp_path / "f.json"
+        for name, extra, table in cases:
+            path.write_text(dumps_truth_table(table))
+            for fmt in ("json", "csv"):
+                want = _capture(["radius", "--input", str(path), "--format", fmt])
+                assert want[0] == 0
+                assert _capture(["radius", "--family", name, f"--n={n}", "--format", fmt] + extra) == want, (name, extra)
+
+    def test_parity_24_allocates_no_table(self, monkeypatch):
+        import tracemalloc
+
+        def refuse(*_):
+            raise AssertionError("a dense table or a butterfly was used")
+
+        monkeypatch.setattr(cube, "_fwht_inplace", refuse)
+        monkeypatch.setattr(families, "parity", refuse)
+        tracemalloc.start()
+        try:
+            got = _capture(["radius", "--family", "parity", "--n", "24"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (0, '{"radius": 1, "residual": 0, "iterations": 0, "method": "bisection"}\n', "")
+        assert peak < 2**24 * 8 // 64, peak  # under 1/64 of one 2^24-double table
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "parity", "--n", "3", "--m", "4"], "subset members must lie in [1, 3]"),
+        (["--family", "parity", "--n", "25"], "dense tables are capped at n <= 24, got n = 25"),
+        (["--family", "dictator", "--n", "0"], "dimension must be a positive integer, got 0"),
+        (["--family", "parity", "--n", "-2", "--m", "-1"], "--m must be >= 0, got -1"),
+    ])
+    def test_character_errors(self, argv, message):
+        assert _capture(["radius"] + argv) == (2, "", f"cuberadius: error: {message}\n")
+
 
 def _capture(argv):
     """(exit code, stdout, stderr) of one in-process CLI run; argparse exits count."""
@@ -469,15 +507,30 @@ def test_console_script_help():
         assert cmd in proc.stdout
 
 
-def test_cold_import_leaves_scipy_unloaded():
-    # scipy.special is loaded by the first Y evaluation only
+def test_threshold_commands_never_load_scipy():
+    # Y, the tail correction, the radii and the exact spectra need numpy and math only
     src = str(Path(cube.__file__).resolve().parent.parent)
-    code = "import sys, cuberadius, cuberadius.cli; print('scipy' in sys.modules)"
+    code = (
+        "import contextlib, io, sys\n"
+        "from cuberadius import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['threshold-scan', '--n-list', '7,101,1011']),\n"
+        "             cli.main(['majority-scan', '--n-start', '3', '--n-stop', '41']),\n"
+        "             cli.main(['spectrum', '--family', 'threshold', '--n', '40', '--alpha', '5', '--symmetric'])]\n"
+        "print(codes, 'scipy' in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:3])\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[0, 0, 0] False []\n"
+
+
+def test_no_source_file_names_scipy():
+    src = Path(cube.__file__).resolve().parent.parent
+    files = sorted(src.rglob("*.py"))
+    assert len(files) >= 8
+    assert [f.name for f in files if "scipy" in f.read_text(encoding="utf-8")] == []
 
 
 # -- --input files of odd shapes ----------------------------------------------

@@ -437,6 +437,24 @@ class TestBruteForce:
             # table index 1 (only entry 0 is -1) is the extremal indicator flip
             assert np.array_equal(minimizer.values, extremal_indicator_flip(N).values)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_half_of_the_tables_gives_the_full_enumeration(self, N):
+        # the reference: all 2^(2^N) tables through one butterfly
+        from cuberadius import cube, radius
+
+        points = 2**N
+        ks = np.arange(2**points, dtype=np.uint64)
+        tables = 1.0 - 2.0 * ((ks[:, None] >> np.arange(points, dtype=np.uint64)[None, :]) & 1)
+        sums = radius._level_sums(np.abs(cube._fwht_inplace(tables.copy()) / points), cube.subset_levels(N))
+        rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1])))[:, 0]
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        rho = radius._dense_radii(sums[first], 1.0)[inverse]
+        i = int(np.argmin(rho))
+        assert i < 2 ** (points - 1) and np.unique(rows[: 2 ** (points - 1)]).size == first.size
+        r, minimizer = brute_force_bn_radius(N)
+        assert r.hex() == float(rho[i]).hex()
+        assert np.array_equal(minimizer.values, tables[i]) and minimizer.values.dtype == tables.dtype
+
     def test_worker_count_does_not_change_result(self):
         r1, f1 = brute_force_bn_radius(3, workers=1)
         r3, f3 = brute_force_bn_radius(3, workers=3)

@@ -93,6 +93,30 @@ def test_dense_emitters_match_the_generic_emitter():
     assert dumps_spectrum(s) == dumps({"n": 3, "coeffs": [float(c) for c in s.coeffs]})
 
 
+def _one_string_per_value(n, key, values):
+    return '{"n": %d, "%s": [%s]}\n' % (n, key, ", ".join(["%.17g" % x for x in values.tolist()]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 16, 17])
+def test_vector_pieces_write_the_bytes_of_one_string_per_value(n):
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-1.0, 1.0, 2**n) * 10.0 ** rng.integers(-300, 300, 2**n)
+    f = from_truth_table(n, values)
+    assert dumps_truth_table(f) == _one_string_per_value(n, "values", values)
+    s = walsh_transform(f)
+    assert dumps_spectrum(s) == _one_string_per_value(n, "coeffs", s.coeffs)
+
+
+def test_vector_pieces_of_uneven_length(monkeypatch):
+    from cuberadius import serialize
+
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, 16)
+    want = _one_string_per_value(4, "values", values)
+    for piece in (1, 3, 15, 16, 17):
+        monkeypatch.setattr(serialize, "VECTOR_PIECE", piece)
+        assert dumps_truth_table(from_truth_table(4, values)) == want, piece
+
+
 def test_symmetric_spectrum_round_trip_is_exact():
     s = SymmetricSpectrum(3, ["-3/4", "1/4", "1/4", "1/4"])
     back = loads_symmetric_spectrum(dumps_symmetric_spectrum(s))

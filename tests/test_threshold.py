@@ -306,7 +306,28 @@ class TestIIntegral:
 
 class TestYFunction:
     def test_at_zero(self):
-        assert y_function(0.0) == pytest.approx(SQRT_HALF_PI, abs=1e-15)
+        assert y_function(0.0) == y_function(0) == threshold_module.SQRT_HALF_PI
+
+    def test_at_infinity_nan_and_far_out(self):
+        assert y_function(math.inf) == 0.0
+        assert math.isnan(y_function(math.nan))
+        assert y_function(1e300) == 1e-300
+
+    def test_against_mpmath_at_50_digits(self):
+        import mpmath as mp
+
+        switch = threshold_module.Y_SWITCH
+        near = [switch + d for d in (-1e-9, -1e-12, -1e-15)] + [math.nextafter(switch, 0.0), switch]
+        near += [switch + d for d in (1e-15, 1e-12, 1e-9)]
+        xs = [k / 50 for k in range(5001)] + [150.0, 1e3, 1e5, 1e10] + near
+        assert any(x < switch for x in near) and any(x > switch for x in near)
+        with mp.workdps(50):
+            worst = 0.0
+            for x in xs:
+                v = mp.mpf(x)
+                exact = mp.sqrt(mp.pi / 2) * mp.exp(v * v / 2) * mp.erfc(v / mp.sqrt(2))
+                worst = max(worst, float(abs(y_function(x) - exact) / exact))
+        assert worst <= 1e-15
 
     def test_against_quadrature_oracle(self):
         for x in (0.3, 1.0, 2.5):
