@@ -103,7 +103,7 @@ def _load_input_function(path: str):
 def cmd_radius(args) -> int:
     # threshold, majority and extremal are threshold functions up to sign: their
     # radius is solved from exact integer level weights, with no 2^n table, up to
-    # N = 4001 and with the bits threshold-scan prints; dictator and parity are
+    # N = 100001 and with the bits threshold-scan prints; dictator and parity are
     # characters, whose level profile is known, so they build no table either
     if not args.input and (pair := _threshold_pair(args)):
         result = threshold.exact_radius(*pair)

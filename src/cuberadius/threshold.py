@@ -11,11 +11,31 @@ follow a three-term (Krawtchouk) recurrence; the empty-set coefficient is the
 exact binomial tail 2 sigma(x_1 + ... + x_N > alpha) - 1.  Radii are solved
 from these integers, a whole scan in one batch, the published spectrum (an
 integer over 2^{N-1} per level, by Krawtchouk reciprocity) from the dual
-recurrence.  On top of this the module
-provides the torus supremum G and its antiderivative I, the Mills-ratio-type
-function Y, the binomial-tail correction term bounded by sqrt(pi/2), the
-radius sandwich between I(rho) and I(3 rho)/3, the majority constant gamma,
-and the lower-bound root t_N for the degree-N disc polynomials.
+recurrence.
+
+A radius row keeps only levels 1..M of its N.  psi is +-1 valued, so by
+Parseval binom(N, m) psihat([m])^2 <= 1 and W_m <= sqrt(binom(N, m)).  With
+L1 the level-1 log over the target and rho_c = min(1, e^-L1), the level-1
+term alone reaches the target at rho_c, so the root lies below it.  The
+bound 0.5 log binom(N, m) + m log rho_c is concave in m, and M is the last
+level before it falls CUT_NATS (745) below the level-1 term at rho_c.  The
+bits stay those of the full row:
+  * at every rho <= rho_c a skipped term is below e^-745 of the level-1 term,
+    so the tail-sum evaluator, which zeroes terms below e^-700 of the row's
+    largest, would have set it to exactly 0;
+  * just above rho_c the skipped terms are still zeroed, and further up the
+    level-1 term alone exceeds the target in both rows, so every comparison
+    with the target has the same outcome;
+  * _block_width is a power of two and numpy's pairwise sum splits at exact
+    halves, so a row padded to _block_width(M) sums to the bits of the one
+    padded to _block_width(N): the dropped halves are all zeros.
+The exact tail count is summed from the nearer end of [0, N/2].
+
+On top of this the module provides the torus supremum G and its
+antiderivative I, the Mills-ratio-type function Y, the binomial-tail
+correction term bounded by sqrt(pi/2), the radius sandwich between I(rho)
+and I(3 rho)/3, the majority constant gamma, and the lower-bound root t_N for
+the degree-N disc polynomials.
 """
 
 from __future__ import annotations
@@ -31,11 +51,19 @@ from .cube import SymmetricSpectrum
 from .families import canonical_alpha
 from .radius import SCAN_BLOCK_DOUBLES, RadiusResult, _bisect, _solve_reduced
 
-#: Dimension cap for exact symmetric spectra.
-MAX_SYMMETRIC_N = 4001
+#: Dimension cap for threshold radii and scans (exact integers of N bits).
+MAX_SYMMETRIC_N = 100001
+
+#: Dimension cap for exact symmetric spectra: their output grows as N^2 digits,
+#: and above N of about 14,000 a numerator passes CPython's 4,300-digit int-to-str limit.
+MAX_SPECTRUM_N = 4001
 
 #: Leading bits kept of each big integer factor of a level weight.
 HEAD_BITS = 128
+
+#: A level whose Parseval bound lies this many nats below the level-1 term is cut
+#: from its row: 45 beyond LOG_TINY's 700, which absorb the rounding of the bound.
+CUT_NATS = 745.0
 
 #: Relative slack for the sandwich inequalities.
 SANDWICH_TOL = 1e-9
@@ -84,13 +112,35 @@ def _check_parity(N: int, alpha) -> int:
     return int(alpha)
 
 
-def _tail_count(N: int, upto: int) -> int:
-    """sum_{m <= upto} binom(N, m), exact."""
-    total, term = 0, 1
-    for m in range(upto + 1):
-        total += term
-        term = term * (N - m) // (m + 1)
-    return total
+def _tail_count(N: int, upto: int, lead: int | None = None) -> int:
+    """sum_{m <= upto} binom(N, m), exact, summed from the nearer end of [0, N/2].
+
+    Past the middle the count is 2^N minus the count up to N - 1 - upto
+    (binom(N, m) = binom(N, N - m)).  Below it, twice the count plus the
+    middle terms upto < m < N - upto make 2^N, so from the middle end the
+    count is 2^N less those terms, halved: the terms upto < m < N/2 twice and
+    the central binom(N, N/2) of even N once, walked up from
+    binom(N, upto + 1) = N lead / (upto + 1).  lead = binom(N - 1, upto), which
+    the complement leaves unchanged, saves that start's math.comb where the
+    caller has it.  Odd N at upto = (N - 1)/2 walks no term: the count is 2^(N-1).
+    """
+    if upto < 0:
+        return 0
+    if 2 * upto >= N:
+        return 2**N - _tail_count(N, N - 1 - upto, lead)
+    if upto + 1 <= N // 2 - upto:
+        total, term = 0, 1
+        for m in range(upto + 1):
+            total += term
+            term = term * (N - m) // (m + 1)
+        return total
+    middle = 0
+    if upto < N // 2:
+        term = N * lead // (upto + 1) if lead is not None else math.comb(N, upto + 1)
+        for m in range(upto + 1, N // 2 + 1):
+            middle += term if 2 * m == N else 2 * term
+            term = term * (N - m) // (m + 1)
+    return (2**N - middle) >> 1
 
 
 def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
@@ -107,6 +157,8 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     representative drops below zero, still have an exact spectrum; the
     identities hold there unchanged.
     """
+    if not 1 <= N <= MAX_SPECTRUM_N:
+        raise ValueError(f"need 1 <= N <= {MAX_SPECTRUM_N}")
     alpha, T, lead = _tail_terms(N, alpha)
     n = N - 1
     levels = [_dyadic(T - 2**n, n), _dyadic(lead, n)]
@@ -291,7 +343,8 @@ def _tail_terms(N: int, alpha) -> tuple:
     sandwich of one report."""
     alpha = _check_parity(N, alpha)
     b = (N - alpha - 1) // 2
-    return alpha, _tail_count(N, b), math.comb(N - 1, b)
+    lead = math.comb(N - 1, b)
+    return alpha, _tail_count(N, b, lead), lead
 
 
 def _mckay(N: int, alpha: int, T: int, lead: int) -> float:
@@ -313,12 +366,17 @@ def _log_ratio(p: int, q: int, shift: int) -> float:
 
 
 def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
-    """log(W_m / target), m = 1..N, for psi_{N,alpha} with (alpha, T, lead) =
+    """log(W_m / target), m = 1..M, for psi_{N,alpha} with (alpha, T, lead) =
     _tail_terms(N, alpha).  Over the reduced target 1 - |psihat(empty)| =
     min(T, 2^N - T) / 2^{N-1}, the level weight W_m = binom(N, m) |psihat([m])|
     is N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0.
     Each of the three big factors enters as its HEAD_BITS-bit head, which moves
     the quotient by about 2^-126 relative: far below one rounding of a double.
+
+    M is the Parseval cut of the module docstring, found before the levels by
+    a float loop over log binom(N, m): the first m at which
+    0.5 log binom(N, m) + (m - 1) log rho_c falls below log W_1 - CUT_NATS
+    (W_1 in sup units, log rho_c = min(0, -L1), L1 the level-1 log), less one.
 
     c_k, the z^k coefficient of (1+z)^a (1-z)^b, comes from the Krawtchouk
     recurrence c_0 = 1, (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1} (from
@@ -328,8 +386,16 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
     sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
     num, den, shift = num >> sn, den >> sd, sn - sd
     log, log2, logs = math.log, math.log(2.0), []
+    log_w1 = log(num) + (sn - N + 1) * log2
+    log_rho = min(0.0, log(den) - log(num) - shift * log2)
+    floor, half_log_binom, kept = log_w1 - CUT_NATS, 0.0, N
+    for m in range(1, N + 1):
+        half_log_binom += 0.5 * log((N - m + 1) / m)
+        if half_log_binom + (m - 1) * log_rho < floor:
+            kept = m - 1
+            break
     c_prev, c = 0, 1
-    for k in range(N):
+    for k in range(kept):
         if c:
             h = abs(c)
             s = h.bit_length() - HEAD_BITS
@@ -358,16 +424,17 @@ def _block_width(n: int) -> int:
 def _radii_exact(rows) -> tuple:
     """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _tail_terms,
     with the residual of each reduced equation (over its target) and the halvings.
-    Consecutive rows are padded with -inf to the _block_width of their widest
-    row in blocks of at most SCAN_BLOCK_DOUBLES, and each block is solved by
-    one _solve_reduced."""
-    widest = _block_width(max((row[0] for row in rows), default=1))
+    The level logs of every row are formed first; consecutive rows are then
+    padded with -inf to the _block_width of their widest kept row, in blocks of
+    at most SCAN_BLOCK_DOUBLES, and each block is solved by one _solve_reduced."""
+    logs = [np.array(_level_logs(*row)) for row in rows]
+    widest = _block_width(max(map(len, logs), default=1))
     out, step = ([], [], []), max(1, SCAN_BLOCK_DOUBLES // widest)
-    for i in range(0, len(rows), step):
-        block = rows[i : i + step]
-        tail = np.full((len(block), _block_width(max(row[0] for row in block))), -math.inf)
+    for i in range(0, len(logs), step):
+        block = logs[i : i + step]
+        tail = np.full((len(block), _block_width(max(map(len, block)))), -math.inf)
         for r, row in enumerate(block):
-            tail[r, : row[0]] = _level_logs(*row)
+            tail[r, : len(row)] = row
         for acc, part in zip(out, _solve_reduced(tail, np.zeros(len(block)))):
             acc += part.tolist()
     return out

@@ -160,11 +160,23 @@ class TestRadiusCommand:
         assert obj["iterations"] == iterations and obj["method"] == "bisection"
 
     @pytest.mark.parametrize(
-        "args", [["majority", "--n", "4003"], ["threshold", "--n", "4002", "--alpha", "0"], ["extremal", "--n", "4002"]]
+        "args",
+        [["majority", "--n", "100003"], ["threshold", "--n", "100002", "--alpha", "0"], ["extremal", "--n", "100002"]],
     )
-    def test_symmetric_families_are_capped_at_4001(self, args):
+    def test_symmetric_radii_are_capped_at_100001(self, args):
         code, out, err = _capture(["radius", "--family"] + args)
-        assert (code, out, err) == (2, "", "cuberadius: error: need 1 <= N <= 4001\n")
+        assert (code, out, err) == (2, "", "cuberadius: error: need 1 <= N <= 100001\n")
+
+    def test_majority_at_the_cap(self, capsys):
+        # rho sqrt(N) / gamma = 1 + c / N + O(N^-2), c = 0.0176903621969 (Laplace's
+        # method on the majority identity); the next term is about 1e-11 here
+        from cuberadius.threshold import gamma_constant
+
+        code, out = run_cli(["radius", "--family", "majority", "--n", "100001"], capsys)
+        obj = json.loads(out)
+        assert code == 0 and obj["method"] == "bisection" and obj["residual"] <= 1e-10
+        ratio = obj["radius"] * math.sqrt(100001) / gamma_constant()
+        assert abs(ratio - 1.0 - 0.0176903621969 / 100001) < 1e-10
 
     def test_dense_families_are_capped_at_24(self):
         code, out, err = _capture(["radius", "--family", "dictator", "--n", "25"])
@@ -377,8 +389,8 @@ class TestScanCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["majority-scan", "--n-start", "3001", "--n-stop", "4003"],
-            ["threshold-scan", "--n-list", "11,5001", "--alphas", "0"],
+            ["majority-scan", "--n-start", "99001", "--n-stop", "100003"],
+            ["threshold-scan", "--n-list", "11,100002", "--alphas", "0"],
         ],
     )
     def test_caps_are_checked_before_any_radius(self, monkeypatch, capsys, argv):
@@ -389,7 +401,7 @@ class TestScanCommands:
         monkeypatch.setattr(threshold, "_radii_exact", lambda *a: calls.append(a) or exact(*a))
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "cuberadius: error: need 1 <= N <= 4001\n"
+        assert captured.out == "" and captured.err == "cuberadius: error: need 1 <= N <= 100001\n"
         assert calls == []
 
     def test_majority_scan(self, capsys):
@@ -425,6 +437,14 @@ class TestSpectrumCommand:
         code, out = run_cli(["spectrum", "--family", "majority", "--n", "3", "--symmetric"], capsys)
         sym = loads_symmetric_spectrum(out)
         assert [str(c) for c in sym.level_coeffs] == ["0", "1/2", "0", "-1/2"]
+
+    @pytest.mark.parametrize(
+        "args", [["majority", "--n", "4003"], ["threshold", "--n", "4002", "--alpha", "0"], ["threshold", "--n", "4002", "--alpha", "1"]]
+    )
+    def test_symmetric_spectra_are_capped_at_4001(self, args):
+        # below the radius cap of 100001: the spectrum has its own
+        code, out, err = _capture(["spectrum", "--symmetric", "--family"] + args)
+        assert (code, out, err) == (2, "", "cuberadius: error: need 1 <= N <= 4001\n")
 
     def test_symmetric_threshold_canonicalizes(self, capsys):
         code, out = run_cli(

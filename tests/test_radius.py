@@ -264,10 +264,10 @@ def _threshold_block(pairs):
     from cuberadius.families import canonical_alpha
     from cuberadius.threshold import _block_width, _level_logs, _tail_terms
 
-    rows = [(N, *_tail_terms(N, canonical_alpha(N, a))) for N, a in pairs]
-    tail = np.full((len(rows), _block_width(max(N for N, _ in pairs))), -math.inf)
-    for r, row in enumerate(rows):
-        tail[r, : row[0]] = _level_logs(*row)
+    logs = [_level_logs(N, *_tail_terms(N, canonical_alpha(N, a))) for N, a in pairs]
+    tail = np.full((len(logs), _block_width(max(map(len, logs)))), -math.inf)
+    for r, row in enumerate(logs):
+        tail[r, : len(row)] = row
     return tail
 
 

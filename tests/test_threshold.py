@@ -11,12 +11,15 @@ from cuberadius.cube import log_abs_fraction, subset_levels, sup_norm, walsh_tra
 from cuberadius.families import ThresholdSpec, canonical_alpha, threshold
 from cuberadius.radius import SCAN_BLOCK_DOUBLES, _solve_reduced, boolean_radius, boolean_radius_symmetric, level_profile
 from cuberadius.threshold import (
+    MAX_SPECTRUM_N,
+    MAX_SYMMETRIC_N,
     MAX_TN_N,
     ThresholdReport,
     _block_width,
     _dyadic,
     _level_logs,
     _radii_exact,
+    _tail_count,
     _tail_terms,
     branch_point,
     g_function,
@@ -201,6 +204,13 @@ class TestExactSpectrum:
         with pytest.raises(ValueError):
             threshold_spectrum_exact(4003, 0)
 
+    def test_spectrum_cap_is_its_own(self):
+        # radii go to 100001; a spectrum stops at 4001, one past it under either parity
+        assert MAX_SPECTRUM_N == 4001 and MAX_SYMMETRIC_N == 100001
+        for N, alpha in [(4002, 1), (4002, -1)]:
+            with pytest.raises(ValueError, match="need 1 <= N <= 4001"):
+                threshold_spectrum_exact(N, alpha)
+
 
 class TestMajIdentity:
     def test_small_values(self):
@@ -221,6 +231,11 @@ class TestMajIdentity:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             maj_identity_eval(4, 0.5)
+
+    def test_cap(self):
+        assert maj_identity_eval(100001, 0.0) == pytest.approx(math.comb(100000, 50000) / 2**100000, rel=1e-12)
+        with pytest.raises(ValueError, match="need N <= 100001"):
+            maj_identity_eval(100003, 0.0)
 
 
 class TestGFunction:
@@ -624,8 +639,11 @@ def _full_width_level_logs(N, alpha, T, lead):
 class TestLevelLogs:
     @staticmethod
     def _assert_heads_match(N, alpha):
+        # the kept prefix, bit for bit; the levels past the cut are TestParsevalCut's
         row = (N, *_tail_terms(N, alpha))
-        assert _same_bits(np.array(_level_logs(*row)), np.array(_full_width_level_logs(*row))), (N, alpha)
+        kept = _level_logs(*row)
+        assert 1 <= len(kept) <= N, (N, alpha)
+        assert _same_bits(np.array(kept), np.array(_full_width_level_logs(*row)[: len(kept)])), (N, alpha)
 
     @pytest.mark.parametrize("first", range(1, 201, 40))
     def test_every_admissible_alpha_up_to_200(self, first):
@@ -694,6 +712,96 @@ class TestBatchedSolve:
         assert got == repr([_one_row_solve(recorded_level_logs[N, a]) for N, a in pairs])
 
 
+def _cut_pairs():
+    """Every canonical pair with N <= 60, and five alphas (-1 or 0, isqrt N,
+    N // 2, N - 2, N - 1, canonicalized) at five larger N."""
+    pairs = [(N, a) for N in range(1, 61) for a in range(N % 2 - 1, N, 2)]
+    for N in (301, 1001, 2001, 4000, 4001):
+        pairs += [(N, canonical_alpha(N, a)) for a in (0, math.isqrt(N), N // 2, N - 2, N - 1)]
+    return list(dict.fromkeys(pairs))
+
+
+class TestParsevalCut:
+    """_level_logs keeps a row's levels only up to the Parseval cut; the radii
+    must keep the bits of the full rows of N levels padded to _block_width(N)."""
+
+    @pytest.fixture(scope="class")
+    def cut_rows(self):
+        pairs = _cut_pairs()
+        rows = [(N, *_tail_terms(N, a)) for N, a in pairs]
+        return pairs, rows, [_full_width_level_logs(*row) for row in rows]
+
+    @staticmethod
+    def _full_solves(rows, full):
+        """(radius, residual, halvings) of each full-width row, solved in blocks
+        of rows that share _block_width(N), each row padded to exactly that width."""
+        out = [None] * len(rows)
+        widths = [_block_width(row[0]) for row in rows]
+        for width in set(widths):
+            idx = [i for i, w in enumerate(widths) if w == width]
+            tail = np.full((len(idx), width), -math.inf)
+            for r, i in enumerate(idx):
+                tail[r, : rows[i][0]] = full[i]
+            for r, solved in enumerate(zip(*(part.tolist() for part in _solve_reduced(tail, np.zeros(len(idx)))))):
+                out[idx[r]] = solved
+        return out
+
+    def test_cut_rows_solve_to_the_bits_of_full_rows(self, cut_rows):
+        import random
+
+        pairs, rows, full = cut_rows
+        want = repr(self._full_solves(rows, full))  # repr tells every bit of a float apart
+        order = list(range(len(rows)))
+        random.Random(1).shuffle(order)  # blocks mix widths
+        scanned = list(zip(*_radii_exact([rows[i] for i in order])))
+        assert repr([scanned[order.index(i)] for i in range(len(rows))]) == want
+        one_row = [tuple(part[0] for part in _radii_exact([row])) for row in rows]
+        assert repr(one_row) == want
+
+    def test_skipped_levels_are_below_the_level_one_term(self, cut_rows):
+        # at every rho <= rho_c = min(1, e^-L1) a skipped term is e^-700 below
+        # the level-1 term, so the tail-sum evaluator sets it to exactly 0
+        pairs, rows, full = cut_rows
+        for (N, a), row, logs in zip(pairs, rows, full):
+            kept = len(_level_logs(*row))
+            log_rho = min(0.0, -logs[0])
+            bound = logs[0] + log_rho - 700.0
+            assert all(logs[m - 1] + m * log_rho < bound for m in range(kept + 1, N + 1)), (N, a)
+            assert N < 1001 or kept < N // 2, (N, a, kept)  # the cut keeps a few hundred levels
+
+
+class TestTailCount:
+    def test_every_upto_to_160(self):
+        for N in range(1, 161):
+            want = 0
+            for upto in range(-1, N + 1):
+                want += math.comb(N, upto) if upto >= 0 else 0
+                assert _tail_count(N, upto) == want, (N, upto)
+                if 0 <= upto < N:  # the start of the walk from the middle from lead = binom(N - 1, upto)
+                    assert _tail_count(N, upto, math.comb(N - 1, upto)) == want, (N, upto)
+
+    @pytest.mark.parametrize("N", [4000, 4001])
+    def test_near_the_spectrum_cap(self, N):
+        sums = [0]
+        for term in _binomial_row(N):
+            sums.append(sums[-1] + term)
+        for upto in (0, 1, 2, N // 4 - 1, N // 4, N // 4 + 1, N // 2 - 1, N // 2, N // 2 + 1, N - 2, N - 1):
+            want = sums[upto + 1]
+            assert _tail_count(N, upto) == want, (N, upto)
+            assert _tail_count(N, upto, math.comb(N - 1, upto)) == want, (N, upto)
+
+    def test_majority_takes_no_walk_and_no_second_comb(self, monkeypatch):
+        calls, comb = [], math.comb
+        monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+        assert _tail_terms(4001, 0) == (0, 2**4000, comb(4000, 2000))
+        assert calls == [(4000, 2000)]  # lead only
+        assert _tail_count(4001, 2000) == 2**4000 and len(calls) == 1
+        calls.clear()
+        assert _tail_terms(4000, -1)[1] == 2**3999 + comb(3999, 2000)  # the tie counted once
+        assert _tail_terms(4001, 2)[1] == 2**4000 - comb(4001, 2000)
+        assert calls == [(3999, 2000), (4000, 1999)]  # lead only: the walk starts from it
+
+
 class TestThresholdScan:
     def test_canonical_pairs_once_in_input_order(self):
         reports = threshold_scan([(9, 3), (8, 0), (9, 2), (9, 2.5), (8, 1), (8, 0)])
@@ -703,5 +811,12 @@ class TestThresholdScan:
 
     def test_every_cap_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(threshold_module, "_radii_exact", lambda rows: pytest.fail("solved before the caps"))
-        with pytest.raises(ValueError, match="need 1 <= N <= 4001"):
-            threshold_scan([(11, 0), (5001, 0)])
+        with pytest.raises(ValueError, match="need 1 <= N <= 100001"):
+            threshold_scan([(11, 0), (100002, 0)])
+
+    def test_radii_are_capped_at_100001(self, monkeypatch):
+        monkeypatch.setattr(threshold_module, "_radii_exact", lambda rows: pytest.fail("solved before the caps"))
+        for call in (lambda: threshold_radius(100002, 0), lambda: majority_scan([3, 100003]),
+                     lambda: mckay_residual(100002, 1), lambda: sandwich_check(100003, 0)):
+            with pytest.raises(ValueError, match="need 1 <= N <= 100001"):
+                call()
