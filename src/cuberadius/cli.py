@@ -3,8 +3,11 @@
 Subcommands: radius, bn, threshold-scan, majority-scan, spectrum, verify,
 gamma, tn.  Scalar results are emitted as JSON, scans as CSV (17 significant
 digits), all byte-deterministic for a fixed command and seed.  No command
-starts threads; ``--workers`` is accepted and ignored.  Exit codes: 0
-success, 1 verification failure, 2 usage, input or work-cap error.
+starts threads.  ``bn``, ``verify`` and ``majority-scan`` still parse
+``--workers`` so that existing command lines keep running, and ignore it; no
+library function takes a worker count.  Ranges and caps are checked by the
+library function that owns them, not again here.  Exit codes: 0 success,
+1 verification failure, 2 usage, input or work-cap error.
 """
 
 from __future__ import annotations
@@ -42,16 +45,13 @@ def _family(args) -> str:
 
 
 def _threshold_pair(args):
-    """(N, canonical alpha) of the threshold function psi_{N,alpha} that the
-    family threshold, majority or extremal names; None for the other families.
-    The extremal indicator flip is -psi_{N,N-1}."""
+    """(N, alpha) of the threshold function psi_{N,alpha} that the family
+    threshold, majority or extremal names, alpha as given; None for the other
+    families.  The extremal indicator flip is -psi_{N,N-1}."""
     name = _family(args)
     if name not in ("threshold", "majority", "extremal"):
         return None
-    if not 1 <= args.n <= threshold.MAX_SYMMETRIC_N:
-        raise ValueError(f"need 1 <= N <= {threshold.MAX_SYMMETRIC_N}")
-    alpha = {"threshold": args.alpha, "majority": 0, "extremal": args.n - 1}[name]
-    return args.n, families.canonical_alpha(args.n, alpha)
+    return args.n, {"threshold": args.alpha, "majority": 0, "extremal": args.n - 1}[name]
 
 
 def _parity_set(args) -> range:
@@ -106,7 +106,7 @@ def cmd_radius(args) -> int:
     # N = 100001 and with the bits threshold-scan prints; dictator and parity are
     # characters, whose level profile is known, so they build no table either
     if not args.input and (pair := _threshold_pair(args)):
-        result = threshold.exact_radius(*pair)
+        result = threshold.exact_radius(*threshold.canonical_pair(*pair))
     elif not args.input and (profile := _character_profile(args)):
         result = radius.boolean_radius(profile)
     else:
@@ -138,7 +138,7 @@ def cmd_bn(args) -> int:
     obj = {"n": args.n, "formula": radius.bn_radius_formula(args.n)}
     code = 0
     if args.brute:
-        brute, _ = radius.brute_force_bn_radius(args.n, workers=args.workers)
+        brute, _ = radius.brute_force_bn_radius(args.n)
         obj["brute_force"] = brute
         obj["match"] = bool(abs(brute - obj["formula"]) <= 1e-10)
         if not obj["match"]:
@@ -151,7 +151,7 @@ def _alpha_tokens(spec: str, N: int):
     for tok in spec.split(","):
         tok = tok.strip()
         if tok == "sqrt":
-            yield math.isqrt(N)
+            yield math.isqrt(max(N, 0))  # the scan reports an N below 1 itself
         elif tok == "half":
             yield N // 2
         elif tok:
@@ -161,9 +161,6 @@ def _alpha_tokens(spec: str, N: int):
 def cmd_threshold_scan(args) -> int:
     Ns = [int(t) for t in args.n_list.split(",") if t.strip()]
     pairs = [(N, a) for N in Ns for a in _alpha_tokens(args.alphas, N)]
-    for N, a in pairs:  # every range before the scan, which checks every cap
-        if not 0 <= a < N:
-            raise ValueError(f"alpha = {a} out of range for N = {N}")
     _write(args, serialize.threshold_scan_csv(threshold.threshold_scan(pairs)))
     return 0
 
@@ -173,7 +170,7 @@ def cmd_majority_scan(args) -> int:
         raise ValueError("majority scan bounds must be odd")
     if args.n_start > args.n_stop:
         raise ValueError(f"empty majority range: --n-start {args.n_start} exceeds --n-stop {args.n_stop}")
-    rows = threshold.majority_scan(range(args.n_start, args.n_stop + 1, 2), workers=args.workers)
+    rows = threshold.majority_scan(range(args.n_start, args.n_stop + 1, 2))
     _write(args, serialize.majority_scan_csv(rows, threshold.gamma_constant()))
     return 0
 
@@ -183,6 +180,7 @@ def cmd_spectrum(args) -> int:
         pair = _threshold_pair(args)
         if pair is None or args.family == "extremal":
             raise ValueError("--symmetric supports only threshold and majority")
+        pair = threshold.canonical_pair(*pair, threshold.MAX_SPECTRUM_N)
         text = serialize.dumps_symmetric_spectrum(threshold.threshold_spectrum_exact(*pair))
     else:
         f = _load_input_function(args.input) if args.input else _build_family(args)
@@ -192,9 +190,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = inequalities.run_suite(
-        args.suite, args.n_max, args.samples, args.seed, args.workers, args.d
-    )
+    report = inequalities.run_suite(args.suite, args.n_max, args.samples, args.seed, d=args.d)
     _write(args, serialize.dumps_report(report))
     return 0 if report.failures == 0 else 1
 

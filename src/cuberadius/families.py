@@ -111,16 +111,11 @@ def threshold_top(spec: ThresholdSpec) -> int:
     return (spec.n - 1 - canonical_alpha(spec.n, spec.alpha)) // 2
 
 
-def majority_spec(N: int) -> ThresholdSpec:
-    """The threshold parameters (N, 0) of Maj_N; N must be odd."""
-    if N % 2 == 0:
-        raise ValueError("majority needs odd N")
-    return ThresholdSpec(N, 0)
-
-
 def majority(N: int) -> BooleanFunction:
     """Maj_N = sign(x_1 + ... + x_N) for odd N."""
-    return threshold(majority_spec(N))
+    if N % 2 == 0:
+        raise ValueError("majority needs odd N")
+    return threshold(ThresholdSpec(N, 0))
 
 
 def _sign_spectra(N: int, m: int, coeffs: np.ndarray, seeds) -> np.ndarray:

@@ -562,9 +562,7 @@ def _blocks(n_max: int, samples: int, seed: int, d: int):
             yield _Tables(N, tables), partial(_item_key, N, len(fams), a)
 
 
-def run_suite(
-    suite: str, n_max: int, samples: int, seed: int, workers: int = 1, d: int = 3
-) -> InequalityReport:
+def run_suite(suite: str, n_max: int, samples: int, seed: int, d: int = 3) -> InequalityReport:
     """Drive one suite (or ``all``) over the families and seeded random draws.
 
     ``d`` caps the spectrum level of the low-degree draw mode.  Random draws
@@ -572,8 +570,7 @@ def run_suite(
     by every suite under ``all``.  The report merges by failure sum and worst
     margin, ties going to the first item (families N <= 10, then draws by N,
     mode, index).  Report-only suites (bh, cd-ratio) carry the maximum
-    observed ratio in ``worst_margin`` and never fail.  ``workers`` is
-    accepted and starts no threads: the batched suites run fastest on one.
+    observed ratio in ``worst_margin`` and never fail.
     """
     if suite != "all" and suite not in ASSERTABLE_SUITES + REPORT_SUITES:
         raise ValueError(f"unknown suite {suite!r}")

@@ -97,8 +97,6 @@ class RadiusResult:
 
 def level_profile(s: Spectrum, sup: float) -> LevelProfile:
     """Regroup |fhat(S)| by |S|; ``sup`` is the sup norm of the matching function."""
-    if sup < 0:
-        raise ValueError("sup norm must be nonnegative")
     # Piece j of 2^k coefficients holds the subsets with high bits j and low
     # bits T, whose level is popcount(j) + |T|: one shared table of the 2^k
     # levels |T| serves every piece, and no 2^n level array is built.
@@ -292,7 +290,7 @@ def bn_radius_formula(N: int) -> float:
 BRUTE_FORCE_MAX_N = 4
 
 
-def brute_force_bn_radius(N: int, workers: int = 1):
+def brute_force_bn_radius(N: int):
     """Minimum radius over every nonconstant +-1-valued function on {-1,+1}^N.
 
     Ranges over all 2^(2^N) sign tables (N <= 4), table entry j of function k
@@ -301,7 +299,7 @@ def brute_force_bn_radius(N: int, workers: int = 1):
     2^(2^N) - 1 - k share their level profile, so only k < 2^(2^N - 1) is
     enumerated: the first minimizer lies there.  Those tables go through one
     batched butterfly; only their distinct level profiles (172 at N = 4) are
-    solved.  ``workers`` is accepted and starts no threads.
+    solved.
 
     The matching lower-bound argument for 2^(1/N) - 1 covers all real-valued
     functions, so the +-1-valued sweep is a confirmation, not an independent
@@ -326,7 +324,7 @@ def brute_force_bn_radius(N: int, workers: int = 1):
 SCAN_BLOCK_DOUBLES = 2**16
 
 
-def homogeneous_class_scan(N: int, m: int, trials: int, seed: int, workers: int = 1) -> float:
+def homogeneous_class_scan(N: int, m: int, trials: int, seed: int) -> float:
     """Upper-bound witness search for the m-homogeneous class radius.
 
     Draws ``trials`` random-sign m-homogeneous functions with unit
@@ -336,7 +334,6 @@ def homogeneous_class_scan(N: int, m: int, trials: int, seed: int, workers: int 
     has the level profile W_m = binom(N, m) and the radius rises with the
     sup norm, so one batched inverse butterfly per block of trials gives the
     sup norms and one solve at the smallest of them gives the answer.
-    ``workers`` is accepted and starts no threads.
     """
     if not 1 <= m <= N:
         raise ValueError("need 1 <= m <= N")

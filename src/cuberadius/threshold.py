@@ -96,15 +96,27 @@ class ThresholdReport:
     y_value: float  # Y((alpha + 1) / sqrt(n))
 
 
+def _check_n(N: int, cap: int) -> int:
+    """N, checked against cap: every entry here checks N first, against its own cap."""
+    if not 1 <= N <= cap:
+        raise ValueError(f"need 1 <= N <= {cap}")
+    return N
+
+
+def canonical_pair(N: int, alpha: float, cap: int = MAX_SYMMETRIC_N) -> tuple:
+    """(N, canonical_alpha(N, alpha)) for any alpha in [0, N), N checked against
+    cap before alpha: MAX_SYMMETRIC_N for radii, MAX_SPECTRUM_N for spectra."""
+    return N, canonical_alpha(_check_n(N, cap), alpha)
+
+
 def _check_parity(N: int, alpha) -> int:
+    _check_n(N, MAX_SYMMETRIC_N)
     if isinstance(alpha, float):
         if not alpha.is_integer():
             raise ValueError(f"alpha must be an integer here, got {alpha!r}")
         alpha = int(alpha)
     if not isinstance(alpha, (int, np.integer)):
         raise ValueError(f"alpha must be an integer here, got {alpha!r}")
-    if not 1 <= N <= MAX_SYMMETRIC_N:
-        raise ValueError(f"need 1 <= N <= {MAX_SYMMETRIC_N}")
     if not -1 <= alpha < N:
         raise ValueError(f"need -1 <= alpha < N, got alpha = {alpha}")
     if (N - alpha) % 2 != 1:
@@ -157,9 +169,7 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     representative drops below zero, still have an exact spectrum; the
     identities hold there unchanged.
     """
-    if not 1 <= N <= MAX_SPECTRUM_N:
-        raise ValueError(f"need 1 <= N <= {MAX_SPECTRUM_N}")
-    alpha, T, lead = _tail_terms(N, alpha)
+    alpha, T, lead = _tail_terms(_check_n(N, MAX_SPECTRUM_N), alpha)
     n = N - 1
     levels = [_dyadic(T - 2**n, n), _dyadic(lead, n)]
     d_prev, d = 0, lead
@@ -275,7 +285,7 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     return rec(a, fa, m, fm, b, fb, whole, rel_tol * max(abs(whole), 1e-300), 0)
 
 
-def i_integral(N: int, alpha: float, rho: float, rel_tol: float = QUAD_REL_TOL) -> float:
+def i_integral(N: int, alpha: float, rho: float) -> float:
     """I(rho) = integral of G over [0, rho] by adaptive Simpson.
 
     G is smooth away from its branch points, which are forced subdivision
@@ -290,7 +300,7 @@ def i_integral(N: int, alpha: float, rho: float, rel_tol: float = QUAD_REL_TOL) 
             cuts.append(c)
     cuts.append(rho)
     f = lambda r: g_function(N, alpha, r)
-    return sum(_adaptive_simpson(f, lo, hi, rel_tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return sum(_adaptive_simpson(f, lo, hi, QUAD_REL_TOL) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 def _two_square(z: float) -> tuple:
@@ -487,10 +497,11 @@ def threshold_radius(N: int, alpha: float) -> ThresholdReport:
 def threshold_scan(pairs) -> list:
     """threshold_radius of each (N, alpha), all radii from one _radii_exact call.
 
-    Every pair is canonicalized and checked before the first radius.  Reports
-    follow the input order; a repeated canonical (N, alpha) is dropped.
+    Every pair is checked and canonicalized by canonical_pair before the first
+    radius.  Reports follow the input order; a repeated canonical (N, alpha) is
+    dropped.
     """
-    keys = dict.fromkeys((N, _check_parity(N, canonical_alpha(N, alpha))) for N, alpha in pairs)
+    keys = dict.fromkeys(canonical_pair(N, alpha) for N, alpha in pairs)
     rows = [(N, *_tail_terms(N, a)) for N, a in keys]
     return [
         ThresholdReport(N, a, rho, rho * (a + math.sqrt(N)), _mckay(N, a, T, lead), _sandwich_ok(N, a, rho, T, lead),
@@ -512,17 +523,13 @@ def gamma_constant() -> float:
     return float(root)
 
 
-def majority_scan(Ns, workers: int = 1):
-    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd N.
-
-    Row order follows the input.  ``workers`` is accepted and starts no
-    threads: one thread measured fastest.
-    """
+def majority_scan(Ns):
+    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd N, in input order."""
     Ns = [int(N) for N in Ns]
     for N in Ns:
         if N % 2 == 0:
             raise ValueError(f"majority scan needs odd N, got {N}")
-        _check_parity(N, 0)  # the dimension cap, before the first radius
+        _check_n(N, MAX_SYMMETRIC_N)  # before the first radius
     gam = gamma_constant()
     radii = _radii_exact([(N, *_tail_terms(N, 0)) for N in Ns])[0]
     return [(N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam) for N, rho in zip(Ns, radii)]

@@ -56,7 +56,7 @@ def test_criterion_1_exact_class_radius():
     t0 = time.time()
     worst = 0.0
     for N in (1, 2, 3, 4):
-        brute, _ = brute_force_bn_radius(N, workers=2)
+        brute, _ = brute_force_bn_radius(N)
         formula = bn_radius_formula(N)
         worst = max(worst, abs(brute - formula))
         attained = abs(radius_of(extremal_indicator_flip(N)) - brute)
@@ -74,7 +74,7 @@ def test_criterion_2_log2_limit():
 
 def test_criterion_3_majority_asymptotic():
     t0 = time.time()
-    rows = majority_scan(range(301, 1002, 2), workers=2)
+    rows = majority_scan(range(301, 1002, 2))
     ratios = [r[3] for r in rows]
     monotone = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
     elapsed = time.time() - t0
@@ -154,7 +154,7 @@ def test_criterion_7_inequality_suites():
     )
     failures = {}
     for suite in suites:
-        rep = run_suite(suite, n_max=10, samples=500, seed=20240601, workers=4)
+        rep = run_suite(suite, n_max=10, samples=500, seed=20240601)
         failures[suite] = rep.failures
     elapsed = time.time() - t0
     ok = all(v == 0 for v in failures.values()) and elapsed < 300.0
@@ -227,10 +227,10 @@ def test_report_open_constant_scans():
     # Desk-scale substitutes for the out-of-reach asymptotic constants:
     # the homogeneous-class upper-bound witness against its reference scale,
     # and the coefficient-norm ratio envelope.  Reported, not asserted.
-    est = homogeneous_class_scan(10, 2, trials=200, seed=20240601, workers=2)
+    est = homogeneous_class_scan(10, 2, trials=200, seed=20240601)
     ref = 10 ** 0.25 * math.comb(10, 2) ** -0.25
-    bh = run_suite("bh", n_max=10, samples=100, seed=20240601, workers=4)
-    cd = run_suite("cd-ratio", n_max=10, samples=100, seed=20240601, workers=4)
+    bh = run_suite("bh", n_max=10, samples=100, seed=20240601)
+    cd = run_suite("cd-ratio", n_max=10, samples=100, seed=20240601)
     ok = math.isfinite(est) and math.isfinite(bh.worst_margin) and math.isfinite(cd.worst_margin)
     print(
         f"[report] homogeneous scan N=10, m=2: min radius {est:.4f} vs scale "

@@ -463,6 +463,32 @@ class TestSpectrumCommand:
         code, _ = run_cli(["spectrum", "--family", "parity", "--n", "3", "--symmetric"], capsys)
         assert code == 2
 
+    def test_dense_threshold_matches_the_exact_levels(self, capsys):
+        from cuberadius.threshold import threshold_spectrum_exact
+
+        code, out = run_cli(["spectrum", "--family", "threshold", "--n", "6", "--alpha", "1"], capsys)
+        exact = threshold_spectrum_exact(6, 1).level_coeffs
+        coeffs = json.loads(out)["coeffs"]
+        assert code == 0 and len(coeffs) == 64
+        for mask, c in enumerate(coeffs):
+            assert c == float(exact[mask.bit_count()]), mask
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["spectrum", "--symmetric", "--family", "majority", "--n", "100003"], 4001),
+        (["spectrum", "--symmetric", "--family", "threshold", "--n", "100003", "--alpha", "200000"], 4001),
+        (["radius", "--family", "threshold", "--n", "0", "--alpha", "0"], 100001),
+        (["radius", "--family", "threshold", "--n", "100003", "--alpha", "200000"], 100001),
+        (["threshold-scan", "--n-list", "0"], 100001),
+        (["threshold-scan", "--n-list", "-3"], 100001),
+        (["threshold-scan", "--n-list", "100003,5", "--alphas", "5"], 100001),
+    ],
+)
+def test_n_is_checked_against_the_commands_own_cap_before_alpha(argv, cap):
+    assert _capture(argv) == (2, "", f"cuberadius: error: need 1 <= N <= {cap}\n")
+
 
 class TestVerifyCommand:
     def test_clean_suite_exits_zero(self, capsys):

@@ -301,12 +301,6 @@ class TestRunSuite:
             assert rep.failures == 0, suite
             assert rep.samples > 0
 
-    def test_worker_invariance(self):
-        a = run_suite("caratheodory", 5, 10, seed=3, workers=1)
-        b = run_suite("caratheodory", 5, 10, seed=3, workers=4)
-        assert (a.samples, a.failures, a.worst_margin) == (b.samples, b.failures, b.worst_margin)
-        assert np.array_equal(a.witness.values, b.witness.values)
-
     def test_report_only_suites(self):
         rep = run_suite("bh", 4, 10, seed=1)
         assert rep.failures == 0 and rep.worst_margin >= 1.0

@@ -431,11 +431,9 @@ class TestBruteForce:
         ext = boolean_radius(profile_of(extremal_indicator_flip(N))).radius
         assert ext == pytest.approx(r, abs=1e-10)
         assert abs(boolean_radius(profile_of(minimizer)).radius - r) <= 1e-12
-        for workers in (1, 2):
-            r, minimizer = brute_force_bn_radius(N, workers=workers)
-            assert r.hex() == BRUTE_RADIUS_HEX[N]
-            # table index 1 (only entry 0 is -1) is the extremal indicator flip
-            assert np.array_equal(minimizer.values, extremal_indicator_flip(N).values)
+        assert r.hex() == BRUTE_RADIUS_HEX[N]
+        # table index 1 (only entry 0 is -1) is the extremal indicator flip
+        assert np.array_equal(minimizer.values, extremal_indicator_flip(N).values)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_half_of_the_tables_gives_the_full_enumeration(self, N):
@@ -455,12 +453,6 @@ class TestBruteForce:
         assert r.hex() == float(rho[i]).hex()
         assert np.array_equal(minimizer.values, tables[i]) and minimizer.values.dtype == tables.dtype
 
-    def test_worker_count_does_not_change_result(self):
-        r1, f1 = brute_force_bn_radius(3, workers=1)
-        r3, f3 = brute_force_bn_radius(3, workers=3)
-        assert r1 == r3
-        assert np.array_equal(f1.values, f3.values)
-
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             brute_force_bn_radius(5)
@@ -478,11 +470,6 @@ class TestHomogeneousScan:
         ref = 10 ** 0.25 * math.comb(10, 2) ** -0.25
         assert got == pytest.approx(0.6146362971528592, abs=1e-12)  # frozen seeded value
         assert ref / 3 <= got <= 3 * ref
-
-    def test_worker_invariance(self):
-        a = homogeneous_class_scan(8, 2, trials=20, seed=5, workers=1)
-        b = homogeneous_class_scan(8, 2, trials=20, seed=5, workers=4)
-        assert a == b
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):

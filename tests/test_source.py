@@ -1,0 +1,41 @@
+"""Checks on the library's source text."""
+
+import ast
+from pathlib import Path
+
+import cuberadius
+
+SOURCES = sorted(Path(cuberadius.__file__).parent.glob("*.py"))
+
+
+def unread_parameters(source: str) -> list:
+    """(function name, line, parameter) for every parameter of a function or
+    lambda that its body never reads; self and cls are exempt.  A read in a
+    nested function or lambda counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + [a.vararg] + a.kwonlyargs + [a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [(name, node.lineno, p) for p in params if p not in read and p not in ("self", "cls")]
+    return found
+
+
+def test_the_guard_sees_every_kind_of_parameter():
+    src = "def f(a, /, b, *c, d, **e):\n    return b\ng = lambda x, y: x\nclass C:\n    def m(self, z):\n        pass\n"
+    assert unread_parameters(src) == [("f", 1, "a"), ("f", 1, "c"), ("f", 1, "d"), ("f", 1, "e"),
+                                      ("<lambda>", 3, "y"), ("m", 5, "z")]
+    # a read inside a nested function or lambda is a read
+    assert unread_parameters("def f(a):\n    return lambda: a\n") == []
+
+
+def test_every_parameter_is_read():
+    assert SOURCES
+    unread = {path.name: found for path in SOURCES if (found := unread_parameters(path.read_text()))}
+    assert unread == {}

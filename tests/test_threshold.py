@@ -22,6 +22,7 @@ from cuberadius.threshold import (
     _tail_count,
     _tail_terms,
     branch_point,
+    exact_radius,
     g_function,
     gamma_constant,
     i_integral,
@@ -431,6 +432,14 @@ class TestThresholdRadius:
         with pytest.raises(ValueError):
             threshold_radius(5, 5)
 
+    def test_exact_entries_take_only_integer_alphas(self):
+        # an integral float is that integer; the strict entries never canonicalize
+        a, b = exact_radius(9, 2.0), exact_radius(9, 2)
+        assert (a.radius.hex(), a.residual.hex(), a.iterations) == (b.radius.hex(), b.residual.hex(), b.iterations)
+        for call in (lambda: exact_radius(9, 2.5), lambda: mckay_residual(9, "2")):
+            with pytest.raises(ValueError, match="alpha must be an integer here"):
+                call()
+
     def test_alpha_n_minus_1(self):
         # psi_{2,1} is x_1 AND x_2 up to sign: radius sqrt(2) - 1, and its
         # sandwich evaluates G at r = 1 and beyond
@@ -465,9 +474,6 @@ class TestMajorityScan:
         assert rows[0] == (1, 1.0, 1.0, pytest.approx(1.0 / gam))
         n, rho, rsq, ratio = rows[1]
         assert (n, rsq) == (3, pytest.approx(1.0324263619379155, abs=1e-12))
-
-    def test_worker_invariance(self):
-        assert majority_scan([3, 5, 7], workers=1) == majority_scan([3, 5, 7], workers=3)
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
