@@ -4,9 +4,11 @@
     python3 bench/bench_symmetric.py --label change
     python3 bench/bench_symmetric.py --label parent --src <other checkout>/src
 
-Times ``threshold.threshold_spectrum_exact`` and
-``serialize.dumps_symmetric_spectrum`` at (N, alpha) = (3995, 1994), (4001, 0)
-and the formal (4000, -1), one whole ``spectrum --family threshold --n 3995
+Times ``threshold.threshold_spectrum_exact``,
+``serialize.dumps_symmetric_spectrum`` and the whole document from (N, alpha)
+(``serialize.dumps_threshold_spectrum``; in a checkout without it, the
+``dumps_symmetric_spectrum(threshold_spectrum_exact(N, alpha))`` that its CLI
+runs) at (N, alpha) = (3995, 1994), (4001, 0) and the formal (4000, -1), one whole ``spectrum --family threshold --n 3995
 --alpha 1994 --symmetric`` through ``cli.main`` (stdout captured), and the
 cold ``import cuberadius.cli``, timed inside a fresh interpreter (so without
 the interpreter's own start-up).  Each in-process case reports the median of 5
@@ -40,6 +42,7 @@ CASES = {}
 for _n, _a in POINTS:
     CASES[f"exact_{_n}_{_a}"] = f"threshold.threshold_spectrum_exact({_n}, {_a})"
     CASES[f"dumps_{_n}_{_a}"] = f"serialize.dumps_symmetric_spectrum of threshold_spectrum_exact({_n}, {_a})"
+    CASES[f"dumps_threshold_{_n}_{_a}"] = f"serialize.dumps_threshold_spectrum({_n}, {_a}), the text from (N, alpha)"
 CASES["spectrum_symmetric_3995"] = "cli.main of " + " ".join(SPECTRUM_ARGV)
 CASES["cold_import_cli"] = "import cuberadius.cli in a fresh interpreter"
 COLD_RUNS = 9
@@ -58,11 +61,16 @@ def cold_import_s(src: Path) -> float:
 def medians(src: Path) -> dict:
     from cuberadius import cli, serialize, threshold
 
+    def from_pair(n, a):  # what spectrum --symmetric emits in a checkout without dumps_threshold_spectrum
+        return serialize.dumps_symmetric_spectrum(threshold.threshold_spectrum_exact(n, a))
+
+    document = getattr(serialize, "dumps_threshold_spectrum", from_pair)
     out = {}
     for n, a in POINTS:
         out[f"exact_{n}_{a}"] = median_s(lambda: threshold.threshold_spectrum_exact(n, a))
         s = threshold.threshold_spectrum_exact(n, a)
         out[f"dumps_{n}_{a}"] = median_s(lambda: serialize.dumps_symmetric_spectrum(s))
+        out[f"dumps_threshold_{n}_{a}"] = median_s(lambda: document(n, a))
     with contextlib.redirect_stdout(io.StringIO()):
         out["spectrum_symmetric_3995"] = median_s(lambda: cli.main(SPECTRUM_ARGV))
     out["cold_import_cli"] = cold_import_s(src)
@@ -84,7 +92,7 @@ def main(argv=None) -> int:
         return 2
     result = medians(src)
     for name, t in result.items():
-        print(f"{args.label:>10} {name:>24} {t * 1e3:10.3f} ms")
+        print(f"{args.label:>10} {name:>26} {t * 1e3:10.3f} ms")
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("what", "median of 5 runs of the mean seconds per call; cold_import_cli: median of 9 processes")
     data["cases"] = CASES

@@ -147,6 +147,14 @@ def cmd_bn(args) -> int:
     return code
 
 
+def _int_token(flag: str, tok: str, forms: str = "an integer") -> int:
+    """int(tok), or a ValueError that names the flag and the forms it accepts."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{flag}: expected {forms}, got {tok!r}") from None
+
+
 def _alpha_tokens(spec: str, N: int):
     for tok in spec.split(","):
         tok = tok.strip()
@@ -155,11 +163,11 @@ def _alpha_tokens(spec: str, N: int):
         elif tok == "half":
             yield N // 2
         elif tok:
-            yield int(tok)
+            yield _int_token("--alphas", tok, "an integer, 'sqrt' or 'half'")
 
 
 def cmd_threshold_scan(args) -> int:
-    Ns = [int(t) for t in args.n_list.split(",") if t.strip()]
+    Ns = [_int_token("--n-list", t.strip()) for t in args.n_list.split(",") if t.strip()]
     pairs = [(N, a) for N in Ns for a in _alpha_tokens(args.alphas, N)]
     _write(args, serialize.threshold_scan_csv(threshold.threshold_scan(pairs)))
     return 0
@@ -181,7 +189,7 @@ def cmd_spectrum(args) -> int:
         if pair is None or args.family == "extremal":
             raise ValueError("--symmetric supports only threshold and majority")
         pair = threshold.canonical_pair(*pair, threshold.MAX_SPECTRUM_N)
-        text = serialize.dumps_symmetric_spectrum(threshold.threshold_spectrum_exact(*pair))
+        text = serialize.dumps_threshold_spectrum(*pair)
     else:
         f = _load_input_function(args.input) if args.input else _build_family(args)
         text = serialize.dumps_spectrum(walsh_transform(f))

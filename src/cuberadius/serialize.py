@@ -18,6 +18,7 @@ import numpy as np
 from .cube import BooleanFunction, Spectrum, SymmetricSpectrum
 from .inequalities import InequalityReport
 from .radius import RadiusResult
+from .threshold import threshold_spectrum_text
 
 
 def fmt17(x: float) -> str:
@@ -106,14 +107,30 @@ def loads_spectrum(text: str) -> Spectrum:
     return Spectrum._adopt(obj["n"], _entries(obj, "coeffs", _numbers))
 
 
+def _dumps_levels(n: int, levels) -> str:
+    # what dumps emits for {"n": n, "level_coeffs": ["p/q", ...], "log_abs": ["%.17g" or "-inf", ...]},
+    # from (p text, q text, log) per level; log is finite or -inf by construction.
+    # The texts go into one join as they are: no entry string copies a numerator.
+    parts, logs, sep = ['{"n": %d, "level_coeffs": [' % n], [], ""
+    for p, q, v in levels:
+        parts += (sep, '"', p, "/", q, '"')
+        sep = ", "
+        logs.append('"-inf"' if v == -math.inf else '"%.17g"' % v)
+    parts.append('], "log_abs": [%s]}\n' % ", ".join(logs))
+    return "".join(parts)
+
+
 def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
-    # what dumps emits for {"n": n, "level_coeffs": ["p/q", ...], "log_abs": ["%.17g" or "-inf", ...]};
-    # log_abs is finite or -inf by construction.  Exact threshold spectra share
-    # a few power-of-two denominators, so each distinct one is printed once.
+    # exact threshold spectra share a few power-of-two denominators, so each distinct one is printed once
     dens = {q: str(q) for q in {c.denominator for c in s.level_coeffs}}
-    coeffs = ", ".join(['"%d/%s"' % (c.numerator, dens[c.denominator]) for c in s.level_coeffs])
-    logs = ", ".join(['"-inf"' if v == -math.inf else '"%.17g"' % v for v in s.log_abs.tolist()])
-    return '{"n": %d, "level_coeffs": [%s], "log_abs": [%s]}\n' % (s.n, coeffs, logs)
+    levels = ((str(c.numerator), dens[c.denominator], v) for c, v in zip(s.level_coeffs, s.log_abs.tolist()))
+    return _dumps_levels(s.n, levels)
+
+
+def dumps_threshold_spectrum(N: int, alpha: int) -> str:
+    """dumps_symmetric_spectrum(threshold_spectrum_exact(N, alpha)), byte for
+    byte, from threshold_spectrum_text: no Fraction and no int-to-str of a numerator."""
+    return _dumps_levels(N, threshold_spectrum_text(N, alpha))
 
 
 def loads_symmetric_spectrum(text: str) -> SymmetricSpectrum:

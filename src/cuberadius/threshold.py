@@ -40,7 +40,9 @@ the degree-N disc polynomials.
 
 from __future__ import annotations
 
+import decimal
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,12 +173,57 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     """
     alpha, T, lead = _tail_terms(_check_n(N, MAX_SPECTRUM_N), alpha)
     n = N - 1
-    levels = [_dyadic(T - 2**n, n), _dyadic(lead, n)]
+    return SymmetricSpectrum(N, [_dyadic(T - 2**n, n)] + [_dyadic(d, n) for d in _dual_terms(alpha, n, lead)])
+
+
+def _dual_terms(alpha, n: int, lead):
+    """d_0 = lead, d_1, ..., d_n of the dual recurrence
+    (n - x) d_{x+1} = alpha d_x - x d_{x-1}, on ints or on Decimals.
+
+    Every division is exact, so int's floor and Decimal's truncation give the
+    same integers; a Decimal run needs an exact context (_EXACT) around it.
+    """
     d_prev, d = 0, lead
+    yield d
     for x in range(n):
         d_prev, d = d, (alpha * d - x * d_prev) // (n - x)
-        levels.append(_dyadic(d, n))
-    return SymmetricSpectrum(N, levels)
+        yield d
+
+
+#: Decimal arithmetic that never rounds an integer: libmpdec's widest context.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def threshold_spectrum_text(N: int, alpha: int) -> list:
+    """(numerator, denominator, log|coefficient|) of each level of
+    threshold_spectrum_exact(N, alpha), the two integers as decimal text,
+    with no Fraction built.
+
+    CPython's int-to-str is quadratic in the digit count, which at N = 4001
+    costs more than the spectrum itself.  So the dual recurrence runs twice:
+    on ints, which give each level's trailing-zero count u and its log, and
+    on exact Decimals, which hold the same integers in base 10^19 limbs,
+    where each step and str() are linear.  A zero level is taken from the int
+    side as ("0", "1", -inf), since Decimal can give -0.  Each distinct
+    denominator's text and log is made once and shared by reference.
+    """
+    alpha, T, lead = _tail_terms(_check_n(N, MAX_SPECTRUM_N), alpha)
+    n, empty = N - 1, T - 2 ** (N - 1)  # level 0 is empty / 2^n, level m >= 1 is d_{m-1} / 2^n
+    ints = itertools.chain((empty,), _dual_terms(alpha, n, lead))
+    decs = itertools.chain((decimal.Decimal(empty),), _dual_terms(alpha, n, decimal.Decimal(lead)))
+    dens, out = {}, []  # u -> (Decimal 2^u, text and log of 2^(n - u))
+    with decimal.localcontext(_EXACT):
+        for d, e in zip(ints, decs):
+            if not d:
+                out.append(("0", "1", -math.inf))
+                continue
+            u = min((d & -d).bit_length() - 1, n)
+            if u not in dens:
+                dens[u] = decimal.Decimal(1 << u), str(1 << (n - u)), math.log(1 << (n - u))
+            two_u, q, log_q = dens[u]
+            # the log of threshold_spectrum_exact's reduced Fraction, bit for bit
+            out.append((str(e // two_u), q, math.log(abs(d >> u)) - log_q))
+    return out
 
 
 def _dyadic(num: int, k: int) -> Fraction:

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -378,6 +380,18 @@ class TestScanCommands:
         code, _ = run_cli(["threshold-scan", "--n-list", "3", "--alphas", "7"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--n-list", "5", "--alphas", "1.5"], "--alphas: expected an integer, 'sqrt' or 'half', got '1.5'"),
+            (["--n-list", "5", "--alphas", "0,nan"], "--alphas: expected an integer, 'sqrt' or 'half', got 'nan'"),
+            (["--n-list", "5, x"], "--n-list: expected an integer, got 'x'"),
+            (["--n-list", "5.0"], "--n-list: expected an integer, got '5.0'"),
+        ],
+    )
+    def test_threshold_scan_names_the_flag_it_cannot_read(self, argv, err):
+        assert _capture(["threshold-scan"] + argv) == (2, "", f"cuberadius: error: {err}\n")
+
     def test_threshold_scan_at_alpha_n_minus_1(self, capsys):
         # the default alphas at N = 2 reach alpha = N - 1, where G's b term vanishes
         code, out = run_cli(["threshold-scan", "--n-list", "2"], capsys)
@@ -452,6 +466,72 @@ class TestSpectrumCommand:
             capsys,
         )
         assert code == 0 and json.loads(out)["n"] == 9
+
+    @staticmethod
+    def _symmetric_stdout(N, alpha):
+        code, out, err = _capture(["spectrum", "--family", "threshold", "--n", str(N), "--alpha", str(alpha), "--symmetric"])
+        assert (code, err) == (0, "")
+        assert not any(c.startswith("-0") for c in json.loads(out)["level_coeffs"]), (N, alpha)
+        return out
+
+    def test_symmetric_stdout_is_the_emitted_exact_spectrum_up_to_40(self):
+        from cuberadius.serialize import dumps_symmetric_spectrum
+        from cuberadius.threshold import threshold_spectrum_exact
+
+        # every canonical pair with N <= 40, reached from the alpha that names it
+        pairs = {(N, families.canonical_alpha(N, a)): a for N in range(1, 41) for a in range(N)}
+        assert len(pairs) == 440
+        for (N, canonical), a in pairs.items():
+            want = dumps_symmetric_spectrum(threshold_spectrum_exact(N, canonical))
+            assert self._symmetric_stdout(N, a) == want, (N, a)
+
+    @pytest.mark.parametrize(
+        "N, alpha, canonical",
+        # 2-adic valuations that vary by level, the formal alpha = -1, and the cap
+        [(65, 28, 28), (1001, 498, 498), (4000, 0, -1), (4001, 0, 0), (4001, 1998, 1998), (4001, 2000, 2000)],
+    )
+    def test_symmetric_stdout_is_the_emitted_exact_spectrum(self, N, alpha, canonical):
+        from cuberadius.serialize import dumps_symmetric_spectrum
+        from cuberadius.threshold import threshold_spectrum_exact
+
+        want = dumps_symmetric_spectrum(threshold_spectrum_exact(N, canonical))
+        assert self._symmetric_stdout(N, alpha) == want
+
+    def test_symmetric_zero_levels_print_as_zero(self):
+        # odd majority: the Decimal run meets -0 at the zero levels, the output never does
+        from cuberadius import threshold
+
+        _, _, lead = threshold._tail_terms(5, 0)
+        with decimal.localcontext(threshold._EXACT):
+            assert "-0" in [str(e) for e in threshold._dual_terms(0, 4, decimal.Decimal(lead))]
+        out = json.loads(self._symmetric_stdout(5, 0))
+        assert out["level_coeffs"][0::2] == ["0/1"] * 3 and out["log_abs"][0::2] == ["-inf"] * 3
+
+    def test_symmetric_builds_no_fraction(self, monkeypatch):
+        from cuberadius import cube, threshold
+
+        def refuse(*args):
+            raise AssertionError("built a Fraction or a SymmetricSpectrum")
+
+        monkeypatch.setattr(threshold, "_dyadic", refuse)
+        monkeypatch.setattr(cube.SymmetricSpectrum, "__post_init__", refuse)
+        code, out, err = _capture(["spectrum", "--family", "threshold", "--n", "61", "--alpha", "12", "--symmetric"])
+        assert (code, err) == (0, "") and json.loads(out)["n"] == 61
+
+    def test_symmetric_peak_memory_is_under_twice_the_output(self, monkeypatch):
+        # the numerator texts go into the document by reference: one join, no per-entry copies
+        from cuberadius import cli
+
+        texts = []
+        monkeypatch.setattr(cli, "_write", lambda args, text: texts.append(text))
+        tracemalloc.start()
+        try:
+            code = main(["spectrum", "--family", "threshold", "--n", "4001", "--alpha", "2000", "--symmetric"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(texts[0]) > 7 * 10**6
+        assert peak <= 2 * len(texts[0])
 
     def test_dense_from_truth_table_file(self, tmp_path, capsys):
         path = tmp_path / "f.json"

@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from cuberadius.threshold import (
     MAX_TN_N,
     ThresholdReport,
     _block_width,
+    _dual_terms,
     _dyadic,
     _level_logs,
     _radii_exact,
@@ -183,6 +186,16 @@ class TestExactSpectrum:
     @pytest.mark.parametrize("N,alpha", [(3995, 1994), (4001, 2000), (4000, -1)])
     def test_lowest_terms_at_the_cap(self, N, alpha):
         self._assert_lowest_terms_exact(N, alpha)
+
+    def test_decimal_run_has_the_digits_of_the_int_run(self):
+        # the text path reads each numerator's digits from the Decimal run; at
+        # (4001, 1998) the terms reach 4,000 bits and d_2000 is zero
+        alpha, _, lead = _tail_terms(4001, 1998)
+        with decimal.localcontext(threshold_module._EXACT):
+            digits = [str(e) for e in _dual_terms(alpha, 4000, Decimal(lead))]
+        ints = [str(d) for d in _dual_terms(alpha, 4000, lead)]
+        assert len(digits) == 4001 and "0" in ints
+        assert digits == ints
 
     def test_recurrence_matches_product_expansion(self):
         # every admissible alpha, -1 (even N) included: 10,200 pairs
