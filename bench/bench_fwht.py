@@ -11,9 +11,11 @@ doubles (n = 10, 16, 20, 22, 24) and on the batches (16, 2^10) and
 copied in outside the timed region.  Then it times the public calls of a
 dense radius or spectrum: ``families.threshold`` and ``walsh_transform`` at
 n = 24, ``level_profile`` of that spectrum, ``dumps_spectrum`` at n = 17 and
-``brute_force_bn_radius(4)``, and one whole ``radius --family threshold --n 24``
-through ``cli.main`` (stdout captured).  Each case reports the median of 5 runs, after
-one untimed warm-up; a run is the mean of enough calls to last about 0.1 s.
+``brute_force_bn_radius(4)``.  It also times one whole ``radius --family
+threshold --n 24`` through ``cli.main`` (stdout captured), which builds no
+table: that radius is solved from exact integer level weights, so the case
+times the CLI, not the dense layer.  Each case reports the median of 5 runs,
+after one untimed warm-up; a run is the mean of enough calls to last about 0.1 s.
 The numbers are added under ``--label`` to ``--out`` (``BENCH_fwht.json`` at
 the repository root by default) together with the machine: core count,
 Python and numpy versions; repeated runs under one label are kept in order,

@@ -53,7 +53,7 @@ import numpy as np
 
 from bench_fwht import ROOT, machine, median_s
 
-MAJORITY_ARGV = ["majority-scan", "--n-start", "911", "--n-stop", "989", "--workers", "1"]
+MAJORITY_ARGV = ["majority-scan", "--n-start", "911", "--n-stop", "989"]
 SCAN_ARGV = ["threshold-scan", "--n-list", "1007,1993", "--alphas", "0,sqrt,half"]
 CASES = {
     "majority_scan_911_989": "cli.main of " + " ".join(MAJORITY_ARGV),

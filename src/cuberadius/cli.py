@@ -229,18 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", "-o", help="write to this file instead of stdout")
 
-    def add_family(p, need_n=True):
+    def add_family(p):
         p.add_argument(
             "--family",
             choices=["extremal", "dictator", "parity", "threshold", "majority", "biased"],
         )
-        p.add_argument("--n", type=int, required=need_n, help="cube dimension")
+        p.add_argument("--n", type=int, help="cube dimension")
         p.add_argument("--alpha", type=float, help="threshold level")
         p.add_argument("--lambda", dest="lam", type=float, help="bias of the +-1 indicator")
         p.add_argument("--m", type=int, help="parity on the first m coordinates")
 
     p = sub.add_parser("radius", help="Boolean radius of a family member or a truth-table JSON file")
-    add_family(p, need_n=False)
+    add_family(p)
     p.add_argument("--input", help="truth-table JSON file")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p)

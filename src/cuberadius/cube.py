@@ -28,7 +28,7 @@ MAX_DENSE_N = 24
 NAIVE_MAX_N = 12
 
 #: Doubles in one cache-sized piece (1 MiB) of ``_fwht_inplace`` and of the
-#: streamed level sums of ``radius.level_profile``.
+#: streamed level sums of ``radius._level_sums``.
 FWHT_CHUNK = 2**17
 
 #: Coefficients with absolute value at or below this count as zero
@@ -200,26 +200,26 @@ def _stages(block: np.ndarray, stop: int, tail: tuple) -> None:
         u[...] = s
 
 
-def walsh_transform(f: BooleanFunction) -> Spectrum:
-    """Fourier-Walsh coefficients fhat(S) = 2^{-n} sum_x f(x) chi_S(x).
-
-    Fast butterfly, normalized on the forward pass so the coefficients are
-    literally the expectations E[f * chi_S].  As |fhat(S)| <= sup norm, a
-    table whose butterfly overflows is transformed scaled by an exact 2^-e to
-    a sup norm in [1/2, 1), then scaled back; other tables keep their bits.
+def _walsh_rows(values: np.ndarray) -> np.ndarray:
+    """Fourier-Walsh coefficients E[f * chi_S] of each row of a (rows, 2^n) block:
+    the butterfly on a copy, divided by 2^n.  As |fhat(S)| <= sup norm, a block
+    whose butterfly overflows is redone with each row scaled by an exact 2^-e to
+    a sup norm in [1/2, 1), then scaled back; other blocks keep their bits.
     """
-    a = f.values.copy()
-    e = 0
+    a, e = values.copy(), None
     try:
         with np.errstate(over="raise", invalid="raise"):
             _fwht_inplace(a)
     except FloatingPointError:
-        e = math.frexp(sup_norm(f))[1]
-        a = _fwht_inplace(np.ldexp(f.values, -e))
-    a /= 2**f.n
-    if e:
-        np.ldexp(a, e, out=a)
-    return Spectrum._adopt(f.n, a)
+        e = np.frexp(np.maximum(values.max(axis=1), -values.min(axis=1)))[1][:, None]
+        a = _fwht_inplace(np.ldexp(values, -e))
+    a /= values.shape[1]
+    return a if e is None else np.ldexp(a, e, out=a)
+
+
+def walsh_transform(f: BooleanFunction) -> Spectrum:
+    """Fourier-Walsh coefficients fhat(S) = 2^{-n} sum_x f(x) chi_S(x), one row of ``_walsh_rows``."""
+    return Spectrum._adopt(f.n, _walsh_rows(f.values[None, :])[0])
 
 
 def walsh_transform_naive(f: BooleanFunction) -> Spectrum:
@@ -246,13 +246,23 @@ def sup_norm(f: BooleanFunction) -> float:
     return abs(float(max(f.values.max(), -f.values.min())))
 
 
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e per element through libm ``pow``, which numpy's vectorised power can differ from."""
+    return np.array([v**e for v in x.tolist()], dtype=float)
+
+
+def _p_norms(values: np.ndarray, p: float) -> np.ndarray:
+    """Per-row L_p norms E[|f|^p]^{1/p} of a (rows, 2^n) block under the uniform measure."""
+    return _pow(np.mean(np.abs(values) ** p, axis=1), 1.0 / p)
+
+
 def p_norm(f: BooleanFunction, p: float) -> float:
     """L_p norm E[|f|^p]^{1/p} under the uniform measure; p = inf gives the sup norm."""
     if p == math.inf:
         return sup_norm(f)
     if p < 1:
         raise ValueError(f"p-norms need p >= 1, got {p}")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    return float(_p_norms(f.values[None, :], p)[0])
 
 
 def expectation(f: BooleanFunction) -> float:
@@ -260,12 +270,14 @@ def expectation(f: BooleanFunction) -> float:
     return float(np.mean(f.values))
 
 
+def _degrees(coeffs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per-row largest |S| = levels[S] with |coeffs[S]| above ZERO_TOL; 0 for constants and zero."""
+    return np.max(np.where(np.abs(coeffs) > ZERO_TOL, levels, 0), axis=1)
+
+
 def degree(s: Spectrum) -> int:
     """Largest |S| carrying a coefficient above ZERO_TOL; 0 for constants and zero."""
-    nz = np.abs(s.coeffs) > ZERO_TOL
-    if not nz.any():
-        return 0
-    return int(subset_levels(s.n)[nz].max())
+    return int(_degrees(s.coeffs[None, :], subset_levels(s.n))[0])
 
 
 def noise_operator(s: Spectrum, rho: float) -> Spectrum:

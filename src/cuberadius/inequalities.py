@@ -11,11 +11,12 @@ blocks.  Proven inequalities must come back with zero failures; the
 Bohnenblust-Hille-type quantity and the degree-d Wiener ratio are
 open-constant scans and are reported, never asserted.
 
-A row's margins do not depend on the block it sits in: every per-row
-reduction runs in the order of the one-function arithmetic (sums over a
-coefficient subset are taken over a contiguous copy in bitmask order) and
-every scalar power goes through libm ``pow`` one row at a time, because
-numpy's vectorised power can differ from it in the last ulp.
+A row's margins do not depend on the block it sits in.  The transform, level
+sums, p-norms and degrees are the block routines of ``cube`` and ``radius``,
+whose one-row cases are ``walsh_transform``, ``level_profile``, ``p_norm`` and
+``degree``; the other per-row reductions run in the order of the one-function
+arithmetic (sums over a coefficient subset are taken over a contiguous copy in
+bitmask order), and every scalar power goes through libm ``pow`` (``cube._pow``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cube import ZERO_TOL, BooleanFunction, _fwht_inplace, subset_levels, walsh_transform
+# walsh_transform is not called here; perfbench/test_spans.py reads it from this module
+from .cube import BooleanFunction, _degrees, _fwht_inplace, _p_norms, _pow, _walsh_rows, subset_levels, walsh_transform
 from .families import (
     biased_indicator,
     dictator,
@@ -90,13 +92,6 @@ class _Tables:
         self.n = n
         self.values = values
 
-    @classmethod
-    def of(cls, f: BooleanFunction) -> "_Tables":
-        """A block of one function, whose coefficients come from its own transform."""
-        t = cls(f.n, f.values[None, :])
-        t.coeffs = walsh_transform(f).coeffs[None, :]
-        return t
-
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -116,10 +111,7 @@ class _Tables:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        """Fourier-Walsh coefficients: one normalised butterfly over the block."""
-        a = _fwht_inplace(self.values.copy())
-        a /= 2**self.n
-        return a
+        return _walsh_rows(self.values)
 
     @cached_property
     def sup(self) -> np.ndarray:
@@ -131,25 +123,15 @@ class _Tables:
 
     @cached_property
     def degree(self) -> np.ndarray:
-        """Largest |S| with |fhat(S)| above ZERO_TOL; 0 for constants."""
-        return np.max(np.where(np.abs(self.coeffs) > ZERO_TOL, self.levels, 0), axis=1)
+        return _degrees(self.coeffs, self.levels)
 
     @cached_property
     def constant(self) -> np.ndarray:
         return np.ptp(self.values, axis=1) == 0.0
 
 
-def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    return np.array([v**e for v in x.tolist()], dtype=float)
-
-
 def _exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()], dtype=float)
-
-
-def _p_norms(values: np.ndarray, p: float) -> np.ndarray:
-    """Per-row L_p norms E[|f|^p]^{1/p} under the uniform measure."""
-    return _pow(np.mean(np.abs(values) ** p, axis=1), 1.0 / p)
 
 
 def _degree_groups(levels: np.ndarray, d: np.ndarray, lowest: int):
@@ -176,8 +158,9 @@ def _check(rhs, lhs):
     return margin, margin < -SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _single(suite: str, f: BooleanFunction, checked) -> InequalityReport:
-    margin, fail = checked
+def _single(suite: str, f: BooleanFunction, check, *args) -> InequalityReport:
+    """The one-sample report of ``check`` on the block of f alone."""
+    margin, fail = check(_Tables(f.n, f.values[None, :]), *args)
     return InequalityReport(suite, 1, int(fail[0, 0]), float(margin[0, 0]), f)
 
 
@@ -236,7 +219,7 @@ def wiener_pair_check(f: BooleanFunction) -> InequalityReport:
 
     The max over pairs is the sum of the two largest absolute coefficients.
     """
-    return _single("wiener", f, _wiener(_Tables.of(f)))
+    return _single("wiener", f, _wiener)
 
 
 def _split(t: _Tables):
@@ -248,7 +231,7 @@ def _split(t: _Tables):
 
 def split_pointwise_check(f: BooleanFunction) -> InequalityReport:
     """|fhat({}) + h(x)| + |h(x)| <= ||f||_inf at every x, h = (f - fhat({}))/2."""
-    return _single("split", f, _split(_Tables.of(f)))
+    return _single("split", f, _split)
 
 
 def _caratheodory(t: _Tables):
@@ -260,7 +243,7 @@ def _caratheodory(t: _Tables):
 
 def caratheodory_check(f: BooleanFunction) -> InequalityReport:
     """E|f - fhat({})| <= 2 (1 - |fhat({})|) for ||f||_inf <= 1."""
-    return _single("caratheodory", f, _caratheodory(_Tables.of(f)))
+    return _single("caratheodory", f, _caratheodory)
 
 
 def caratheodory_sharpness(lambdas, p: float):
@@ -290,7 +273,7 @@ def _degree_l2(t: _Tables, d: np.ndarray):
 
 def degree_l2_check(f: BooleanFunction, d: int) -> InequalityReport:
     """(sum_{0<|S|<=d} fhat(S)^2)^{1/2} <= 2 e^d (1 - |fhat({})|) for ||f||_inf <= 1."""
-    return _single("degree-l2", f, _degree_l2(_Tables.of(f), np.array([d])))
+    return _single("degree-l2", f, _degree_l2, np.array([d]))
 
 
 def _norm_comparison(t: _Tables, d: np.ndarray):
@@ -301,7 +284,7 @@ def _norm_comparison(t: _Tables, d: np.ndarray):
 
 def norm_comparison_check(f: BooleanFunction, d: int) -> InequalityReport:
     """||f||_2 <= e^d ||f||_1 for functions of degree at most d."""
-    return _single("norm-comparison", f, _norm_comparison(_Tables.of(f), np.array([d])))
+    return _single("norm-comparison", f, _norm_comparison, np.array([d]))
 
 
 def hypercontractive_bound(p: float, q: float) -> float:
@@ -340,7 +323,7 @@ def _hyper(t: _Tables, checks):
 
 def hypercontractivity_check(f: BooleanFunction, p: float, q: float, rho: float) -> InequalityReport:
     """||T_rho f||_q <= ||f||_p for rho within the admissible bound."""
-    return _single("hyper", f, _hyper(_Tables.of(f), [(p, q, rho)]))
+    return _single("hyper", f, _hyper, [(p, q, rho)])
 
 
 def _bh(t: _Tables, d: np.ndarray) -> np.ndarray:
@@ -360,7 +343,7 @@ def bh_ratio(f: BooleanFunction, d: int) -> float:
     Profiling quantity for the degree-d coefficient inequality; the constant
     there is existential, so the ratio is reported, never asserted.
     """
-    return float(_bh(_Tables.of(f), np.array([d]))[0])
+    return float(_bh(_Tables(f.n, f.values[None, :]), np.array([d]))[0])
 
 
 def _cd_ratio(t: _Tables) -> np.ndarray:
@@ -375,7 +358,7 @@ def wiener_degree_ratio(f: BooleanFunction) -> float:
     Whether this admits a degree-dependent constant is open; exploratory scan
     material only.
     """
-    return float(_cd_ratio(_Tables.of(f))[0])
+    return float(_cd_ratio(_Tables(f.n, f.values[None, :]))[0])
 
 
 def _level_m(t: _Tables, ms, epsilons):
@@ -389,7 +372,7 @@ def _level_m(t: _Tables, ms, epsilons):
     _require(c0 >= -1e-12, "normalize so that E[f] >= 0 first")
     delta = 1.0 - c0
     _require(delta > 1e-12, "constant-one function excluded (delta = 0)")
-    energy = np.sqrt(_level_sums(t.coeffs**2, t.levels))[:, list(ms)]
+    energy = np.sqrt(_level_sums(t.coeffs, np.square))[:, list(ms)]
     scale = np.array([[2.0 * eps ** (-m / 2.0) for eps in epsilons] for m in ms])
     bias = np.stack([_pow(delta / 2.0, 1.0 / (1.0 + eps)) for eps in epsilons], axis=1)
     rhs = (scale[None, :, :] * bias[:, None, :]).reshape(t.rows, -1)
@@ -404,14 +387,14 @@ def level_m_bound_check(f: BooleanFunction, m: int, epsilon: float) -> Inequalit
     fails for fhat (its proof substitutes g = (1-f)/2, which only matches f
     on nonempty sets).
     """
-    return _single("level-m", f, _level_m(_Tables.of(f), [m], [epsilon]))
+    return _single("level-m", f, _level_m, [m], [epsilon])
 
 
 def _biased_radius(t: _Tables):
     _require(t.sup != 0, "zero function excluded")
     delta = 1.0 - np.abs(t.mean) / t.sup
     _require(delta > 1e-12, "constant functions excluded (delta = 0)")
-    rho = _dense_radii(_level_sums(np.abs(t.coeffs), t.levels), t.sup)
+    rho = _dense_radii(_level_sums(t.coeffs, np.abs), t.sup)
     bound = np.array([1.0 / (5.0 * math.sqrt(t.n) * math.sqrt(math.log(2.0 / x))) for x in delta.tolist()])
     return _check(rho[:, None], bound[:, None])
 
@@ -422,7 +405,7 @@ def biased_radius_lower_check(f: BooleanFunction) -> InequalityReport:
     delta is the largest value with |E f| <= (1 - delta) ||f||_inf; constants
     (delta = 0) are excluded.
     """
-    return _single("biased-radius", f, _biased_radius(_Tables.of(f)))
+    return _single("biased-radius", f, _biased_radius)
 
 
 # -- suite driver ------------------------------------------------------------

@@ -34,6 +34,7 @@ from .cube import (
     Spectrum,
     SymmetricSpectrum,
     _fwht_inplace,
+    _walsh_rows,
     log_abs_fraction,
     subset_levels,
 )
@@ -97,17 +98,29 @@ class RadiusResult:
 
 def level_profile(s: Spectrum, sup: float) -> LevelProfile:
     """Regroup |fhat(S)| by |S|; ``sup`` is the sup norm of the matching function."""
-    # Piece j of 2^k coefficients holds the subsets with high bits j and low
-    # bits T, whose level is popcount(j) + |T|: one shared table of the 2^k
-    # levels |T| serves every piece, and no 2^n level array is built.
-    k = min(s.n, FWHT_CHUNK.bit_length() - 1)
-    levels = subset_levels(k)
-    w = np.zeros(s.n + 1)
-    for j in range(2 ** (s.n - k)):
-        shift = j.bit_count()
-        piece = np.abs(s.coeffs[j << k : (j + 1) << k])
-        w[shift : shift + k + 1] += np.bincount(levels, weights=piece)
-    return LevelProfile(s.n, w, float(sup))
+    return LevelProfile(s.n, _level_sums(s.coeffs[None, :], np.abs)[0], float(sup))
+
+
+def _level_sums(x: np.ndarray, term) -> np.ndarray:
+    """(rows, n + 1) sums of term(x) over each level |S| = m, x shaped (rows, 2^n).
+
+    One ``np.bincount`` in bitmask order per piece of FWHT_CHUNK entries, with
+    ``term`` applied to that piece alone.  A piece is several whole rows, their
+    bins offset by n + 1 per row, or the 2^k entries of one row with high bits
+    j, whose levels are popcount(j) plus those of the one table of 2^k levels.
+    """
+    rows, size = x.shape
+    n = size.bit_length() - 1
+    k = min(n, FWHT_CHUNK.bit_length() - 1)
+    bins = (subset_levels(k) + (n + 1) * np.arange(min(x.size, FWHT_CHUNK) >> k)[:, None]).ravel()
+    out = np.zeros(rows * (n + 1))
+    x = x.reshape(-1)
+    for start in range(0, x.size, FWHT_CHUNK):
+        piece = term(x[start : start + FWHT_CHUNK])
+        at = (start >> n) * (n + 1) + ((start & (size - 1)) >> k).bit_count()
+        sums = np.bincount(bins[: piece.size], weights=piece)
+        out[at : at + sums.size] += sums
+    return out.reshape(rows, n + 1)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -148,14 +161,6 @@ def _bisect(below, lo, hi):
         iterations += active
         up = np.asarray(below(mid), dtype=bool)
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-
-
-def _level_sums(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(rows, n + 1) sums of x over each level |S| = m."""
-    order = np.argsort(levels, kind="stable")
-    bounds = np.searchsorted(levels[order], np.arange(levels.max() + 2))
-    s = np.take(x, order, axis=1)
-    return np.stack([np.sum(s[:, a:b], axis=1) for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
 
 
 def _log_targets(w0: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -310,8 +315,7 @@ def brute_force_bn_radius(N: int):
     points = 2**N
     bits = np.arange(points, dtype=np.uint64)
     table = lambda ks: 1.0 - 2.0 * ((ks[..., None] >> bits) & 1)
-    coeffs = _fwht_inplace(table(np.arange(2 ** (points - 1), dtype=np.uint64))) / points
-    sums = _level_sums(np.abs(coeffs), subset_levels(N))
+    sums = _level_sums(_walsh_rows(table(np.arange(2 ** (points - 1), dtype=np.uint64))), np.abs)
     # distinct rows by their bytes; each is solved on its own, so their order does not matter
     rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1])))[:, 0]
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)

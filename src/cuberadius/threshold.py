@@ -591,8 +591,6 @@ def tail_lower_bound_check(N: int, alpha: float) -> bool:
     if not 0 <= alpha < N:
         raise ValueError("need 0 <= alpha < N (the tail at alpha = N is empty)")
     upto = math.ceil((N - alpha) / 2) - 1  # number of -1s strictly winning the threshold
-    if upto < 0:
-        return False
     log_sigma = math.log(_tail_count(N, upto)) - N * math.log(2.0)
     return log_sigma >= -6.0 * (1.0 + alpha / math.sqrt(N)) ** 2 - 1e-12
 
@@ -606,6 +604,8 @@ def tn_lower_bound(N: int) -> float:
     """
     if not 1 <= N <= MAX_TN_N:
         raise ValueError(f"need 1 <= N <= {MAX_TN_N}")
+    if N == 1:  # cos(pi/3) t = 1/2 has the root 1, but math.cos(math.pi / 3) is 0.5000000000000001
+        return 1.0
     coefs = [math.cos(math.pi / (N // k + 2)) for k in range(1, N + 1)]
 
     def f(t: float) -> float:
@@ -614,6 +614,4 @@ def tn_lower_bound(N: int) -> float:
             acc = (acc + c) * t
         return acc
 
-    if f(1.0) <= 0.5:
-        return 1.0
     return float(_bisect(lambda mid: f(float(mid)) < 0.5, 0.0, 1.0)[0])

@@ -543,6 +543,16 @@ class TestSpectrumCommand:
         code, _ = run_cli(["spectrum", "--family", "parity", "--n", "3", "--symmetric"], capsys)
         assert code == 2
 
+    def test_input_needs_no_n(self, tmp_path):
+        # the dimension is in the file; --n is demanded only with --family
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 1, "values": [1, -1]}')
+        code, out, _ = _capture(["spectrum", "--input", str(path)])
+        assert code == 0 and json.loads(out)["coeffs"] == [0, 1]
+        assert _capture(["spectrum"])[::2] == (2, "cuberadius: error: need --family (or --input where supported)\n")
+        code, _, err = _capture(["spectrum", "--family", "parity"])
+        assert (code, err) == (2, "cuberadius: error: --n is required with --family\n")
+
     def test_dense_threshold_matches_the_exact_levels(self, capsys):
         from cuberadius.threshold import threshold_spectrum_exact
 
@@ -608,6 +618,11 @@ class TestScalarCommands:
         obj = json.loads(out)
         assert obj["t_n"] == pytest.approx(0.5176380902050415, abs=1e-12)
         assert "k=1" in obj["note"]
+
+    def test_tn_n1_prints_the_exact_root(self, capsys):
+        # cos(pi/3) t = 1/2 has the root t = 1, which is printed exactly
+        code, out = run_cli(["tn", "--n", "1"], capsys)
+        assert code == 0 and '"t_n": 1,' in out
 
     def test_tn_over_cap_exits_2(self, capsys):
         assert main(["tn", "--n", str(MAX_TN_N + 1)]) == 2

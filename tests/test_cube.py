@@ -170,6 +170,15 @@ class TestWalshTransform:
         got = walsh_transform(from_truth_table(6, values)).coeffs
         assert_same_bits(got, cube._fwht_inplace(values.copy()) / 2**6)
 
+    def test_rows_of_an_overflowing_block_keep_their_own_bits(self):
+        # each row is scaled by its own power of two, so a small row beside a
+        # huge one is not pushed toward the subnormals
+        scale = np.array([[1e308], [1.0], [1e-300], [1e300]])
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2**6)) * scale
+        block = cube._walsh_rows(values)
+        for row, got in zip(values, block):
+            assert_same_bits(got, walsh_transform(from_truth_table(6, row)).coeffs)
+
     def test_naive_rejects_dimension_over_cap(self):
         f = from_truth_table(NAIVE_MAX_N + 1, np.zeros(2 ** (NAIVE_MAX_N + 1)))
         with pytest.raises(ValueError, match="capped"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberadius import inequalities
+from cuberadius import inequalities, radius
 from cuberadius.cube import BooleanFunction, degree, from_truth_table, sup_norm, walsh_transform
 from cuberadius.families import (
     biased_indicator,
@@ -37,6 +37,7 @@ from cuberadius.inequalities import (
     wiener_degree_ratio,
     wiener_pair_check,
 )
+from cuberadius.radius import boolean_radius, level_profile
 
 
 class TestRandomBoundedFunction:
@@ -283,6 +284,16 @@ class TestBiasedRadiusLower:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             biased_radius_lower_check(from_truth_table(2, [1.0] * 4))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_block_radii_equal_the_one_function_radius_bit_for_bit(self, n):
+        # the suites' block path and the path of `radius --input`, so that a
+        # suite's radius replays through the CLI
+        fs = [random_bounded_function(n, seed, mode) for seed in range(8) for mode in RANDOM_MODES]
+        t = inequalities._Tables(n, np.stack([f.values for f in fs]))
+        block = radius._dense_radii(radius._level_sums(t.coeffs, np.abs), t.sup)
+        one = [boolean_radius(level_profile(walsh_transform(f), sup_norm(f))).radius for f in fs]
+        assert block.tobytes() == np.array(one).tobytes()
 
 
 class TestWienerDegreeRatio:

@@ -443,7 +443,7 @@ class TestBruteForce:
         points = 2**N
         ks = np.arange(2**points, dtype=np.uint64)
         tables = 1.0 - 2.0 * ((ks[:, None] >> np.arange(points, dtype=np.uint64)[None, :]) & 1)
-        sums = radius._level_sums(np.abs(cube._fwht_inplace(tables.copy()) / points), cube.subset_levels(N))
+        sums = radius._level_sums(cube._fwht_inplace(tables.copy()) / points, np.abs)
         rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1])))[:, 0]
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         rho = radius._dense_radii(sums[first], 1.0)[inverse]

@@ -514,7 +514,7 @@ class TestTailLowerBound:
 
 class TestTnRoot:
     def test_n1_closed_form(self):
-        assert tn_lower_bound(1) == pytest.approx(1.0, abs=1e-12)
+        assert tn_lower_bound(1) == 1.0
 
     def test_n2_quadratic(self):
         # cos(pi/4) t + cos(pi/3) t^2 = 1/2
