@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: radius, bn, threshold-scan, majority-scan, spectrum, verify,
-gamma, tn.  Scalar results are emitted as JSON, scans as CSV (17 significant
-digits), all byte-deterministic for a fixed command and seed.  No command
+gamma, tn.  Scalar results are emitted as JSON, scans (and ``radius --format
+csv``) as CSV; ``serialize`` writes every byte of both (17 significant digits),
+so the output is byte-deterministic for a fixed command and seed.  No command
 starts threads.  ``bn``, ``verify`` and ``majority-scan`` still parse
 ``--workers`` so that existing command lines keep running, and ignore it; no
 library function takes a worker count.  Ranges and caps are checked by the
@@ -120,17 +121,8 @@ def cmd_radius(args) -> int:
             f = BooleanFunction._adopt(f.n, np.ldexp(f.values, -e))
         result = radius.boolean_radius(radius.level_profile(walsh_transform(f), math.ldexp(sup, -e)))
         result = dataclasses.replace(result, residual=math.ldexp(result.residual, e))
-    if args.format == "csv":
-        rr = serialize.radius_result_obj(result)
-        text = "radius,residual,iterations,method\n%s,%s,%d,%s\n" % (
-            rr["radius"] if isinstance(rr["radius"], str) else serialize.fmt17(rr["radius"]),
-            serialize.fmt17(rr["residual"]),
-            rr["iterations"],
-            rr["method"],
-        )
-    else:
-        text = serialize.dumps_radius_result(result)
-    _write(args, text)
+    emit = serialize.radius_result_csv if args.format == "csv" else serialize.dumps_radius_result
+    _write(args, emit(result))
     return 0
 
 

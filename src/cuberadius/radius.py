@@ -89,10 +89,10 @@ class RadiusResult:
     radius: float
     residual: float
     iterations: int
-    method: str  # bisection | closed_form | brute_force
+    method: str  # bisection | closed_form
 
     def __post_init__(self):
-        if self.method not in ("bisection", "closed_form", "brute_force"):
+        if self.method not in ("bisection", "closed_form"):
             raise ValueError(f"unknown method {self.method!r}")
 
 

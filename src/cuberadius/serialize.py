@@ -1,14 +1,13 @@
-"""JSON and CSV emission for the data types.
+"""JSON and CSV emission for the data types: every document the program writes.
 
 Reals are printed with 17 significant digits everywhere, which round-trips
 IEEE doubles bit-exactly through decimal text.  The emitters build their own
-JSON text so the float formatting (and hence byte-level output) is fully
-deterministic.
+JSON text, and CSV cells by the same rule, so the bytes are fully deterministic.
 """
 
 from __future__ import annotations
 
-import io
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -28,13 +27,26 @@ def fmt17(x: float) -> str:
     return "%.17g" % float(x)
 
 
+#: Most values formatted by one ``%`` in _emit_floats.
+VECTOR_PIECE = 2**16
+
+
+def _emit_floats(arr: np.ndarray) -> str:
+    """What the per-value path emits for a 1-D float64 array, from one
+    "%.17g, %.17g, ..." % piece per VECTOR_PIECE values, not one string per value."""
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"cannot format non-finite value {bad[0]}")
+    values = arr.tolist()
+    pieces = [tuple(values[i : i + VECTOR_PIECE]) for i in range(0, len(values), VECTOR_PIECE)]
+    return "[%s]" % ", ".join([", ".join(["%.17g"] * len(p)) % p for p in pieces])
+
+
 def _emit(value) -> str:
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
@@ -43,6 +55,8 @@ def _emit(value) -> str:
         return fmt17(float(value))
     if isinstance(value, dict):
         return "{" + ", ".join(f"{json.dumps(k)}: {_emit(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        return _emit_floats(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_emit(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -52,25 +66,12 @@ def dumps(obj) -> str:
     return _emit(obj) + "\n"
 
 
-def truth_table_obj(f: BooleanFunction) -> dict:
-    return {"n": f.n, "values": [float(v) for v in f.values]}
-
-
-#: Most values formatted by one ``%`` in _dumps_vector.
-VECTOR_PIECE = 2**16
-
-
-def _dumps_vector(n: int, key: str, arr: np.ndarray) -> str:
-    # what dumps emits for {"n": n, key: arr}; the arrays are finite by construction.
-    # One "%.17g, %.17g, ..." % piece per VECTOR_PIECE values, not one string per value.
-    values = arr.tolist()
-    pieces = [tuple(values[i : i + VECTOR_PIECE]) for i in range(0, len(values), VECTOR_PIECE)]
-    body = ", ".join([", ".join(["%.17g"] * len(p)) % p for p in pieces])
-    return '{"n": %d, "%s": [%s]}\n' % (n, key, body)
-
-
 def dumps_truth_table(f: BooleanFunction) -> str:
-    return _dumps_vector(f.n, "values", f.values)
+    return dumps({"n": f.n, "values": f.values})
+
+
+def dumps_spectrum(s: Spectrum) -> str:
+    return dumps({"n": s.n, "coeffs": s.coeffs})
 
 
 def _entries(obj: dict, key: str, convert):
@@ -85,26 +86,19 @@ def _entries(obj: dict, key: str, convert):
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _numbers(items: list) -> np.ndarray:
-    return np.asarray(items, dtype=float)
+def _loads_vector(text: str, kind: str, key: str, adopt):
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or set(obj) != {"n", key}:
+        raise ValueError(f'{kind} JSON must be {{"n": ..., "{key}": [...]}}')
+    return adopt(obj["n"], _entries(obj, key, lambda v: np.asarray(v, dtype=float)))
 
 
 def loads_truth_table(text: str) -> BooleanFunction:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or set(obj) != {"n", "values"}:
-        raise ValueError('truth-table JSON must be {"n": ..., "values": [...]}')
-    return BooleanFunction._adopt(obj["n"], _entries(obj, "values", _numbers))
-
-
-def dumps_spectrum(s: Spectrum) -> str:
-    return _dumps_vector(s.n, "coeffs", s.coeffs)
+    return _loads_vector(text, "truth-table", "values", BooleanFunction._adopt)
 
 
 def loads_spectrum(text: str) -> Spectrum:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or set(obj) != {"n", "coeffs"}:
-        raise ValueError('spectrum JSON must be {"n": ..., "coeffs": [...]}')
-    return Spectrum._adopt(obj["n"], _entries(obj, "coeffs", _numbers))
+    return _loads_vector(text, "spectrum", "coeffs", Spectrum._adopt)
 
 
 def _dumps_levels(n: int, levels) -> str:
@@ -160,7 +154,7 @@ def dumps_report(r: InequalityReport) -> str:
             "samples": r.samples,
             "failures": r.failures,
             "worst_margin": float(r.worst_margin),
-            "witness": truth_table_obj(r.witness) if r.witness is not None else None,
+            "witness": {"n": r.witness.n, "values": r.witness.values} if r.witness is not None else None,
         }
     )
 
@@ -170,29 +164,19 @@ MAJORITY_SCAN_HEADER = ("n", "radius", "radius_sqrt_n", "ratio_to_gamma", "gamma
 
 
 def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    """The header line, then one line per row: a str cell as it is, any other cell as _emit writes it."""
+    lines = [",".join(header)] + [",".join(c if isinstance(c, str) else _emit(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def radius_result_csv(r: RadiusResult) -> str:
+    obj = radius_result_obj(r)
+    return _csv(obj.keys(), [obj.values()])
 
 
 def threshold_scan_csv(reports) -> str:
-    rows = [
-        (
-            str(r.n),
-            str(r.alpha),
-            fmt17(r.radius),
-            fmt17(r.ratio),
-            fmt17(r.mckay_c),
-            "true" if r.sandwich_ok else "false",
-            fmt17(r.y_value),
-        )
-        for r in reports
-    ]
-    return _csv(THRESHOLD_SCAN_HEADER, rows)
+    return _csv(THRESHOLD_SCAN_HEADER, [dataclasses.astuple(r) for r in reports])
 
 
 def majority_scan_csv(rows, gamma: float) -> str:
-    out = [(str(n), fmt17(r), fmt17(rs), fmt17(rg), fmt17(gamma)) for n, r, rs, rg in rows]
-    return _csv(MAJORITY_SCAN_HEADER, out)
+    return _csv(MAJORITY_SCAN_HEADER, [(*row, gamma) for row in rows])

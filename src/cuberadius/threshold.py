@@ -588,6 +588,7 @@ def tail_lower_bound_check(N: int, alpha: float) -> bool:
     The tail is exact (log of an integer tail count); alpha = N is excluded
     since its tail is empty.
     """
+    _check_n(N, MAX_SYMMETRIC_N)  # the tail walk grows quadratically in N
     if not 0 <= alpha < N:
         raise ValueError("need 0 <= alpha < N (the tail at alpha = N is empty)")
     upto = math.ceil((N - alpha) / 2) - 1  # number of -1s strictly winning the threshold

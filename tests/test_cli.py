@@ -93,7 +93,9 @@ class TestRadiusCommand:
 
     def test_csv_format(self, capsys):
         code, out = run_cli(["radius", "--family", "dictator", "--n", "2", "--format", "csv"], capsys)
-        assert out.splitlines()[0] == "radius,residual,iterations,method"
+        assert (code, out) == (0, "radius,residual,iterations,method\n1,0,0,bisection\n")
+        code, out = run_cli(["radius", "--family", "parity", "--n", "3", "--m", "0", "--format", "csv"], capsys)
+        assert (code, out) == (0, "radius,residual,iterations,method\ninf,0,0,closed_form\n")
 
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -21,9 +22,10 @@ from cuberadius.serialize import (
     loads_symmetric_spectrum,
     loads_truth_table,
     majority_scan_csv,
+    radius_result_csv,
     threshold_scan_csv,
 )
-from cuberadius.threshold import threshold_radius, threshold_spectrum_exact
+from cuberadius.threshold import ThresholdReport, threshold_radius, threshold_spectrum_exact
 
 
 def test_fmt17_round_trips_awkward_doubles():
@@ -35,6 +37,12 @@ def test_fmt17_round_trips_awkward_doubles():
 def test_fmt17_rejects_non_finite():
     with pytest.raises(ValueError):
         fmt17(math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_float_arrays_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"n": 2, "values": np.array([0.5, 1.0, bad, -1.0])})
 
 
 def test_truth_table_round_trip_is_bit_exact():
@@ -105,6 +113,9 @@ def test_vector_pieces_write_the_bytes_of_one_string_per_value(n):
     assert dumps_truth_table(f) == _one_string_per_value(n, "values", values)
     s = walsh_transform(f)
     assert dumps_spectrum(s) == _one_string_per_value(n, "coeffs", s.coeffs)
+    witness = _one_string_per_value(n, "values", values).rstrip("\n")
+    report = '{"suite": "wiener", "samples": 1, "failures": 0, "worst_margin": 0, "witness": %s}\n' % witness
+    assert dumps_report(InequalityReport("wiener", 1, 0, 0.0, f)) == report
 
 
 def test_vector_pieces_of_uneven_length(monkeypatch):
@@ -156,6 +167,11 @@ def test_symmetric_spectrum_round_trip_is_byte_exact_at_the_cap():
     assert dumps_symmetric_spectrum(back) == text
 
 
+def test_radius_result_methods():
+    with pytest.raises(ValueError, match="unknown method"):
+        RadiusResult(0.5, 0.0, 1, "brute_force")
+
+
 def test_radius_result_json():
     obj = json.loads(dumps_radius_result(RadiusResult(0.5, 1e-12, 40, "bisection")))
     assert obj == {"radius": 0.5, "residual": 1e-12, "iterations": 40, "method": "bisection"}
@@ -170,6 +186,16 @@ def test_report_json_with_and_without_witness():
     assert obj["suite"] == "wiener" and obj["witness"]["values"] == [1.0, -1.0]
     obj = json.loads(dumps_report(InequalityReport("split", 1, 0, 0.0, None)))
     assert obj["witness"] is None
+
+
+def test_threshold_scan_header_follows_the_report_fields():
+    assert THRESHOLD_SCAN_HEADER == tuple(field.name for field in dataclasses.fields(ThresholdReport))
+
+
+def test_radius_result_csv():
+    assert radius_result_csv(RadiusResult(0.5, 1e-12, 40, "bisection")) == (
+        "radius,residual,iterations,method\n0.5,9.9999999999999998e-13,40,bisection\n"
+    )
 
 
 def test_threshold_scan_csv_shape():

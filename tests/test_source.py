@@ -39,3 +39,9 @@ def test_every_parameter_is_read():
     assert SOURCES
     unread = {path.name: found for path in SOURCES if (found := unread_parameters(path.read_text()))}
     assert unread == {}
+
+
+def test_only_serialize_formats_reals():
+    # one module writes every 17-digit real, so one rule decides the bytes of stdout
+    texts = {path.name: path.read_text() for path in SOURCES if path.name != "serialize.py"}
+    assert texts and [name for name, text in texts.items() if "%.17g" in text or "fmt17" in text] == []

@@ -506,6 +506,12 @@ class TestTailLowerBound:
         with pytest.raises(ValueError):
             tail_lower_bound_check(5, 5)
 
+    def test_capped_at_100001_before_alpha(self, monkeypatch):
+        monkeypatch.setattr(threshold_module, "_tail_count", lambda *args: pytest.fail("counted before the cap"))
+        for N, alpha in ((100002, 0), (400001, 0), (400001, 400001)):
+            with pytest.raises(ValueError, match="need 1 <= N <= 100001"):
+                tail_lower_bound_check(N, alpha)
+
     @pytest.mark.parametrize("N", [2, 3, 10, 31])
     def test_exhaustive_small(self, N):
         for tenths in range(0, 10 * N, 7):
