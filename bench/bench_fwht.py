@@ -10,11 +10,13 @@ doubles (n = 10, 16, 20, 22, 24) and on the batches (16, 2^10) and
 (2^16, 16), the brute force's shape; each call starts from the same input,
 copied in outside the timed region.  Then it times the public calls of a
 dense radius or spectrum: ``families.threshold`` and ``walsh_transform`` at
-n = 24, ``level_profile`` of that spectrum, ``dumps_spectrum`` at n = 17 and
-``brute_force_bn_radius(4)``.  It also times one whole ``radius --family
-threshold --n 24`` through ``cli.main`` (stdout captured), which builds no
-table: that radius is solved from exact integer level weights, so the case
-times the CLI, not the dense layer.  Each case reports the median of 5 runs,
+n = 24, ``level_profile`` of that spectrum, ``dumps_spectrum`` at n = 17,
+``loads_truth_table`` of the JSON text of a uniform(-1, 1) table at n = 17 and
+18, and ``brute_force_bn_radius(4)``.  It also times two whole commands
+through ``cli.main`` (stdout captured): ``radius --input`` of that n = 18 table
+from a file, and ``radius --family threshold --n 24``, which builds no table:
+that radius is solved from exact integer level weights, so the case times the
+CLI, not the dense layer.  Each case reports the median of 5 runs,
 after one untimed warm-up; a run is the mean of enough calls to last about 0.1 s.
 The numbers are added under ``--label`` to ``--out`` (``BENCH_fwht.json`` at
 the repository root by default) together with the machine: core count,
@@ -22,7 +24,8 @@ Python and numpy versions; repeated runs under one label are kept in order,
 so parent and change can be run alternately.  The n = 24 cases hold up to
 three 128 MiB arrays.
 
-Uses only the standard library and numpy; it is not part of the test suite.
+Uses only the standard library and the package's own dependencies; it is not
+part of the test suite.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -47,6 +51,9 @@ LAYER_CASES = {
     "walsh_transform_n24": "cube.walsh_transform of that table",
     "level_profile_n24": "radius.level_profile of that spectrum",
     "dumps_spectrum_n17": "serialize.dumps_spectrum of a uniform(-1, 1) table's spectrum",
+    "loads_truth_table_n17": "serialize.loads_truth_table of a uniform(-1, 1) table's JSON text",
+    "loads_truth_table_n18": "serialize.loads_truth_table of a uniform(-1, 1) table's JSON text",
+    "radius_input_n18": "cli.main of radius --input <file of that n = 18 table>",
     "brute_force_n4": "radius.brute_force_bn_radius(4)",
 }
 RADIUS_ARGV = ["radius", "--family", "threshold", "--n", "24", "--alpha", "1.5"]
@@ -91,8 +98,16 @@ def layer_medians() -> dict:
     table = np.random.default_rng(17).uniform(-1.0, 1.0, size=2**17)
     s17 = cube.walsh_transform(cube.from_truth_table(17, table))
     out["dumps_spectrum_n17"] = median_s(lambda: serialize.dumps_spectrum(s17))
+    texts = {}
+    for n in (17, 18):
+        table = np.random.default_rng(n).uniform(-1.0, 1.0, size=2**n)
+        texts[n] = serialize.dumps_truth_table(cube.from_truth_table(n, table))
+        out[f"loads_truth_table_n{n}"] = median_s(lambda: serialize.loads_truth_table(texts[n]))
     out["brute_force_n4"] = median_s(lambda: radius.brute_force_bn_radius(4))
-    with contextlib.redirect_stdout(io.StringIO()):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "table18.json"
+        path.write_text(texts[18])
+        out["radius_input_n18"] = median_s(lambda: cli.main(["radius", "--input", str(path)]))
         out["radius_threshold_n24"] = median_s(lambda: cli.main(RADIUS_ARGV))
     return out
 

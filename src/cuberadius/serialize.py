@@ -1,8 +1,16 @@
-"""JSON and CSV emission for the data types: every document the program writes.
+"""JSON and CSV emission for the data types: every document the program writes,
+and the loaders of the documents it reads.
 
 Reals are printed with 17 significant digits everywhere, which round-trips
 IEEE doubles bit-exactly through decimal text.  The emitters build their own
 JSON text, and CSV cells by the same rule, so the bytes are fully deterministic.
+
+Truth tables and dense spectra are parsed by ``orjson``, which reads each
+decimal number as the double nearest to it, as ``float`` does.  It is strict
+JSON: ``NaN``, ``Infinity`` and numbers beyond the double range are malformed
+text, and an integer of 2^64 or more is read as its nearest double.  Symmetric
+spectra are parsed by the standard ``json`` module, whose non-finite tokens
+reach the loader's own check of the rationals.
 """
 
 from __future__ import annotations
@@ -87,7 +95,11 @@ def _entries(obj: dict, key: str, convert):
 
 
 def _loads_vector(text: str, kind: str, key: str, adopt):
-    obj = json.loads(text)
+    # imported here, not with the module, so that commands without --input
+    # start without orjson's import (about 10 ms)
+    import orjson
+
+    obj = orjson.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"n", key}:
         raise ValueError(f'{kind} JSON must be {{"n": ..., "{key}": [...]}}')
     return adopt(obj["n"], _entries(obj, key, lambda v: np.asarray(v, dtype=float)))

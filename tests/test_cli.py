@@ -58,12 +58,14 @@ class TestRadiusCommand:
 
     @pytest.mark.parametrize("command", ["radius", "spectrum"])
     def test_table_with_byte_order_mark(self, command, tmp_path, capsys):
-        got = []
+        want = {
+            "radius": '{"radius": 0.41421356237309503, "residual": 5.5511151231257827e-17, "iterations": 54, "method": "bisection"}\n',
+            "spectrum": '{"n": 2, "coeffs": [0.5, -0.5, -0.5, -0.5]}\n',
+        }[command]
         for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes the mark
             path = tmp_path / f"{encoding}.json"
             path.write_text('{"n": 2, "values": [-1, 1, 1, 1]}', encoding=encoding)
-            got.append(run_cli([command, "--n", "2", "--input", str(path)], capsys))
-        assert got[0][0] == 0 and got[1] == got[0]
+            assert run_cli([command, "--n", "2", "--input", str(path)], capsys) == (0, want), encoding
 
     def test_huge_finite_table_is_scaled(self, tmp_path, capsys):
         values = np.random.default_rng(7).choice([-1e308, 1e308], size=16)
@@ -679,7 +681,7 @@ def test_no_source_file_names_scipy():
 # -- --input files of odd shapes ----------------------------------------------
 
 _ODD_ENTRY = st.one_of(
-    st.floats(),  # NaN and Infinity become the JSON tokens json.loads accepts
+    st.floats(),  # NaN and Infinity become JSON tokens that the loader rejects
     st.sampled_from([1e308, -1.7976931348623157e308, 5e-324, -0.0, 2**1100, -(10**400)]),
     st.booleans(),
     st.none(),
@@ -740,3 +742,27 @@ def test_input_file_fuzz(command, text, n_flag):
         assert err.startswith("cuberadius: error: ") and not out, (text[:200], err)
     else:
         assert set(json.loads(out)) >= ({"radius"} if command == "radius" else {"n", "coeffs"})
+
+
+_MALFORMED_TABLES = {
+    "nan": b'{"n": 1, "values": [NaN, 1]}',
+    "infinity": b'{"n": 1, "values": [Infinity, 1]}',
+    "minus_infinity": b'{"n": 1, "values": [-Infinity, 1]}',
+    "past_double_range": b'{"n": 1, "values": [1e400, 1]}',
+    "400_digit_integer": b'{"n": 1, "values": [' + b"9" * 400 + b", 1]}",
+    "n_2_to_70": b'{"n": %d, "values": [1, 1]}' % 2**70,
+    "truncated": b'{"n": 1, "values": [1, ',
+    "not_utf8": b'{"n": 1, "values": [1, 1]}\xff',
+}
+
+
+@pytest.mark.parametrize("command", ["radius", "spectrum"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TABLES))
+def test_malformed_table_is_one_error_line(command, case, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(_MALFORMED_TABLES[case])
+    code, out, err = _capture([command, "--input", str(path)])
+    assert (code, out) == (2, ""), err
+    assert err.startswith("cuberadius: error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuberadius.cube import SymmetricSpectrum, from_truth_table, walsh_transform
 from cuberadius.inequalities import InequalityReport
@@ -58,6 +60,68 @@ def test_spectrum_round_trip_is_bit_exact():
     s = walsh_transform(from_truth_table(4, rng.normal(size=16)))
     back = loads_spectrum(dumps_spectrum(s))
     assert np.array_equal(back.coeffs, s.coeffs)
+
+
+def _parsed_bits(token: str) -> str:
+    """float.hex of the value loads_truth_table reads for one decimal token."""
+    return float(loads_truth_table('{"n": 1, "values": [%s, 0]}' % token).values[0]).hex()
+
+
+def _assert_parsed_as_float(token: str):
+    want = float(token)
+    if token.lstrip("-").isdigit():
+        want = want or 0.0  # a JSON integer has no negative zero: "-0" (fmt17 of -0.0) is 0
+    if math.isinf(want):
+        # past the double range: strict JSON input, rejected as malformed
+        with pytest.raises(ValueError):
+            _parsed_bits(token)
+    else:
+        assert _parsed_bits(token) == want.hex(), token
+
+
+_EXACT_HALF_ULP_ABOVE_ONE = "1.00000000000000011102230246251565404236316680908203125"
+
+
+@pytest.mark.parametrize("token", [
+    _EXACT_HALF_ULP_ABOVE_ONE,  # a tie: rounds to even, 1.0
+    _EXACT_HALF_ULP_ABOVE_ONE[:-1] + "4",
+    _EXACT_HALF_ULP_ABOVE_ONE[:-1] + "6",
+    "2.2250738585072011e-308",  # just below the smallest normal
+    "2.4703282292062327e-324",  # just below half the smallest subnormal: 0
+    "2.4703282292062328e-324",  # just above it: the smallest subnormal
+    "1.7976931348623158e308",  # rounds to DBL_MAX
+    "1.7976931348623159e308",  # past the halfway point to 2^1024: out of range
+    "-0.0",
+    "-1e-400",  # underflows to -0.0
+    "18446744073709551615",  # 2^64 - 1, still an exact integer to the parser
+    "18446744073709551617",  # 2^64 + 1, read as its nearest double
+    "-9223372036854775809",
+    "9" * 40,
+])
+def test_decimal_edge_cases_parse_to_the_bits_of_float(token):
+    _assert_parsed_as_float(token)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_DOUBLE_TEXT = st.builds(lambda x, fmt: fmt(x), _FINITE, st.sampled_from([lambda x: "%.17g" % x, repr, lambda x: "%.25e" % x]))
+
+
+@st.composite
+def _decimal_text(draw):
+    """A JSON number of up to 40 significant digits: d.ddde<exp> for exp in
+    [-330, 308], or an integer that does not start with 0."""
+    sign = draw(st.sampled_from(["", "-"]))
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    if draw(st.booleans()):
+        return sign + str(int(digits) or 1)
+    exp = draw(st.integers(-330, 308))
+    return f"{sign}{digits[0]}{'.' + digits[1:] if digits[1:] else ''}e{exp}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(token=_DOUBLE_TEXT | _decimal_text())
+def test_loaders_parse_decimal_text_to_the_bits_of_float(token):
+    _assert_parsed_as_float(token)
 
 
 def test_truth_table_schema_validated():

@@ -1,7 +1,11 @@
 """Checks on the library's source text."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import cuberadius
 
@@ -45,3 +49,28 @@ def test_only_serialize_formats_reals():
     # one module writes every 17-digit real, so one rule decides the bytes of stdout
     texts = {path.name: path.read_text() for path in SOURCES if path.name != "serialize.py"}
     assert texts and [name for name, text in texts.items() if "%.17g" in text or "fmt17" in text] == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules that ``source`` imports, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_the_import_collector_sees_every_kind_of_import():
+    src = "import a.b, os\nfrom c.d import e\nfrom . import f\nfrom .g import h\ndef k():\n    import m\n"
+    assert imported_modules(src) == {"a", "os", "c", "m"}
+
+
+def test_declared_dependencies_are_what_the_library_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in declared}
+    imported = set().union(*(imported_modules(path.read_text()) for path in SOURCES))
+    assert imported - set(sys.stdlib_module_names) == names
