@@ -11,10 +11,12 @@ doubles (n = 10, 16, 20, 22, 24) and on the batches (16, 2^10) and
 copied in outside the timed region.  Then it times the public calls of a
 dense radius or spectrum: ``families.threshold`` and ``walsh_transform`` at
 n = 24, ``level_profile`` of that spectrum, ``dumps_spectrum`` at n = 17,
-``loads_truth_table`` of the JSON text of a uniform(-1, 1) table at n = 17 and
-18, and ``brute_force_bn_radius(4)``.  It also times two whole commands
-through ``cli.main`` (stdout captured): ``radius --input`` of that n = 18 table
-from a file, and ``radius --family threshold --n 24``, which builds no table:
+``dumps_truth_table`` of 2^17 subnormals (every value written by ``%.17g``
+itself, the vector writer's worst case), ``loads_truth_table`` of the JSON text
+of a uniform(-1, 1) table at n = 17 and 18, and ``brute_force_bn_radius(4)``.
+It also times three whole commands through ``cli.main`` (stdout captured):
+``radius --input`` of that n = 18 table from a file, ``spectrum --input`` of
+the n = 17 table, and ``radius --family threshold --n 24``, which builds no table:
 that radius is solved from exact integer level weights, so the case times the
 CLI, not the dense layer.  Each case reports the median of 5 runs,
 after one untimed warm-up; a run is the mean of enough calls to last about 0.1 s.
@@ -51,9 +53,11 @@ LAYER_CASES = {
     "walsh_transform_n24": "cube.walsh_transform of that table",
     "level_profile_n24": "radius.level_profile of that spectrum",
     "dumps_spectrum_n17": "serialize.dumps_spectrum of a uniform(-1, 1) table's spectrum",
+    "dumps_truth_table_n17_subnormal": "serialize.dumps_truth_table of 2^17 subnormals, each left to %.17g",
     "loads_truth_table_n17": "serialize.loads_truth_table of a uniform(-1, 1) table's JSON text",
     "loads_truth_table_n18": "serialize.loads_truth_table of a uniform(-1, 1) table's JSON text",
     "radius_input_n18": "cli.main of radius --input <file of that n = 18 table>",
+    "spectrum_input_n17": "cli.main of spectrum --input <file of that n = 17 table>",
     "brute_force_n4": "radius.brute_force_bn_radius(4)",
 }
 RADIUS_ARGV = ["radius", "--family", "threshold", "--n", "24", "--alpha", "1.5"]
@@ -98,6 +102,8 @@ def layer_medians() -> dict:
     table = np.random.default_rng(17).uniform(-1.0, 1.0, size=2**17)
     s17 = cube.walsh_transform(cube.from_truth_table(17, table))
     out["dumps_spectrum_n17"] = median_s(lambda: serialize.dumps_spectrum(s17))
+    tiny = cube.from_truth_table(17, np.random.default_rng(17).uniform(-1.0, 1.0, size=2**17) * 1e-310)
+    out["dumps_truth_table_n17_subnormal"] = median_s(lambda: serialize.dumps_truth_table(tiny))
     texts = {}
     for n in (17, 18):
         table = np.random.default_rng(n).uniform(-1.0, 1.0, size=2**n)
@@ -105,9 +111,11 @@ def layer_medians() -> dict:
         out[f"loads_truth_table_n{n}"] = median_s(lambda: serialize.loads_truth_table(texts[n]))
     out["brute_force_n4"] = median_s(lambda: radius.brute_force_bn_radius(4))
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        path = Path(tmp) / "table18.json"
-        path.write_text(texts[18])
-        out["radius_input_n18"] = median_s(lambda: cli.main(["radius", "--input", str(path)]))
+        paths = {n: Path(tmp) / f"table{n}.json" for n in texts}
+        for n, path in paths.items():
+            path.write_text(texts[n])
+        out["radius_input_n18"] = median_s(lambda: cli.main(["radius", "--input", str(paths[18])]))
+        out["spectrum_input_n17"] = median_s(lambda: cli.main(["spectrum", "--input", str(paths[17])]))
         out["radius_threshold_n24"] = median_s(lambda: cli.main(RADIUS_ARGV))
     return out
 
@@ -144,7 +152,7 @@ def main(argv=None) -> int:
     medians = {name: butterfly_case(cube._fwht_inplace, shape) for name, shape in CASES.items()}
     medians |= layer_medians()
     for name, t in medians.items():
-        print(f"{args.label:>10} {name:>20} {t * 1e3:10.3f} ms")
+        print(f"{args.label:>10} {name:>31} {t * 1e3:10.3f} ms")
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("what", "median of 5 runs of the mean seconds per call")
     data.setdefault("shapes", {name: list(shape) for name, shape in CASES.items()})

@@ -753,6 +753,7 @@ _MALFORMED_TABLES = {
     "n_2_to_70": b'{"n": %d, "values": [1, 1]}' % 2**70,
     "truncated": b'{"n": 1, "values": [1, ',
     "not_utf8": b'{"n": 1, "values": [1, 1]}\xff',
+    "string_entries": b'{"n": 1, "values": ["1.5", "2"]}',
 }
 
 

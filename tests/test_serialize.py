@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberadius.cube import SymmetricSpectrum, from_truth_table, walsh_transform
+from cuberadius import serialize
+from cuberadius.cube import Spectrum, SymmetricSpectrum, from_truth_table, walsh_transform
 from cuberadius.inequalities import InequalityReport
 from cuberadius.radius import RadiusResult
 from cuberadius.serialize import (
@@ -36,6 +41,10 @@ def test_fmt17_round_trips_awkward_doubles():
         assert float(fmt17(v)) == v
 
 
+def test_fmt17_writes_negative_zero_as_a_float():
+    assert (fmt17(-0.0), fmt17(0.0)) == ("-0.0", "0")
+
+
 def test_fmt17_rejects_non_finite():
     with pytest.raises(ValueError):
         fmt17(math.inf)
@@ -62,6 +71,17 @@ def test_spectrum_round_trip_is_bit_exact():
     assert np.array_equal(back.coeffs, s.coeffs)
 
 
+def test_negative_zero_round_trips_bit_exactly():
+    zeros = np.array([-0.0, 0.0])
+    f = from_truth_table(1, zeros)
+    assert dumps_truth_table(f) == '{"n": 1, "values": [-0.0, 0]}\n'
+    back = loads_truth_table(dumps_truth_table(f)).values
+    assert np.array_equal(back.view(np.uint64), zeros.view(np.uint64))
+    s = Spectrum(1, zeros)
+    back = loads_spectrum(dumps_spectrum(s)).coeffs
+    assert np.array_equal(back.view(np.uint64), zeros.view(np.uint64))
+
+
 def _parsed_bits(token: str) -> str:
     """float.hex of the value loads_truth_table reads for one decimal token."""
     return float(loads_truth_table('{"n": 1, "values": [%s, 0]}' % token).values[0]).hex()
@@ -70,7 +90,7 @@ def _parsed_bits(token: str) -> str:
 def _assert_parsed_as_float(token: str):
     want = float(token)
     if token.lstrip("-").isdigit():
-        want = want or 0.0  # a JSON integer has no negative zero: "-0" (fmt17 of -0.0) is 0
+        want = want or 0.0  # a JSON integer has no negative zero: "-0" (%.17g of -0.0) is 0
     if math.isinf(want):
         # past the double range: strict JSON input, rejected as malformed
         with pytest.raises(ValueError):
@@ -136,6 +156,14 @@ def test_booleans_are_not_numbers():
         loads_spectrum('{"n": 1, "coeffs": [0.5, false]}')
 
 
+@pytest.mark.parametrize("entry", ['"1.5"', '"2"', '"x"', "null", "[1]", '{"a": 1}'])
+def test_strings_are_not_numbers(entry):
+    with pytest.raises(ValueError, match="^values must hold numbers"):
+        loads_truth_table('{"n": 1, "values": [%s, 2]}' % entry)
+    with pytest.raises(ValueError, match="^coeffs must hold numbers"):
+        loads_spectrum('{"n": 1, "coeffs": [0.5, %s]}' % entry)
+
+
 def test_symmetric_spectrum_needs_its_keys():
     with pytest.raises(ValueError, match="level_coeffs"):
         loads_symmetric_spectrum('{"n": 1}')
@@ -166,7 +194,7 @@ def test_dense_emitters_match_the_generic_emitter():
 
 
 def _one_string_per_value(n, key, values):
-    return '{"n": %d, "%s": [%s]}\n' % (n, key, ", ".join(["%.17g" % x for x in values.tolist()]))
+    return '{"n": %d, "%s": [%s]}\n' % (n, key, ", ".join(map(fmt17, values.tolist())))
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 16, 17])
@@ -182,14 +210,53 @@ def test_vector_pieces_write_the_bytes_of_one_string_per_value(n):
     assert dumps_report(InequalityReport("wiener", 1, 0, 0.0, f)) == report
 
 
-def test_vector_pieces_of_uneven_length(monkeypatch):
-    from cuberadius import serialize
+def _assert_written_as_fmt17(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert dumps(values) == "[%s]\n" % ", ".join(map(fmt17, values.tolist()))
 
-    values = np.random.default_rng(5).uniform(-1.0, 1.0, 16)
-    want = _one_string_per_value(4, "values", values)
-    for piece in (1, 3, 15, 16, 17):
-        monkeypatch.setattr(serialize, "VECTOR_PIECE", piece)
-        assert dumps_truth_table(from_truth_table(4, values)) == want, piece
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, max_size=40))
+def test_vector_writer_writes_fmt17_of_each_value(values):
+    _assert_written_as_fmt17(values)
+
+
+def test_vector_writer_on_random_bit_patterns():
+    bits = np.random.default_rng(18).integers(0, 2**64, 2**18, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    _assert_written_as_fmt17(values[np.isfinite(values)])
+
+
+def test_vector_writer_edges():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    edges = [0.0, -0.0, tiny, huge, 2.2250738585072014e-308, 1e-290, 1e299, 0.5, 2.5, 1e22, 1e23]
+    edges += [1e-5, 9.9999999999999991e-6, 1e-4, 9.9999999999999991e-5, 1e16, 1e17, 99999999999999999.0]
+    edges += [1000000000000000.25, 1000000000000000.75]  # exact ties at the 17th digit
+    for k in range(-300, 301):
+        p = float("1e%d" % k)
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    edges += [-v for v in edges]
+    assert [fmt17(v) for v in (99999999999999999.0, 1000000000000000.25)] == ["1e+17", "1000000000000000.2"]
+    _assert_written_as_fmt17(edges)
+
+
+def test_vector_writer_around_the_chunk_size():
+    from cuberadius.serialize import _CHUNK
+
+    rng = np.random.default_rng(5)
+    for size in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        values = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-320, 300, size)
+        values[rng.random(size) < 0.1] = 0.0
+        values[rng.random(size) < 0.05] = 1000000000000000.25  # a tie, written by "%.17g" itself
+        _assert_written_as_fmt17(values)
+
+
+def test_importing_the_cli_builds_no_writer_table():
+    src = str(Path(serialize.__file__).resolve().parent.parent)
+    code = "import cuberadius.cli\nfrom cuberadius import serialize\nprint(serialize._float_tables.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_symmetric_spectrum_round_trip_is_exact():
