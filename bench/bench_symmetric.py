@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the exact symmetric spectrum and its JSON emitter.
+"""Layer benchmark of the exact symmetric spectrum, its JSON emitter and its radius.
 
     python3 bench/bench_symmetric.py --label change
     python3 bench/bench_symmetric.py --label parent --src <other checkout>/src
@@ -9,7 +9,9 @@ Times ``threshold.threshold_spectrum_exact``,
 (``serialize.dumps_threshold_spectrum``; in a checkout without it, the
 ``dumps_symmetric_spectrum(threshold_spectrum_exact(N, alpha))`` that its CLI
 runs) at (N, alpha) = (3995, 1994), (4001, 0) and the formal (4000, -1), one whole ``spectrum --family threshold --n 3995
---alpha 1994 --symmetric`` through ``cli.main`` (stdout captured), and the
+--alpha 1994 --symmetric`` through ``cli.main`` (stdout captured),
+``radius.boolean_radius_symmetric`` of the spectra at (4001, 1998) and
+(3995, 1994) with sup norm 1 (each spectrum built outside the timed call), and the
 cold ``import cuberadius.cli``, timed inside a fresh interpreter (so without
 the interpreter's own start-up).  Each in-process case reports the median of 5
 runs, after one untimed warm-up; a run is the mean of enough calls to last
@@ -43,6 +45,9 @@ for _n, _a in POINTS:
     CASES[f"exact_{_n}_{_a}"] = f"threshold.threshold_spectrum_exact({_n}, {_a})"
     CASES[f"dumps_{_n}_{_a}"] = f"serialize.dumps_symmetric_spectrum of threshold_spectrum_exact({_n}, {_a})"
     CASES[f"dumps_threshold_{_n}_{_a}"] = f"serialize.dumps_threshold_spectrum({_n}, {_a}), the text from (N, alpha)"
+RADIUS_POINTS = ((4001, 1998), (3995, 1994))
+for _n, _a in RADIUS_POINTS:
+    CASES[f"radius_symmetric_{_n}_{_a}"] = f"radius.boolean_radius_symmetric(threshold_spectrum_exact({_n}, {_a}), 1.0)"
 CASES["spectrum_symmetric_3995"] = "cli.main of " + " ".join(SPECTRUM_ARGV)
 CASES["cold_import_cli"] = "import cuberadius.cli in a fresh interpreter"
 COLD_RUNS = 9
@@ -59,7 +64,7 @@ def cold_import_s(src: Path) -> float:
 
 
 def medians(src: Path) -> dict:
-    from cuberadius import cli, serialize, threshold
+    from cuberadius import cli, radius, serialize, threshold
 
     def from_pair(n, a):  # what spectrum --symmetric emits in a checkout without dumps_threshold_spectrum
         return serialize.dumps_symmetric_spectrum(threshold.threshold_spectrum_exact(n, a))
@@ -71,6 +76,9 @@ def medians(src: Path) -> dict:
         s = threshold.threshold_spectrum_exact(n, a)
         out[f"dumps_{n}_{a}"] = median_s(lambda: serialize.dumps_symmetric_spectrum(s))
         out[f"dumps_threshold_{n}_{a}"] = median_s(lambda: document(n, a))
+    for n, a in RADIUS_POINTS:
+        s = threshold.threshold_spectrum_exact(n, a)
+        out[f"radius_symmetric_{n}_{a}"] = median_s(lambda: radius.boolean_radius_symmetric(s, 1.0))
     with contextlib.redirect_stdout(io.StringIO()):
         out["spectrum_symmetric_3995"] = median_s(lambda: cli.main(SPECTRUM_ARGV))
     out["cold_import_cli"] = cold_import_s(src)

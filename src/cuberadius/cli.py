@@ -96,9 +96,10 @@ def _build_family(args):
 
 
 def _load_input_function(path: str):
-    # utf-8-sig also reads a table that an editor saved with a byte-order mark
-    with open(path, encoding="utf-8-sig") as fh:
-        return serialize.loads_truth_table(fh.read())
+    # the parser reads the bytes, with no text decode; a table that an editor
+    # saved with a UTF-8 byte-order mark is read without it
+    with open(path, "rb") as fh:
+        return serialize.loads_truth_table(fh.read().removeprefix(b"\xef\xbb\xbf"))
 
 
 def cmd_radius(args) -> int:

@@ -16,14 +16,14 @@ The bisection works on the equivalent reduced equation
 evaluated in the log domain.  This matters: for strongly biased functions
 W_0 is within 1e-6 (or far less) of the sup norm, and evaluating P - sup
 directly in doubles cancels catastrophically, while S keeps every term
-positive and the right-hand side is computed exactly on the rational-backed
-symmetric path.
+positive.  The symmetric path divides the equation by its exact rational
+target, so each of its level logs is one ratio of exact integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,6 @@ from .cube import (
     SymmetricSpectrum,
     _fwht_inplace,
     _walsh_rows,
-    log_abs_fraction,
     subset_levels,
 )
 from .families import _sign_spectra
@@ -73,7 +72,7 @@ class LevelProfile:
             raise ValueError("weights must have one entry per level 0..n")
         if not np.all((w >= 0) & (w < math.inf)):
             raise ValueError("level weights must be finite and nonnegative; scale the function first")
-        if self.sup_norm < 0:
+        if _finite_sup(self.sup_norm) < 0:
             raise ValueError("sup norm must be nonnegative")
         lw = _log(w)
         w.flags.writeable = False
@@ -94,6 +93,13 @@ class RadiusResult:
     def __post_init__(self):
         if self.method not in ("bisection", "closed_form"):
             raise ValueError(f"unknown method {self.method!r}")
+
+
+def _finite_sup(sup):
+    """``sup``, or a ValueError if it is NaN or infinite."""
+    if not math.isfinite(sup):
+        raise ValueError("sup norm must be a finite number")
+    return sup
 
 
 def level_profile(s: Spectrum, sup: float) -> LevelProfile:
@@ -231,8 +237,41 @@ def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
             lambda mid: inner_sums(mid) < b, np.zeros(inner.size), np.ones(inner.size)
         )
     radius[live] = rho
-    residual[live] = np.abs(np.exp(sums(rho)) - np.exp(target))
+    # S(0) = 0: a zero root (a target met only below the least subnormal) leaves
+    # the whole target as residual; S is evaluated at the other roots, not at log 0
+    at_rho, pos = np.zeros(live.size), rho > 0
+    at_rho[pos] = np.exp(_tail_sums(tail[pos])(rho[pos]))
+    residual[live] = np.abs(at_rho - np.exp(target))
     return radius, residual, iterations
+
+
+def _log_ratio(p: int, q: int, shift: int) -> float:
+    """log(p 2^shift / q) for integers p, q > 0: one correctly rounded quotient in (1/2, 2) plus k log 2."""
+    k = p.bit_length() - q.bit_length()
+    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + (k + shift) * math.log(2.0)
+
+
+def _block_width(n: int) -> int:
+    """Width of a block whose widest row has n levels: max(8, the next power of two).
+
+    numpy's pairwise sum splits a row of such a width at exact halves, and
+    the all-zero halves of the padding add exactly 0, so the sum of a row,
+    and with it its radius, is the same in every block it can land in."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _binomials(n: int):
+    """binom(n, m) for m = 0..n, each from the one before by an exact multiply and divide."""
+    b = 1
+    for m in range(n + 1):
+        yield b
+        b = b * (n - m) // (m + 1)
+
+
+def _odd_part(x: int) -> tuple:
+    """(o, u) with x = o 2^u and o odd, for an integer x > 0."""
+    u = (x & -x).bit_length() - 1
+    return x >> u, u
 
 
 def _one_radius(log_tail: np.ndarray, log_target: float) -> RadiusResult:
@@ -258,21 +297,24 @@ def boolean_radius(p: LevelProfile) -> RadiusResult:
 def boolean_radius_symmetric(s: SymmetricSpectrum, sup: float) -> RadiusResult:
     """Radius of a permutation-invariant function from its per-level spectrum.
 
-    Level weights are binom(n, m) |g_hat([m])|, assembled in the log domain,
-    so any n (2001 and beyond) works without dense tables.  The reduced
-    target sup - |g_hat([0])| is computed in exact rational arithmetic.
+    With the reduced target t = sup - |g_hat([0])| as an exact rational, each
+    level log log(W_m / t), W_m = binom(n, m) |g_hat([m])|, is one _log_ratio
+    of exact integers (binom(n, m) from a running product), so any n works
+    without dense tables and the target log is 0.  The row is padded to
+    _block_width(n) as a threshold row is; the residual is scaled back by t.
     """
-    if sup <= 0:
+    if _finite_sup(sup) <= 0:
         raise ValueError("sup norm must be positive")
-    n = s.n
-    log_tail = np.array(
-        [
-            math.log(math.comb(n, m)) + s.log_abs[m] if s.level_coeffs[m] != 0 else -math.inf
-            for m in range(1, n + 1)
-        ]
-    )
-    target = Fraction(sup) - abs(s.level_coeffs[0])
-    return _one_radius(log_tail, log_abs_fraction(target) if target >= 0 else math.nan)
+    t = Fraction(sup) - abs(s.level_coeffs[0])
+    # t <= 0 only reaches _solve_reduced's profile checks, through the target
+    scale, tail = abs(t) or 1, np.full(_block_width(s.n), -math.inf)
+    (pt, ut), (qt, vt) = _odd_part(scale.numerator), _odd_part(scale.denominator)
+    for m, (binom, c) in enumerate(zip(_binomials(s.n), s.level_coeffs)):
+        if m and c:  # powers of two enter as the shift, not as factors of a product
+            (pm, um), (qm, vm) = _odd_part(abs(c.numerator)), _odd_part(c.denominator)
+            tail[m - 1] = _log_ratio(binom * pm * qt, qm * pt, um + vt - vm - ut)
+    result = _one_radius(tail, 0.0 if t > 0 else -math.inf if t == 0 else math.nan)
+    return replace(result, residual=result.residual * float(scale))
 
 
 def class_radius(profiles) -> float:
@@ -345,7 +387,8 @@ def homogeneous_class_scan(N: int, m: int, trials: int, seed: int) -> float:
         raise ValueError("scan is capped at N <= 20")
     if trials < 1:
         raise ValueError("need at least one trial")
-    ones = np.ones(math.comb(N, m))
+    count = list(_binomials(N))[m]
+    ones = np.ones(count)
     step = max(1, SCAN_BLOCK_DOUBLES >> N)
     sup = math.inf
     for a in range(0, trials, step):
@@ -353,5 +396,5 @@ def homogeneous_class_scan(N: int, m: int, trials: int, seed: int) -> float:
         tables = _fwht_inplace(_sign_spectra(N, m, ones, seeds))
         sup = min(sup, float(np.max(np.abs(tables), axis=1).min()))
     w = np.zeros(N + 1)
-    w[m] = math.comb(N, m)
+    w[m] = count
     return boolean_radius(LevelProfile(N, w, sup)).radius

@@ -17,12 +17,13 @@ from ``%.17g``, the value is written by ``"%.17g"`` itself: a rounding within
 2^-20 of a tie (``%.17g`` breaks exact ties to even), and a nonzero magnitude
 outside [1e-290, 1e299], subnormals among them.
 
-Truth tables and dense spectra are parsed by ``orjson``, which reads each
-decimal number as the double nearest to it, as ``float`` does.  It is strict
-JSON: ``NaN``, ``Infinity`` and numbers beyond the double range are malformed
-text, and an integer of 2^64 or more is read as its nearest double.  Symmetric
-spectra are parsed by the standard ``json`` module, whose non-finite tokens
-reach the loader's own check of the rationals.
+Truth tables and dense spectra are parsed by ``orjson``, from a ``str`` or
+straight from UTF-8 bytes, and it reads each decimal number as the double
+nearest to it, as ``float`` does.  It is strict JSON: ``NaN``, ``Infinity``
+and numbers beyond the double range are malformed text, and an integer of
+2^64 or more is read as its nearest double.  Symmetric spectra are parsed
+by the standard ``json`` module, whose non-finite tokens reach the loader's
+own check of the rationals.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def _entries(obj: dict, key: str, convert):
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _loads_vector(text: str, kind: str, key: str, adopt):
+def _loads_vector(text: str | bytes, kind: str, key: str, adopt):
     # imported here, not with the module, so that commands without --input
     # start without orjson's import (about 10 ms)
     import orjson
@@ -281,11 +282,11 @@ def _loads_vector(text: str, kind: str, key: str, adopt):
     return adopt(obj["n"], np.asarray(items, dtype=float))
 
 
-def loads_truth_table(text: str) -> BooleanFunction:
+def loads_truth_table(text: str | bytes) -> BooleanFunction:
     return _loads_vector(text, "truth-table", "values", BooleanFunction._adopt)
 
 
-def loads_spectrum(text: str) -> Spectrum:
+def loads_spectrum(text: str | bytes) -> Spectrum:
     return _loads_vector(text, "spectrum", "coeffs", Spectrum._adopt)
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from .cube import SymmetricSpectrum
 from .families import canonical_alpha
-from .radius import SCAN_BLOCK_DOUBLES, RadiusResult, _bisect, _solve_reduced
+from .radius import SCAN_BLOCK_DOUBLES, RadiusResult, _bisect, _block_width, _log_ratio, _solve_reduced
 
 #: Dimension cap for threshold radii and scans (exact integers of N bits).
 MAX_SYMMETRIC_N = 100001
@@ -416,12 +416,6 @@ def _mckay(N: int, alpha: int, T: int, lead: int) -> float:
     return c
 
 
-def _log_ratio(p: int, q: int, shift: int) -> float:
-    """log(p 2^shift / q) for integers p, q > 0: one correctly rounded quotient in (1/2, 2) plus k log 2."""
-    k = p.bit_length() - q.bit_length()
-    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + (k + shift) * math.log(2.0)
-
-
 def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
     """log(W_m / target), m = 1..M, for psi_{N,alpha} with (alpha, T, lead) =
     _tail_terms(N, alpha).  Over the reduced target 1 - |psihat(empty)| =
@@ -467,15 +461,6 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
             logs.append(-math.inf)
         c_prev, c = c, (alpha * c - (N - k) * c_prev) // (k + 1)
     return logs
-
-
-def _block_width(n: int) -> int:
-    """Width of a block whose widest row has n levels: max(8, the next power of two).
-
-    numpy's pairwise sum splits a row of such a width at exact halves, and
-    the all-zero halves of the padding add exactly 0, so the sum of a row,
-    and with it its radius, is the same in every block it can land in."""
-    return max(8, 1 << (n - 1).bit_length())
 
 
 def _radii_exact(rows) -> tuple:

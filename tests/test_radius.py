@@ -81,6 +81,11 @@ class TestLevelProfile:
         with pytest.raises(ValueError):
             level_profile(walsh_transform(majority(3)), -1.0)
 
+    @pytest.mark.parametrize("sup", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_sup(self, sup):
+        with pytest.raises(ValueError, match="^sup norm must be a finite number$"):
+            LevelProfile(1, np.array([0.0, 1.0]), sup)
+
     def test_rejects_nonfinite_or_negative_weights(self):
         for bad in (math.inf, math.nan, -0.5):
             with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -347,7 +352,59 @@ class TestSymmetricSolver:
 
     def test_constant_symmetric(self):
         sym = SymmetricSpectrum(2, ["1", "0", "0"])
-        assert boolean_radius_symmetric(sym, 1.0).radius == math.inf
+        for sup in (2.0, 1.0, 0.5):  # sup - |g_hat(empty)| above, at and below 0
+            r = boolean_radius_symmetric(sym, sup)
+            assert (r.radius, r.residual, r.iterations, r.method) == (math.inf, 0.0, 0, "closed_form")
+
+    def test_rejects_constant_part_at_or_above_the_sup(self):
+        sym = SymmetricSpectrum(2, ["1/2", "1/4", "0"])
+        with pytest.raises(ValueError, match="^constant coefficient exceeds the sup norm; not a function profile$"):
+            boolean_radius_symmetric(sym, 0.25)
+        with pytest.raises(ValueError, match="^constant part equals the sup norm on a nonconstant profile$"):
+            boolean_radius_symmetric(sym, 0.5)
+
+    @pytest.mark.parametrize("sup", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_sup(self, sup):
+        with pytest.raises(ValueError, match="^sup norm must be a finite number$"):
+            boolean_radius_symmetric(SymmetricSpectrum(3, ["0", "1/2", "0", "-1/2"]), sup)
+
+    def test_rejects_nonpositive_sup(self):
+        for sup in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^sup norm must be positive$"):
+                boolean_radius_symmetric(SymmetricSpectrum(3, ["0", "1/2", "0", "-1/2"]), sup)
+
+    def test_zero_root_has_the_target_as_residual(self):
+        # the reduced target 5e-324 is met only below the least subnormal: the
+        # root is 0, S(0) = 0, and no log of 0 is taken on the way
+        sym = SymmetricSpectrum(5, ["0", "3/8", "0", "-1/8", "0", "3/8"])  # majority of 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = boolean_radius_symmetric(sym, 5e-324)
+        assert (r.radius, r.residual, r.method) == (0.0, 5e-324, "bisection")
+
+    def test_residual_is_scaled_back_by_the_target(self):
+        # the row is solved over t = sup - |g_hat(empty)|: doubling every
+        # coefficient and the sup leaves the radius and doubles the residual
+        sym = SymmetricSpectrum(4, ["1/8", "1/4", "-1/8", "1/16", "3/16"])
+        twice = SymmetricSpectrum(4, [2 * c for c in sym.level_coeffs])
+        r, r2 = boolean_radius_symmetric(sym, 0.75), boolean_radius_symmetric(twice, 1.5)
+        assert r2.radius.hex() == r.radius.hex() and 0.0 < r.radius < 1.0
+        assert r2.residual == 2.0 * r.residual
+
+    def test_rational_spectra_agree_with_the_float_profile(self):
+        # odd denominators and even numerators put powers of two on every side of
+        # the exact level ratios; the float profile of the same weights is the reference
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            coeffs = [Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 13))) for _ in range(n + 1)]
+            weights = [math.comb(n, m) * abs(c) for m, c in enumerate(coeffs)]
+            if not any(weights[1:]):
+                continue
+            sup = float(weights[0] + Fraction(int(rng.integers(1, 9)), 8) * sum(weights[1:]))
+            got = boolean_radius_symmetric(SymmetricSpectrum(n, coeffs), sup)
+            want = boolean_radius(LevelProfile(n, [float(w) for w in weights], sup))
+            assert got.radius == pytest.approx(want.radius, rel=1e-13, abs=0.0), (coeffs, sup)
 
     def test_large_dimension_runs(self):
         n = 2001

@@ -71,6 +71,13 @@ def test_spectrum_round_trip_is_bit_exact():
     assert np.array_equal(back.coeffs, s.coeffs)
 
 
+def test_loaders_read_utf8_bytes():
+    values = np.random.default_rng(2).normal(size=16)
+    table = dumps_truth_table(from_truth_table(4, values))
+    assert np.array_equal(loads_truth_table(table.encode()).values, values)
+    assert np.array_equal(loads_spectrum(table.replace('"values"', '"coeffs"').encode()).coeffs, values)
+
+
 def test_negative_zero_round_trips_bit_exactly():
     zeros = np.array([-0.0, 0.0])
     f = from_truth_table(1, zeros)

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import json
 import math
 from decimal import Decimal
@@ -598,9 +599,11 @@ def test_radius_upper_bound_via_y_function():
             assert rep.radius <= cap * (1 + 1e-12), (N, alpha)
 
 
+@functools.cache
 def _oracle_root(N, alpha):
     """The radius of psi_{N,alpha} from the exact rational spectrum, bisected
-    with 60-digit arithmetic: an mpf far inside one ulp of the true root."""
+    with 60-digit arithmetic: an mpf far inside one ulp of the true root.
+    Cached: several tests ask for the same pairs."""
     import mpmath as mp
 
     spec = threshold_spectrum_exact(N, alpha).level_coeffs
@@ -628,6 +631,31 @@ def test_threshold_radius_against_high_precision_oracle(N, alpha):
     # 60-digit arithmetic from the exact rational spectrum
     oracle = float(_oracle_root(N, alpha))
     assert threshold_radius(N, alpha).radius == pytest.approx(oracle, rel=1e-12)
+
+
+def test_symmetric_solver_has_the_bits_of_the_exact_radius():
+    # every canonical pair with 2 <= N <= 60: the general symmetric solver forms
+    # the same level ratios as the threshold rows, reduced by other gcds, so a
+    # quotient can leave _log_ratio on the other side of a power of two
+    pairs = [(N, a) for N in range(2, 61) for a in range(N % 2 - 1, N, 2)]
+    # exact_radius is the one-row _radii_exact, whose bits a batch keeps (TestBatchedSolve)
+    wanted = _radii_exact([(N, *_tail_terms(N, a)) for N, a in pairs])[0]
+    differ = []
+    for (N, a), want in zip(pairs, wanted):
+        got = boolean_radius_symmetric(threshold_spectrum_exact(N, a), 1.0).radius
+        assert abs(got - want) <= 10 * math.ulp(want), (N, a)
+        if got != want:
+            differ.append((N, a))
+    assert len(differ) <= 2, differ
+
+
+@pytest.mark.parametrize("N,alpha", [(101, 50), (101, 98), (106, 101), (114, 21), (2001, 1000)])
+def test_symmetric_solver_against_high_precision_oracle(N, alpha):
+    # the float level logs this solver built gave 15 to 1,377 ulp here
+    import mpmath as mp
+
+    rho = boolean_radius_symmetric(threshold_spectrum_exact(N, alpha), 1.0).radius
+    assert abs(mp.mpf(rho) - _oracle_root(N, alpha)) <= 10 * math.ulp(rho)
 
 
 @pytest.mark.parametrize("N", range(1, 25))
