@@ -14,7 +14,10 @@ level logs where the checkout has that helper, else to that row's length (a
 checkout whose ``_level_logs`` returns all N levels pads to the widest N).
 Where the checkout's radius cap ``threshold.MAX_SYMMETRIC_N`` admits it, the
 case ``radius_majority_100001`` times ``radius --family majority --n 100001``
-through ``cli.main``; a checkout with a lower cap records null.  Each case
+through ``cli.main``; a checkout with a lower cap records null.  The case
+``tail_count_100001_25000`` times ``threshold._tail_count(100001, 25000)``,
+the exact tail count of the row (100001, 50000) at the radius cap: 25,000
+terms of 100,001 bits walked from the middle end.  Each case
 reports the median of 5 runs, after one untimed warm-up; a run is the mean of
 enough calls to last about 0.1 s (see ``bench_fwht.median_s``).  The two
 solves also report their minor page faults per call (``ru_minflt`` of
@@ -63,6 +66,7 @@ CASES = {
     "solve_scan_1007_1993": "radius solve of the 6 rows of the threshold scan",
     "cold_threshold_scan_1011_1991": "a fresh process running threshold-scan --n-list 1011,1991",
     "radius_majority_100001": "cli.main of radius --family majority --n 100001 (null where the cap is lower)",
+    "tail_count_100001_25000": "threshold._tail_count(100001, 25000), the tail walk of (100001, 50000) at the cap",
     "cold_majority_scan_1_4001": "a fresh process running majority-scan --n-start 1 --n-stop 4001",
 }
 COLD_ARGV = ["-m", "cuberadius.cli", "threshold-scan", "--n-list", "1011,1991"]
@@ -70,6 +74,7 @@ COLD_RUNS = 11
 LONG_ARGV = ["-m", "cuberadius.cli", "majority-scan", "--n-start", "1", "--n-stop", "4001"]
 LONG_RUNS = 3
 RADIUS_ARGV = ["radius", "--family", "majority", "--n", "100001"]
+TAIL_COUNT_ARGS = (100001, 25000)
 MAJORITY_PAIRS = [(N, 0) for N in range(911, 990, 2)]
 SCAN_PAIRS = [(N, a) for N in (1007, 1993) for a in (0, math.isqrt(N), N // 2)]
 FAULT_CALLS = 20
@@ -125,6 +130,7 @@ def medians() -> tuple:
         out["radius_majority_100001"] = None if capped else median_s(lambda: cli.main(RADIUS_ARGV))
     rows = [(N, *threshold._tail_terms(N, a)) for N, a in MAJORITY_PAIRS]
     out["level_logs_911_989"] = median_s(lambda: [threshold._level_logs(*row) for row in rows])
+    out["tail_count_100001_25000"] = median_s(lambda: threshold._tail_count(*TAIL_COUNT_ARGS))
     faults = {}
     for name, pairs in [("solve_911_989", MAJORITY_PAIRS), ("solve_scan_1007_1993", SCAN_PAIRS)]:
         solve = solve_call(threshold, radius, pairs)

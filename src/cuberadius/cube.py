@@ -260,7 +260,7 @@ def p_norm(f: BooleanFunction, p: float) -> float:
     """L_p norm E[|f|^p]^{1/p} under the uniform measure; p = inf gives the sup norm."""
     if p == math.inf:
         return sup_norm(f)
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p-norms need p >= 1, got {p}")
     return float(_p_norms(f.values[None, :], p)[0])
 

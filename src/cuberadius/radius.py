@@ -51,6 +51,8 @@ PROFILE_TOL = 1e-9
 #: Shifted log below which a term of a tail sum counts as 0 (e^-700 of the row's largest term).
 LOG_TINY = -700.0
 
+_LOG2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class LevelProfile:
@@ -137,8 +139,8 @@ def _log(x: np.ndarray) -> np.ndarray:
 def majorant(p: LevelProfile, rho: float) -> float:
     """P(rho) = W_0 + sum_{m>=1} W_m rho^m, the sum taken in the log domain;
     inf once it leaves double range."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not rho >= 0:
+        raise ValueError(f"rho must be nonnegative, got {rho!r}")
     w0, tail = float(p.weights[0]), p.log_weights[None, 1:]
     if rho == 0 or not np.any(tail > -math.inf):
         return w0
@@ -213,16 +215,16 @@ def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
     weights reach its target within UNIT_RADIUS_TOL gets 1.0; the others are
     bisected to one ulp, which leaves the residual far below the 1e-10
     contract even for flat, high-degree majorants.  A row that is no function
-    profile raises ValueError.  Returns radius, residual and iterations per
-    row.
+    profile, a constant one too, raises ValueError.  Returns radius, residual
+    and iterations per row.
     """
     rows = log_tail.shape[0]
     radius, residual = np.full(rows, math.inf), np.zeros(rows)
     iterations = np.zeros(rows, dtype=np.int64)
+    if np.any(np.isnan(log_target)):
+        raise ValueError("constant coefficient exceeds the sup norm; not a function profile")
     live = np.flatnonzero(np.any(log_tail > -math.inf, axis=1))
     tail, target = log_tail[live], log_target[live]
-    if np.any(np.isnan(target)):
-        raise ValueError("constant coefficient exceeds the sup norm; not a function profile")
     if np.any(target == -math.inf):
         raise ValueError("constant part equals the sup norm on a nonconstant profile")
     sums = _tail_sums(tail)
@@ -248,7 +250,7 @@ def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
 def _log_ratio(p: int, q: int, shift: int) -> float:
     """log(p 2^shift / q) for integers p, q > 0: one correctly rounded quotient in (1/2, 2) plus k log 2."""
     k = p.bit_length() - q.bit_length()
-    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + (k + shift) * math.log(2.0)
+    return math.log(p / (q << k) if k >= 0 else (p << -k) / q) + (k + shift) * _LOG2
 
 
 def _block_width(n: int) -> int:
@@ -260,12 +262,11 @@ def _block_width(n: int) -> int:
     return max(8, 1 << (n - 1).bit_length())
 
 
-def _binomials(n: int):
-    """binom(n, m) for m = 0..n, each from the one before by an exact multiply and divide."""
-    b = 1
-    for m in range(n + 1):
+def _binomials(n: int, m: int = 0, b: int = 1):
+    """binom(n, k) for k = m..n from b = binom(n, m), each from the one before by an exact multiply and divide."""
+    for k in range(m, n + 1):
         yield b
-        b = b * (n - m) // (m + 1)
+        b = b * (n - k) // (k + 1)
 
 
 def _odd_part(x: int) -> tuple:
@@ -329,7 +330,7 @@ def bn_radius_formula(N: int) -> float:
     """Exact radius 2^{1/N} - 1 of the class of all functions on {-1,+1}^N."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    return math.expm1(math.log(2.0) / N)
+    return math.expm1(_LOG2 / N)
 
 
 # -- exhaustive confirmation over +-1-valued tables -------------------------

@@ -51,7 +51,7 @@ import numpy as np
 
 from .cube import SymmetricSpectrum
 from .families import canonical_alpha
-from .radius import SCAN_BLOCK_DOUBLES, RadiusResult, _bisect, _block_width, _log_ratio, _solve_reduced
+from .radius import SCAN_BLOCK_DOUBLES, RadiusResult, _binomials, _bisect, _block_width, _log_ratio, _solve_reduced
 
 #: Dimension cap for threshold radii and scans (exact integers of N bits).
 MAX_SYMMETRIC_N = 100001
@@ -111,19 +111,21 @@ def canonical_pair(N: int, alpha: float, cap: int = MAX_SYMMETRIC_N) -> tuple:
     return N, canonical_alpha(_check_n(N, cap), alpha)
 
 
+def _as_int(name: str, x) -> int:
+    """x as an int: an integral float such as 7.0 passes, any other non-integer raises."""
+    if isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{name} must be an integer here, got {x!r}")
+
+
 def _check_parity(N: int, alpha) -> int:
     _check_n(N, MAX_SYMMETRIC_N)
-    if isinstance(alpha, float):
-        if not alpha.is_integer():
-            raise ValueError(f"alpha must be an integer here, got {alpha!r}")
-        alpha = int(alpha)
-    if not isinstance(alpha, (int, np.integer)):
-        raise ValueError(f"alpha must be an integer here, got {alpha!r}")
+    alpha = _as_int("alpha", alpha)
     if not -1 <= alpha < N:
         raise ValueError(f"need -1 <= alpha < N, got alpha = {alpha}")
     if (N - alpha) % 2 != 1:
         raise ValueError(f"need N - alpha odd, got N = {N}, alpha = {alpha}")
-    return int(alpha)
+    return alpha
 
 
 def _tail_count(N: int, upto: int, lead: int | None = None) -> int:
@@ -133,7 +135,7 @@ def _tail_count(N: int, upto: int, lead: int | None = None) -> int:
     (binom(N, m) = binom(N, N - m)).  Below it, twice the count plus the
     middle terms upto < m < N - upto make 2^N, so from the middle end the
     count is 2^N less those terms, halved: the terms upto < m < N/2 twice and
-    the central binom(N, N/2) of even N once, walked up from
+    the central binom(N, N/2) of even N once, walked by _binomials up from
     binom(N, upto + 1) = N lead / (upto + 1).  lead = binom(N - 1, upto), which
     the complement leaves unchanged, saves that start's math.comb where the
     caller has it.  Odd N at upto = (N - 1)/2 walks no term: the count is 2^(N-1).
@@ -143,17 +145,12 @@ def _tail_count(N: int, upto: int, lead: int | None = None) -> int:
     if 2 * upto >= N:
         return 2**N - _tail_count(N, N - 1 - upto, lead)
     if upto + 1 <= N // 2 - upto:
-        total, term = 0, 1
-        for m in range(upto + 1):
-            total += term
-            term = term * (N - m) // (m + 1)
-        return total
+        return sum(itertools.islice(_binomials(N), upto + 1))
     middle = 0
     if upto < N // 2:
-        term = N * lead // (upto + 1) if lead is not None else math.comb(N, upto + 1)
-        for m in range(upto + 1, N // 2 + 1):
-            middle += term if 2 * m == N else 2 * term
-            term = term * (N - m) // (m + 1)
+        start = N * lead // (upto + 1) if lead is not None else math.comb(N, upto + 1)
+        terms = _binomials(N, upto + 1, start)
+        middle = 2 * sum(itertools.islice(terms, (N - 1) // 2 - upto)) + (next(terms) if N % 2 == 0 else 0)
     return (2**N - middle) >> 1
 
 
@@ -250,6 +247,8 @@ def maj_identity_eval(N: int, r: float) -> float:
         raise ValueError("majority identity needs odd N")
     if N > MAX_SYMMETRIC_N:
         raise ValueError(f"need N <= {MAX_SYMMETRIC_N}")
+    if math.isnan(r):
+        raise ValueError("need a number r, got nan")
     h = (N - 1) // 2
     lg = math.log(math.comb(N - 1, h)) - (N - 1) * math.log(2.0) + h * math.log1p(r * r)
     return math.exp(lg) if lg <= 709.0 else math.inf
@@ -290,8 +289,8 @@ def g_function(N: int, alpha: float, r: float) -> float:
     continuous at r_alpha.  Defined for all r >= 0 (the supremum form is),
     which the sandwich check needs whenever 3 rho exceeds 1.
     """
-    if r < 0:
-        raise ValueError("need r >= 0")
+    if not r >= 0:
+        raise ValueError(f"need r >= 0, got {r!r}")
     if not 0 <= alpha <= N - 1:
         raise ValueError("need 0 <= alpha <= N - 1")
     lg = _log_g(N, alpha, r)
@@ -338,8 +337,8 @@ def i_integral(N: int, alpha: float, rho: float) -> float:
     G is smooth away from its branch points, which are forced subdivision
     nodes.  rho may exceed 1 (the sandwich evaluates I at 3 rho).
     """
-    if rho < 0:
-        raise ValueError("need rho >= 0")
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"need 0 <= rho < inf, got {rho!r}")
     ra = branch_point(N, alpha)
     cuts = [0.0]
     for c in (ra, (1.0 / ra) if ra > 0 else math.inf):
@@ -431,8 +430,8 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
 
     c_k, the z^k coefficient of (1+z)^a (1-z)^b, comes from the Krawtchouk
     recurrence c_0 = 1, (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1} (from
-    (1 - z^2) P' = (alpha - (N-1) z) P; every division is exact), run inline
-    with _log_ratio's quotient: one correctly rounded p / q in (1/2, 2)."""
+    (1 - z^2) P' = (alpha - (N-1) z) P; every division is exact), each kept
+    level's log taken by _log_ratio from the heads of its integers."""
     num, den = N * lead, min(T, 2**N - T)
     sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
     num, den, shift = num >> sn, den >> sd, sn - sd
@@ -450,13 +449,8 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
         if c:
             h = abs(c)
             s = h.bit_length() - HEAD_BITS
-            if s > 0:
-                p, e = num * (h >> s), shift + s
-            else:
-                p, e = num * h, shift
-            q = (k + 1) * den
-            d = p.bit_length() - q.bit_length()
-            logs.append(log(p / (q << d) if d >= 0 else (p << -d) / q) + (d + e) * log2)
+            s = s if s > 0 else 0  # bits dropped; max() would add a builtin call per level
+            logs.append(_log_ratio(num * (h >> s), (k + 1) * den, shift + s))
         else:
             logs.append(-math.inf)
         c_prev, c = c, (alpha * c - (N - k) * c_prev) // (k + 1)
@@ -556,8 +550,8 @@ def gamma_constant() -> float:
 
 
 def majority_scan(Ns):
-    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd N, in input order."""
-    Ns = [int(N) for N in Ns]
+    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd integer N, in input order."""
+    Ns = [_as_int("N", N) for N in Ns]
     for N in Ns:
         if N % 2 == 0:
             raise ValueError(f"majority scan needs odd N, got {N}")

@@ -259,6 +259,12 @@ class TestNorms:
             assert p_norm(f, p) == pytest.approx(1.0, abs=1e-15)
         assert sup_norm(f) == 1.0
 
+    @pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+    def test_rejects_p_below_one_and_nan(self, p):
+        # NaN passed the p < 1 check and gave 1.0 on a sign table
+        with pytest.raises(ValueError, match=f"^p-norms need p >= 1, got {p}$"):
+            p_norm(from_truth_table(2, [1, -1, -1, 1]), p)
+
     def test_indicator_mean(self):
         # 2 * indicator(x = all-ones) on one variable
         f = from_truth_table(1, [2.0, 0.0])

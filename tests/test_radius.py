@@ -21,6 +21,7 @@ from cuberadius.radius import (
     LOG_TINY,
     RESIDUAL_TOL,
     LevelProfile,
+    _log_ratio,
     _solve_reduced,
     _tail_sums,
     bn_radius_formula,
@@ -163,6 +164,12 @@ class TestMajorant:
         with pytest.raises(ValueError):
             majorant(profile_of(majority(3)), -0.1)
 
+    @pytest.mark.parametrize("rho", [math.nan, -math.inf])
+    def test_rejects_nan_rho(self, rho):
+        # NaN passed the sign check and came back as inf with a RuntimeWarning
+        with pytest.raises(ValueError, match=f"^rho must be nonnegative, got {rho}$"):
+            majorant(profile_of(majority(3)), rho)
+
     def test_strictly_increasing_iff_nonconstant(self):
         grid = np.linspace(0.0, 1.0, 25)
         p = profile_of(majority(3))
@@ -193,6 +200,12 @@ class TestBooleanRadius:
 
     def test_zero_function_gets_infinite_sentinel(self):
         assert boolean_radius(profile_of(from_truth_table(2, [0.0] * 4))).radius == math.inf
+
+    def test_rejects_constant_above_the_sup(self):
+        # a constant row is checked as a nonconstant one is, not given the inf sentinel
+        with pytest.raises(ValueError, match="^constant coefficient exceeds the sup norm; not a function profile$"):
+            boolean_radius(LevelProfile(2, np.array([2.0, 0.0, 0.0]), 1.0))
+        assert boolean_radius(LevelProfile(2, np.array([1.0, 0.0, 0.0]), 1.0)).radius == math.inf
 
     def test_rejects_weights_below_sup(self):
         p = LevelProfile(1, np.array([0.0, 0.5]), 1.0)
@@ -334,6 +347,32 @@ class TestTailSums:
         assert first.tobytes() == kept.tobytes() and second.tobytes() != kept.tobytes()
 
 
+def _max_form_log_ratio(p, q, shift):
+    """_log_ratio in the max() form it had before its branch form: the oracle of its bits."""
+    k = p.bit_length() - q.bit_length()
+    return math.log((p << max(-k, 0)) / (q << max(k, 0))) + (k + shift) * math.log(2.0)
+
+
+class TestLogRatio:
+    def test_same_bits_as_the_max_form(self):
+        import random
+
+        rng = random.Random(25)
+        draw = lambda: rng.randrange(1, 1 << rng.randint(1, 400))  # bit lengths 1..400
+        triples = [(draw(), draw(), rng.randint(-10**5, 10**5)) for _ in range(100_000)]
+        # equal lengths, powers of two, and quotients at the ends of (1/2, 2)
+        big = 2**399
+        triples += [(1, 1, 0), (big, 1, 0), (1, big, 0), (big, big - 1, -7), (big - 1, big, 7), (2 * big - 1, big, 0),
+                    (big, 2 * big - 1, 0), (big + 1, 2 * big - 1, 10**5), (3, 2, -10**5)]
+        bad = [t for t in triples if _log_ratio(*t).hex() != _max_form_log_ratio(*t).hex()]
+        assert bad == []
+
+    def test_value(self):
+        assert _log_ratio(3, 4, 0) == math.log(0.75)
+        assert _log_ratio(1, 1, -1074) == pytest.approx(math.log(5e-324), rel=1e-15)
+        assert _log_ratio(10**300, 7, 50) == pytest.approx(300 * math.log(10) - math.log(7) + 50 * math.log(2), rel=1e-15)
+
+
 class TestSymmetricSolver:
     def test_majority3_matches_dense_path(self):
         sym = SymmetricSpectrum(3, ["0", "1/2", "0", "-1/2"])
@@ -352,16 +391,20 @@ class TestSymmetricSolver:
 
     def test_constant_symmetric(self):
         sym = SymmetricSpectrum(2, ["1", "0", "0"])
-        for sup in (2.0, 1.0, 0.5):  # sup - |g_hat(empty)| above, at and below 0
+        for sup in (2.0, 1.0):  # sup - |g_hat(empty)| above and at 0
             r = boolean_radius_symmetric(sym, sup)
             assert (r.radius, r.residual, r.iterations, r.method) == (math.inf, 0.0, 0, "closed_form")
 
     def test_rejects_constant_part_at_or_above_the_sup(self):
         sym = SymmetricSpectrum(2, ["1/2", "1/4", "0"])
-        with pytest.raises(ValueError, match="^constant coefficient exceeds the sup norm; not a function profile$"):
+        above = "^constant coefficient exceeds the sup norm; not a function profile$"
+        with pytest.raises(ValueError, match=above):
             boolean_radius_symmetric(sym, 0.25)
         with pytest.raises(ValueError, match="^constant part equals the sup norm on a nonconstant profile$"):
             boolean_radius_symmetric(sym, 0.5)
+        # a constant above its sup is no function profile either
+        with pytest.raises(ValueError, match=above):
+            boolean_radius_symmetric(SymmetricSpectrum(2, ["1", "0", "0"]), 0.5)
 
     @pytest.mark.parametrize("sup", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_sup(self, sup):

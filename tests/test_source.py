@@ -51,6 +51,23 @@ def test_only_serialize_formats_reals():
     assert texts and [name for name, text in texts.items() if "%.17g" in text or "fmt17" in text] == []
 
 
+def functions_matching(pattern: str) -> list:
+    """(module, function) of every function in the library whose source matches pattern."""
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and re.search(pattern, ast.get_source_segment(text, node)):
+                found.append((path.stem, node.name))
+    return found
+
+
+def test_one_home_for_each_exact_integer_step():
+    # every exact ratio becomes a log in one quotient, and every binomial row is one walk
+    assert functions_matching(r"\.bit_length\(\) - \w+\.bit_length\(\)") == [("radius", "_log_ratio")]
+    assert functions_matching(r"\* \((\w+) - (\w+)\) // \(\2 \+ 1\)") == [("radius", "_binomials")]
+
+
 def imported_modules(source: str) -> set:
     """The top-level names of the modules that ``source`` imports, relative imports left out."""
     found = set()

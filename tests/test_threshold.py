@@ -2,6 +2,7 @@ import decimal
 import functools
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -247,6 +248,12 @@ class TestMajIdentity:
         with pytest.raises(ValueError):
             maj_identity_eval(4, 0.5)
 
+    @pytest.mark.parametrize("N", [1, 5, 100001])
+    def test_rejects_nan(self, N):
+        # NaN came back as inf
+        with pytest.raises(ValueError, match="^need a number r, got nan$"):
+            maj_identity_eval(N, math.nan)
+
     def test_cap(self):
         assert maj_identity_eval(100001, 0.0) == pytest.approx(math.comb(100000, 50000) / 2**100000, rel=1e-12)
         with pytest.raises(ValueError, match="need N <= 100001"):
@@ -302,6 +309,11 @@ class TestGFunction:
         with pytest.raises(ValueError):
             g_function(5, 2, -0.1)
 
+    @pytest.mark.parametrize("alpha", [0, 2])
+    def test_rejects_nan_r(self, alpha):
+        with pytest.raises(ValueError, match="^need r >= 0, got nan$"):
+            g_function(5, alpha, math.nan)
+
     @pytest.mark.parametrize("N", [2, 3, 5, 40])
     def test_alpha_n_minus_1_at_one(self, N):
         # b = 0: G(r) = (1 + r)^(N-1), and the b log term drops out at x = 1
@@ -329,6 +341,13 @@ class TestIIntegral:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             i_integral(5, 2, -1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_rejects_nan_and_infinite_rho(self, rho, monkeypatch):
+        # both ran the quadrature to its evaluation cap before
+        monkeypatch.setattr(threshold_module, "g_function", lambda *a: pytest.fail("integrated"))
+        with pytest.raises(ValueError, match=f"^need 0 <= rho < inf, got {rho}$"):
+            i_integral(5, 0, rho)
 
     def test_alpha_n_minus_1_past_one(self):
         assert i_integral(5, 4, 1.5) == pytest.approx((2.5**5 - 1) / 5, rel=1e-10)
@@ -492,6 +511,17 @@ class TestMajorityScan:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             majority_scan([2])
+
+    @pytest.mark.parametrize("N", [5.5, 7.9, "7", math.nan])
+    def test_rejects_non_integral_n(self, N, monkeypatch):
+        # int() truncated 5.5 and 7.9 to the rows of N = 5 and 7
+        monkeypatch.setattr(threshold_module, "_radii_exact", lambda rows: pytest.fail("solved"))
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer here, got {N!r}")):
+            majority_scan([3, N])
+
+    def test_integral_float_n_is_its_int(self):
+        assert majority_scan([7.0, np.int64(9)]) == majority_scan([7, 9])
+        assert [type(row[0]) for row in majority_scan([7.0])] == [int]
 
 
 class TestTailLowerBound:
