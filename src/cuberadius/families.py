@@ -118,13 +118,22 @@ def majority(N: int) -> BooleanFunction:
     return threshold(ThresholdSpec(N, 0))
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _sign_draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The signs ``rng.choice([-1.0, 1.0], size=size)`` draws: choice takes them
+    from ``rng.integers(0, 2, size)``, which this indexes without choice's overhead."""
+    return _SIGNS[rng.integers(0, 2, size)]
+
+
 def _sign_spectra(N: int, m: int, coeffs: np.ndarray, seeds) -> np.ndarray:
     """One spectrum row sum_{|S|=m} xi_S c_S per seed, the signs xi_S an i.i.d.
     +-1 draw from that seed, the c_S in increasing bitmask order."""
     mask = subset_levels(N) == m
     out = np.zeros((len(seeds), 2**N))
     for row, seed in zip(out, seeds):
-        row[mask] = np.random.default_rng(seed).choice([-1.0, 1.0], size=coeffs.size) * coeffs
+        row[mask] = _sign_draw(np.random.default_rng(seed), coeffs.size) * coeffs
     return out
 
 

@@ -31,6 +31,7 @@ import numpy as np
 # walsh_transform is not called here; perfbench/test_spans.py reads it from this module
 from .cube import BooleanFunction, _degrees, _fwht_inplace, _p_norms, _pow, _walsh_rows, subset_levels, walsh_transform
 from .families import (
+    _sign_draw,
     biased_indicator,
     dictator,
     extremal_indicator_flip,
@@ -176,7 +177,7 @@ def _draw_tables(N: int, seeds, mode: str, d: int) -> np.ndarray:
     for row, seed in zip(out, seeds):
         rng = np.random.default_rng(seed)
         if mode == "boolean_pm1":
-            row[:] = rng.choice([-1.0, 1.0], size=size)
+            row[:] = _sign_draw(rng, size)
         elif mode == "table_uniform":
             row[:] = rng.uniform(-1.0, 1.0, size=size)
         elif mode == "spectral_random":

@@ -18,6 +18,58 @@ W_0 is within 1e-6 (or far less) of the sup norm, and evaluating P - sup
 directly in doubles cancels catastrophically, while S keeps every term
 positive.  The symmetric path divides the equation by its exact rational
 target, so each of its level logs is one ratio of exact integers.
+
+Warm start.  Bisected from [0, 1] to one ulp, a root takes 53 to 64
+halvings, and each used to evaluate the tail sums.  In u = log rho,
+g(u) = log S(e^u) - log target is convex and increasing, and g'(u) is the
+mean degree of the terms, so g' >= 1.  Newton steps in u, started where one
+term alone reaches the target (g >= 0 there), fall towards the root and
+give a zone [L, U] around it.  The zone is certified with the evaluator's
+own values: g~(L) < -2 E(L) and g~(U) > 2 E(U), where E bounds |g~ - g|
+(below).  Then g~ < 0 at every midpoint at or below L and g~ > 0 at every
+one at or above U, so those midpoints can be decided unevaluated.
+
+After k halvings a bisection from [0, 1] holds the dyadic cell
+[j 2^-k, (j + 1) 2^-k] around the root, and it passes through every such
+cell that holds the zone, whose midpoints all lie outside the zone.  So a
+row jumps to the deepest cell holding its zone, with k halvings counted,
+and evaluates that cell's midpoint M, which lies inside.  The next cells
+hold [M, U] (or [L, M]), so the row starts from the deepest of them.  A
+zone that straddles a dyadic point such as 1/2 has M at that point, so such
+a row starts deep too.  From there, a block is evaluated only when the
+midpoint of some row lies inside its zone, and the zone shrinks with the
+bracket.  Every midpoint evaluated is one that the plain bisection
+evaluates, by the same closure and so to the same bits.  So the brackets,
+the radius, the residual and the halving count are the plain bisection's.
+A row that fails its certificate is bisected from [0, 1] with every
+midpoint evaluated.
+
+The error bound E.  Let eps = 2^-53 and kappa = 2^-50; numpy validates its
+float64 exp and log to 1 ulp, and kappa allows 4.  The evaluator at
+rho = e^u takes these steps:
+- log rho, within kappa |u|;
+- c_m = log W_m + m log rho, two roundings, within (kappa + eps) m |u| + eps |c_m|;
+- d_m = c_m - top, within eps |d_m|;
+- the LOG_TINY clamp, which drops a relative n e^-700 at most;
+- exp, within kappa;
+- the sum of at most n nonzero terms, n the row's nonzero levels: a
+  relative n eps in any order;
+- its log, within kappa log n;
+- top plus that log, within eps |result|.
+Weighted by the terms' shares p_m, the perturbations of the logs add up to
+at most (kappa + eps) |u| D + eps (|top| + 2 H) + kappa.  Here D is the mean
+degree, H = -sum p_m log p_m <= log n is the shares' entropy and
+|top| <= |R| + log n, R being the computed log sum.  To first order,
+
+    |g~ - g| <= (kappa + eps) |u| D + 2 eps |R| + (kappa + 3 eps) log n + kappa + n eps.
+
+_error_bound doubles this, for the second-order terms and for D, u and R
+taken as computed.  Moving away from the zone, g changes at rate D >= 1.
+The bound changes far more slowly: below L, by at most (kappa + eps) D per
+unit of u; above U, by at most (kappa + eps) |u| Var(degree) <= 2^-48 |u| w D,
+w the highest degree, which is far below D for |u| <= 693 (ZONE_FLOOR) and
+any w below 2^30.  So both certified decisions carry to every midpoint
+beyond the zone.
 """
 
 from __future__ import annotations
@@ -51,7 +103,21 @@ PROFILE_TOL = 1e-9
 #: Shifted log below which a term of a tail sum counts as 0 (e^-700 of the row's largest term).
 LOG_TINY = -700.0
 
+#: Most Newton steps of the warm start; a row that has not converged only fails its certificate.
+NEWTON_STEPS = 8
+
+#: Least half-width, in log rho, of a warm-start zone.
+ZONE_MIN = 2.0**-46
+
+#: Least lower end of a certified zone; rows with smaller roots are bisected from [0, 1].
+ZONE_FLOOR = 2.0**-1000
+
 _LOG2 = math.log(2.0)
+
+#: Unit roundoff of a double, and the relative error allowed for each numpy
+#: float64 exp and log (which numpy validates to 1 ulp) in the error bound.
+_EPS = 2.0**-53
+_KAPPA = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -148,7 +214,7 @@ def majorant(p: LevelProfile, rho: float) -> float:
     return w0 + math.exp(lp) if lp <= 709.0 else math.inf
 
 
-def _bisect(below, lo, hi):
+def _bisect(below, lo, hi, iterations=0):
     """Halve every bracket [lo, hi] until its midpoint equals one of its ends.
 
     ``lo`` and ``hi`` are arrays of one shape (0-d allowed); ``below(mid)``
@@ -156,11 +222,11 @@ def _bisect(below, lo, hi):
     finished ones too: their midpoint is one of their ends, so moving an end
     to it changes neither that midpoint nor the bracket's halving count.
     Stopping only when a bracket cannot shrink in doubles puts each root
-    within one ulp.  Returns the roots and the number of halvings of each
-    bracket.
+    within one ulp.  ``iterations`` counts the halvings that made the given
+    brackets.  Returns the roots and the number of halvings of each bracket.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    iterations = np.zeros(lo.shape, dtype=np.int64)
+    iterations = np.zeros(lo.shape, dtype=np.int64) + iterations
     while True:
         mid = 0.5 * (lo + hi)
         active = (mid != lo) & (mid != hi)
@@ -185,26 +251,134 @@ def _tail_sums(log_tail: np.ndarray):
     overflows.  A term whose shifted log is below LOG_TINY is set to exactly
     0 (clamp, exp, then a 0/1 mask): against the top term it is far below one
     rounding of the sum, and ``exp`` is slow on underflowing, subnormal and
-    -inf inputs.  The work arrays are allocated once and reused by every
-    call; each call returns a fresh array.
+    -inf inputs.  With ``slope`` the map also returns the mean degree
+    sum_m m W_m rho^m / sum_m W_m rho^m of the computed terms, the derivative
+    of the log sum in log rho.  The work arrays are allocated once and reused
+    by every call; each call returns fresh arrays.
     """
     powers = np.arange(1.0, log_tail.shape[1] + 1.0)
     terms = np.empty(log_tail.shape)
     keep = np.empty(log_tail.shape, dtype=bool)
     top = np.empty(log_tail.shape[0])
 
-    def tail_sums(rho: np.ndarray) -> np.ndarray:
+    def tail_sums(rho: np.ndarray, slope: bool = False):
         np.multiply(powers, np.log(rho)[:, None], out=terms)
         np.add(log_tail, terms, out=terms)
-        np.max(terms, axis=1, out=top)
+        np.maximum.reduce(terms, axis=1, out=top)
         np.subtract(terms, top[:, None], out=terms)
         np.greater_equal(terms, LOG_TINY, out=keep)
         np.maximum(terms, LOG_TINY, out=terms)
         np.exp(terms, out=terms)
         np.multiply(terms, keep, out=terms)
-        return top + np.log(np.sum(terms, axis=1))
+        sums = np.add.reduce(terms, axis=1)
+        log_sums = top + np.log(sums)
+        if not slope:
+            return log_sums
+        np.multiply(terms, powers, out=terms)
+        return log_sums, np.add.reduce(terms, axis=1) / sums
 
     return tail_sums
+
+
+def _error_bound(count):
+    """The map (log sum, slope, log rho) -> bound on |computed - exact| of the
+    tail_sums values of rows with ``count`` nonzero levels; see the module docstring."""
+    floor = (_KAPPA + 3.0 * _EPS) * np.log(count) + _KAPPA + count * _EPS
+
+    def bound(log_sum, slope, log_rho):
+        return 2.0 * ((_KAPPA + _EPS) * np.abs(log_rho) * slope + 2.0 * _EPS * np.abs(log_sum) + floor)
+
+    return bound
+
+
+def _halving_depth(width):
+    """The largest k with 2^-k >= width, for exact widths in (0, 1]."""
+    frac, e = np.frexp(width)
+    return np.where(frac == 0.5, 1 - e, -e)
+
+
+def _cell_midpoint(low, high):
+    """Midpoint of the deepest dyadic cell [j 2^-k, (j + 1) 2^-k] that holds
+    [low, high], for 0 <= low < high <= 1 with high - low exact.
+
+    The cell of the largest k with 2^-k >= high - low that holds low holds
+    the zone too, unless its upper end lies below high.  The zone then
+    straddles that end, and the deepest cell holding it is centred there."""
+    k = _halving_depth(high - low)
+    j = np.floor(np.ldexp(low, k))
+    end = np.ldexp(j + 1.0, -k)
+    return np.where(end >= high, np.ldexp(j + 0.5, -k), end)
+
+
+def _warm_start(sums, log_tail: np.ndarray, b: np.ndarray):
+    """Start brackets of the bisection of sums(rho) < b, with the zone of each row.
+
+    Returns (lo, hi, halvings, low, high): [lo, hi] is the bracket that a
+    bisection from [0, 1] reaches after ``halvings`` halvings, and a midpoint
+    at or below ``low`` (at or above ``high``) is decided without evaluating
+    it.  A row whose zone is not certified gets [0, 1], 0 and zone (0, 1).
+    """
+    width = log_tail.shape[1]
+    bound = _error_bound(np.sum(log_tail > -math.inf, axis=1))
+    # where one term alone reaches the target, g >= 0: Newton from there only falls
+    start = np.subtract(b[:, None], log_tail)
+    start /= np.arange(1.0, width + 1.0)  # in place: one block-sized temporary
+    u = np.minimum(0.0, start.min(axis=1))
+    for _ in range(NEWTON_STEPS):
+        rho = np.exp(u)
+        value, slope = sums(rho, True)
+        u = np.log(rho)
+        noise = bound(value, slope, u) / slope
+        step = (value - b) / slope
+        u = u - step
+        # from the convex side the step leaves an error of at most width step^2 / 2
+        left = width * step * step
+        if not np.any(left > noise):
+            break
+    half = np.maximum(3.0 * noise + left, ZONE_MIN)
+    low, high = np.exp(u - half), np.minimum(np.exp(u + half), 1.0)
+    at_low, at_high, mid = sums(low, True), sums(high, True), _cell_midpoint(low, high)
+    ok = (
+        (at_low[0] + 2.0 * bound(*at_low, np.log(low)) < b)
+        & (at_high[0] - 2.0 * bound(*at_high, np.log(high)) > b)
+        # a zone this narrow has exact widths and representable cell ends and midpoints
+        & (low >= ZONE_FLOOR)
+        & (high - low <= 0.25 * high)
+        & (high - low >= 0.5 * ZONE_MIN * high)
+    )
+    # the bisection evaluates mid first; the zone's side of it then starts deep
+    up = sums(mid) < b
+    depth = _halving_depth(np.where(up, high - mid, mid - low))
+    cell = np.ldexp(1.0, -depth)
+    lo, hi = np.where(up, mid, mid - cell), np.where(up, mid + cell, mid)
+    low, high = np.where(up, mid, low), np.where(up, high, mid)
+    return (
+        np.where(ok, lo, 0.0),
+        np.where(ok, hi, 1.0),
+        np.where(ok, depth, 0),
+        np.where(ok, low, 0.0),
+        np.where(ok, high, 1.0),
+    )
+
+
+def _warm_bisection(log_tail: np.ndarray, b: np.ndarray):
+    """Roots in (0, 1) of log sum_{m>=1} W_m rho^m = b and their halvings, by _bisect
+    from the brackets of _warm_start, evaluating only the midpoints inside a zone."""
+    sums = _tail_sums(log_tail)
+    # finished brackets may sit at 0, and a failed warm start may meet log 0 or inf - inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi, halvings, low, high = _warm_start(sums, log_tail, b)
+
+        def below(mid):
+            # the zone shrinks with the bracket, so a finished bracket needs no evaluation
+            nonlocal low, high
+            up, need = mid <= low, (mid > low) & (mid < high)
+            if need.any():
+                up = np.where(need, sums(mid) < b, up)
+                low, high = np.where(need & up, mid, low), np.where(need & ~up, mid, high)
+            return up
+
+        return _bisect(below, lo, hi, halvings)
 
 
 def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
@@ -213,10 +387,10 @@ def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
     log_tail[r, m-1] = log W_m and log_target[r] = log target of row r.  Rows
     without weight above level 0 are constants and get +inf.  A row whose
     weights reach its target within UNIT_RADIUS_TOL gets 1.0; the others are
-    bisected to one ulp, which leaves the residual far below the 1e-10
-    contract even for flat, high-degree majorants.  A row that is no function
-    profile, a constant one too, raises ValueError.  Returns radius, residual
-    and iterations per row.
+    bisected to one ulp from the certified warm start, which leaves the
+    residual far below the 1e-10 contract even for flat, high-degree
+    majorants.  A row that is no function profile, a constant one too, raises
+    ValueError.  Returns radius, residual and iterations per row.
     """
     rows = log_tail.shape[0]
     radius, residual = np.full(rows, math.inf), np.zeros(rows)
@@ -233,11 +407,8 @@ def _solve_reduced(log_tail: np.ndarray, log_target: np.ndarray):
         raise ValueError("sum of level weights falls below the sup norm; not a function profile")
     rho = np.ones(live.size)
     inner = np.flatnonzero(at_one > target + math.log1p(UNIT_RADIUS_TOL))
-    inner_sums, b = _tail_sums(tail[inner]), target[inner]
-    with np.errstate(divide="ignore", invalid="ignore"):  # finished brackets may sit at 0
-        rho[inner], iterations[live[inner]] = _bisect(
-            lambda mid: inner_sums(mid) < b, np.zeros(inner.size), np.ones(inner.size)
-        )
+    if inner.size:
+        rho[inner], iterations[live[inner]] = _warm_bisection(tail[inner], target[inner])
     radius[live] = rho
     # S(0) = 0: a zero root (a target met only below the least subnormal) leaves
     # the whole target as residual; S is evaluated at the other roots, not at log 0

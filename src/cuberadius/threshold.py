@@ -99,7 +99,9 @@ class ThresholdReport:
 
 
 def _check_n(N: int, cap: int) -> int:
-    """N, checked against cap: every entry here checks N first, against its own cap."""
+    """N as an int (an integral float such as 7.0 passes), checked against cap:
+    every entry here checks N first, against its own cap, and goes on with this int."""
+    N = _as_int("N", N)
     if not 1 <= N <= cap:
         raise ValueError(f"need 1 <= N <= {cap}")
     return N
@@ -108,7 +110,8 @@ def _check_n(N: int, cap: int) -> int:
 def canonical_pair(N: int, alpha: float, cap: int = MAX_SYMMETRIC_N) -> tuple:
     """(N, canonical_alpha(N, alpha)) for any alpha in [0, N), N checked against
     cap before alpha: MAX_SYMMETRIC_N for radii, MAX_SPECTRUM_N for spectra."""
-    return N, canonical_alpha(_check_n(N, cap), alpha)
+    N = _check_n(N, cap)
+    return N, canonical_alpha(N, alpha)
 
 
 def _as_int(name: str, x) -> int:
@@ -119,7 +122,7 @@ def _as_int(name: str, x) -> int:
 
 
 def _check_parity(N: int, alpha) -> int:
-    _check_n(N, MAX_SYMMETRIC_N)
+    N = _check_n(N, MAX_SYMMETRIC_N)
     alpha = _as_int("alpha", alpha)
     if not -1 <= alpha < N:
         raise ValueError(f"need -1 <= alpha < N, got alpha = {alpha}")
@@ -168,7 +171,8 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     representative drops below zero, still have an exact spectrum; the
     identities hold there unchanged.
     """
-    alpha, T, lead = _tail_terms(_check_n(N, MAX_SPECTRUM_N), alpha)
+    N = _check_n(N, MAX_SPECTRUM_N)
+    alpha, T, lead = _tail_terms(N, alpha)
     n = N - 1
     return SymmetricSpectrum(N, [_dyadic(T - 2**n, n)] + [_dyadic(d, n) for d in _dual_terms(alpha, n, lead)])
 
@@ -204,7 +208,8 @@ def threshold_spectrum_text(N: int, alpha: int) -> list:
     side as ("0", "1", -inf), since Decimal can give -0.  Each distinct
     denominator's text and log is made once and shared by reference.
     """
-    alpha, T, lead = _tail_terms(_check_n(N, MAX_SPECTRUM_N), alpha)
+    N = _check_n(N, MAX_SPECTRUM_N)
+    alpha, T, lead = _tail_terms(N, alpha)
     n, empty = N - 1, T - 2 ** (N - 1)  # level 0 is empty / 2^n, level m >= 1 is d_{m-1} / 2^n
     ints = itertools.chain((empty,), _dual_terms(alpha, n, lead))
     decs = itertools.chain((decimal.Decimal(empty),), _dual_terms(alpha, n, decimal.Decimal(lead)))
@@ -243,10 +248,9 @@ def maj_identity_eval(N: int, r: float) -> float:
     Equals sum_n binom(N-1, n-1) |psihat([n])| r^{n-1} for the majority
     spectrum (the alternating level signs line up along the imaginary axis).
     """
+    N = _check_n(N, MAX_SYMMETRIC_N)
     if N % 2 == 0:
         raise ValueError("majority identity needs odd N")
-    if N > MAX_SYMMETRIC_N:
-        raise ValueError(f"need N <= {MAX_SYMMETRIC_N}")
     if math.isnan(r):
         raise ValueError("need a number r, got nan")
     h = (N - 1) // 2
@@ -389,6 +393,7 @@ def mckay_residual(N: int, alpha: int) -> float:
     Raises if c leaves [0, sqrt(pi/2)] by more than 1e-9 (the guaranteed
     range for the admitted alpha).
     """
+    N = _check_n(N, MAX_SYMMETRIC_N)
     return _mckay(N, *_tail_terms(N, alpha))
 
 
@@ -483,6 +488,7 @@ def exact_radius(N: int, alpha: int) -> RadiusResult:
     both give the same radius bits.  _level_logs divides the equation by the
     target min(T, 2^N - T) / 2^{N-1}; the residual is scaled back by it.
     """
+    N = _check_n(N, MAX_SYMMETRIC_N)
     alpha, T, lead = _tail_terms(N, alpha)
     (rho,), (residual,), (iterations,) = _radii_exact([(N, alpha, T, lead)])
     return RadiusResult(rho, residual * math.exp(_log_ratio(min(T, 2**N - T), 1, 1 - N)), iterations, "bisection")
@@ -505,6 +511,7 @@ def sandwich_check(N: int, alpha: int) -> bool:
     The left side can be an equality up to rounding (for majority it is one
     exactly), hence the relative slack.
     """
+    N = _check_n(N, MAX_SYMMETRIC_N)
     alpha, T, lead = _tail_terms(N, alpha)
     return _sandwich_ok(N, alpha, _radii_exact([(N, alpha, T, lead)])[0][0], T, lead)
 
@@ -567,7 +574,7 @@ def tail_lower_bound_check(N: int, alpha: float) -> bool:
     The tail is exact (log of an integer tail count); alpha = N is excluded
     since its tail is empty.
     """
-    _check_n(N, MAX_SYMMETRIC_N)  # the tail walk grows quadratically in N
+    N = _check_n(N, MAX_SYMMETRIC_N)  # the tail walk grows quadratically in N
     if not 0 <= alpha < N:
         raise ValueError("need 0 <= alpha < N (the tail at alpha = N is empty)")
     upto = math.ceil((N - alpha) / 2) - 1  # number of -1s strictly winning the threshold

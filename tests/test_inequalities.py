@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuberadius import inequalities, radius
-from cuberadius.cube import BooleanFunction, degree, from_truth_table, sup_norm, walsh_transform
+from cuberadius.cube import BooleanFunction, degree, from_truth_table, subset_levels, sup_norm, walsh_transform
 from cuberadius.families import (
+    _sign_draw,
+    _sign_spectra,
     biased_indicator,
     dictator,
     extremal_indicator_flip,
@@ -62,6 +64,18 @@ class TestRandomBoundedFunction:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             random_bounded_function(4, 0, "weird")
+
+    def test_sign_draws_are_choice_draws(self):
+        # the suites' +-1 tables and the homogeneous scan's signs are the draws of
+        # default_rng(seed).choice([-1.0, 1.0], size), made without choice
+        choice = lambda seed, size: np.random.default_rng(seed).choice([-1.0, 1.0], size=size)
+        keys = [7, [3, 0], [20240601, 10, 1, 5]] + [[k, 2] for k in range(40)]
+        for size in (1, 2, 3, 64, 1000, 4096):
+            for key in keys:
+                assert _sign_draw(np.random.default_rng(key), size).tobytes() == choice(key, size).tobytes()
+        assert inequalities._draw_tables(6, keys, "boolean_pm1", 3).tobytes() == np.array([choice(k, 64) for k in keys]).tobytes()
+        spectra = _sign_spectra(6, 2, np.arange(1.0, 16.0), keys)[:, subset_levels(6) == 2]
+        assert spectra.tobytes() == np.array([choice(k, 15) * np.arange(1.0, 16.0) for k in keys]).tobytes()
 
 
 class TestWienerPair:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,12 +17,23 @@ from cuberadius.cube import (
     sup_norm,
     walsh_transform,
 )
+from cuberadius import radius as radius_module
+from cuberadius.cube import _walsh_rows
 from cuberadius.families import extremal_indicator_flip, majority
+from cuberadius.inequalities import run_suite
 from cuberadius.radius import (
     LOG_TINY,
     RESIDUAL_TOL,
+    UNIT_RADIUS_TOL,
+    ZONE_FLOOR,
     LevelProfile,
+    _bisect,
+    _cell_midpoint,
+    _error_bound,
+    _halving_depth,
+    _level_sums,
     _log_ratio,
+    _log_targets,
     _solve_reduced,
     _tail_sums,
     bn_radius_formula,
@@ -33,6 +45,7 @@ from cuberadius.radius import (
     level_profile,
     majorant,
 )
+from cuberadius.threshold import exact_radius
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 
@@ -345,6 +358,176 @@ class TestTailSums:
         second = sums(np.full(tail.shape[0], 0.25))
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept.tobytes() and second.tobytes() != kept.tobytes()
+
+
+def _plain_solve(log_tail, log_target):
+    """Radius, residual and halvings of every row by a bisection from [0, 1]
+    that evaluates each midpoint, as the solver did before its warm start.
+    Only rows whose root lies below 1 (the bisected ones) are passed in."""
+    sums = _tail_sums(log_tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, halvings = _bisect(lambda mid: sums(mid) < log_target, np.zeros(len(log_target)), np.ones(len(log_target)))
+    at_rho, pos = np.zeros(rho.size), rho > 0
+    at_rho[pos] = np.exp(_tail_sums(log_tail[pos])(rho[pos]))
+    return rho, np.abs(at_rho - np.exp(log_target)), halvings
+
+
+def _assert_plain_bits(log_tail, log_target):
+    """_solve_reduced has the plain bisection's bytes on every bisected row."""
+    live = np.flatnonzero(np.any(log_tail > -math.inf, axis=1))
+    at_one = _tail_sums(log_tail[live])(np.ones(live.size))
+    inner = live[at_one > log_target[live] + math.log1p(UNIT_RADIUS_TOL)]
+    got = _solve_reduced(log_tail, log_target)
+    want = _plain_solve(log_tail[inner], log_target[inner])
+    for k in range(3):
+        assert got[k][inner].tobytes() == want[k].tobytes()
+    return inner.size
+
+
+def _counting(monkeypatch):
+    """Count the calls of every tail-sum evaluator built from here on, Newton steps included."""
+    count = [0]
+
+    def build(log_tail):
+        sums = _tail_sums(log_tail)
+
+        def counted(*args):
+            count[0] += 1
+            return sums(*args)
+
+        return counted
+
+    monkeypatch.setattr(radius_module, "_tail_sums", build)
+    return count
+
+
+def _rows(weights, targets):
+    """(log W_1..log W_n, log target) of rows given as weight lists and targets."""
+    width = max(map(len, weights))
+    w = np.array([list(row) + [0.0] * (width - len(row)) for row in weights])
+    with np.errstate(divide="ignore"):
+        return np.log(w), np.log(np.array(targets, dtype=float))
+
+
+class TestWarmStart:
+    """The warm start decides midpoints outside a certified zone without evaluating
+    them, so every radius, residual and halving count is the plain bisection's."""
+
+    @given(reduced_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_rows(self, drawn):
+        log_tail, log_target, _ = drawn
+        _assert_plain_bits(log_tail, log_target)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _threshold_block([(N, 0) for N in range(911, 990, 2)]),
+            lambda: _threshold_block([(N, a) for N in (1007, 1993) for a in (0, math.isqrt(N), N // 2)]),
+            _subnormal_band_block,
+        ],
+        ids=["majority-911-989", "threshold-scan-1007-1993", "subnormal-band"],
+    )
+    def test_tail_sum_blocks(self, make):
+        tail = make()
+        assert _assert_plain_bits(tail, np.zeros(tail.shape[0])) > 0
+
+    def test_brute_force_profiles(self):
+        points = 16
+        ks = np.arange(2 ** (points - 1), dtype=np.uint64)
+        table = 1.0 - 2.0 * ((ks[:, None] >> np.arange(points, dtype=np.uint64)) & 1)
+        sums = np.unique(_level_sums(_walsh_rows(table), np.abs), axis=0)
+        with np.errstate(divide="ignore"):
+            # the other 5 profiles are constant or reach the sup norm at rho = 1
+            assert _assert_plain_bits(np.log(sums[:, 1:]), _log_targets(sums[:, 0], 1.0)) == 167
+
+    def test_dyadic_roots(self, monkeypatch):
+        # rho + 2 rho^2 = 1 at 1/2, 2 rho + 8 rho^2 = 1 at 1/4, 8 rho + 64 rho^2 = 6 at 1/4 too, ...:
+        # zones straddle the dyadic point, yet the rows start deep and keep their bits
+        weights = [[1.0, 2.0], [2.0, 8.0], [8.0, 64.0], [0.0, 4.0], [1.0, 0.0, 8.0], [4.0, 4.0, 4.0]]
+        targets = [1.0, 1.0, 6.0, 1.0, 1.5, 3.5]
+        log_tail, log_target = _rows(weights, targets)
+        assert _assert_plain_bits(log_tail, log_target) == len(weights)
+        radius = _solve_reduced(log_tail, log_target)[0]
+        assert np.all(np.abs(radius - [0.5, 0.25, 0.25, 0.5, 0.5, 0.5]) <= 1e-15)
+        count = _counting(monkeypatch)
+        _solve_reduced(log_tail, log_target)
+        assert count[0] <= 25  # no row fell back to a bisection that evaluates every midpoint
+
+    def test_constant_part_within_1e_12_of_the_sup(self):
+        rng = np.random.default_rng(26)
+        w = rng.uniform(0.0, 1.0, size=(20, 11))
+        w[::4, 3:] = 0.0
+        sup = w[:, 0] + rng.uniform(0.1, 1.0, size=20) * 1e-12
+        with np.errstate(divide="ignore"):
+            assert _assert_plain_bits(np.log(w[:, 1:]), _log_targets(w[:, 0], sup)) == 20
+
+    def test_roots_near_0_and_near_1(self):
+        rng = np.random.default_rng(27)
+        w = rng.uniform(0.5, 2.0, size=(24, 8))
+        total = w.sum(axis=1)
+        fractions = np.concatenate([10.0 ** rng.uniform(-14, -8, 12), 1.0 - 10.0 ** rng.uniform(-9, -3, 12)])
+        log_tail, log_target = np.log(w), np.log(fractions * total)
+        assert _assert_plain_bits(log_tail, log_target) == 24
+        radius = _solve_reduced(log_tail, log_target)[0]
+        assert np.all(radius[:12] < 1e-6) and np.all(radius[12:] > 0.999)
+
+    def test_uncertified_rows_share_a_block_with_certified_ones(self):
+        # a root below ZONE_FLOOR is bisected from [0, 1]; its neighbours still start deep
+        log_tail, log_target = _rows([[1.0, 1.0], [1.0, 2.0], [3.0]], [5e-324, 1.0, 1.0])
+        assert _assert_plain_bits(log_tail, log_target) == 3
+        assert _solve_reduced(log_tail, log_target)[0][0] < ZONE_FLOOR
+
+    def test_evaluations_halved(self, monkeypatch):
+        count = _counting(monkeypatch)
+        for seed in (1, 20240601):
+            count[0] = 0
+            run_suite("all", 10, 10, seed)
+            assert count[0] <= 369  # 739 by the plain bisection
+        count[0] = 0
+        assert exact_radius(24, 1).iterations == 55
+        assert count[0] <= 25  # 57 by the plain bisection
+
+
+class TestCells:
+    def test_halving_depth(self):
+        widths = np.array([1.0, 0.5, 0.75, 0.25 + 2.0**-54, 2.0**-52, 3.0 * 2.0**-70])
+        assert _halving_depth(widths).tolist() == [0, 1, 0, 1, 52, 68]
+
+    @pytest.mark.parametrize(
+        "low, high, mid",
+        [
+            (0.3, 0.5, 0.375),  # the cell [1/4, 1/2] ends at the zone's top
+            (0.49, 0.51, 0.5),  # straddles 1/2: the deepest cell is [0, 1]
+            (0.26, 0.27, 0.265625),  # [17/64, 9/32]
+            (0.0, 1.0, 0.5),
+            (0.625 - 2.0**-50, 0.625 + 2.0**-50, 0.625),  # straddles 5/8: the cell [1/2, 3/4]
+        ],
+    )
+    def test_cell_midpoint(self, low, high, mid):
+        assert _cell_midpoint(np.array([low]), np.array([high])).tolist() == [mid]
+
+
+class TestErrorBound:
+    def test_bounds_the_evaluator_error(self):
+        # each tail_sums value is within _error_bound of the exact log sum of its
+        # double inputs, computed here in 60-digit decimals
+        rng = np.random.default_rng(28)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(60):
+                n = int(rng.integers(1, 40))
+                log_tail = rng.uniform(-50.0, 50.0, size=(1, n))
+                log_tail[0, rng.random(n) < 0.3] = -math.inf
+                log_tail[0, 0] = rng.uniform(-5.0, 5.0)
+                rho = np.array([10.0 ** rng.uniform(-8, 0)]).clip(max=1.0)
+                value, slope = _tail_sums(log_tail)(rho, True)
+                u = Decimal(float(rho[0])).ln()
+                exact = sum(
+                    (Decimal(float(l)) + m * u).exp() for m, l in enumerate(log_tail[0], 1) if l > -math.inf
+                ).ln()
+                bound = _error_bound(np.sum(log_tail > -math.inf, axis=1))(value, slope, np.log(rho))[0]
+                assert abs(Decimal(float(value[0])) - exact) <= Decimal(bound) / 2
 
 
 def _max_form_log_ratio(p, q, shift):

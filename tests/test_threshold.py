@@ -256,7 +256,7 @@ class TestMajIdentity:
 
     def test_cap(self):
         assert maj_identity_eval(100001, 0.0) == pytest.approx(math.comb(100000, 50000) / 2**100000, rel=1e-12)
-        with pytest.raises(ValueError, match="need N <= 100001"):
+        with pytest.raises(ValueError, match="need 1 <= N <= 100001"):
             maj_identity_eval(100003, 0.0)
 
 
@@ -522,6 +522,29 @@ class TestMajorityScan:
     def test_integral_float_n_is_its_int(self):
         assert majority_scan([7.0, np.int64(9)]) == majority_scan([7, 9])
         assert [type(row[0]) for row in majority_scan([7.0])] == [int]
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (threshold_radius, (2,)),
+        (exact_radius, (2,)),
+        (mckay_residual, (2,)),
+        (sandwich_check, (2,)),
+        (threshold_spectrum_exact, (2,)),
+        (threshold_module.threshold_spectrum_text, (2,)),
+        (threshold_module.canonical_pair, (2.0,)),
+        (maj_identity_eval, (0.3,)),
+        (tail_lower_bound_check, (1,)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_n_is_checked_as_an_int(entry, args):
+    # an integral float N is its int; any other N is refused before it reaches an integer step
+    N = 5 if entry is maj_identity_eval else 7
+    assert repr(entry(float(N), *args)) == repr(entry(N, *args))
+    with pytest.raises(ValueError, match=re.escape(f"N must be an integer here, got {N + 0.5!r}")):
+        entry(N + 0.5, *args)
 
 
 class TestTailLowerBound:
