@@ -14,8 +14,9 @@ in-place butterfly.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -36,11 +37,11 @@ FWHT_CHUNK = 2**17
 ZERO_TOL = 1e-12
 
 
-def _validate_dimension(n: int) -> None:
+def _validate_dimension(n: int, cap: float = MAX_DENSE_N) -> None:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if n > MAX_DENSE_N:
-        raise ValueError(f"dense tables are capped at n <= {MAX_DENSE_N}, got n = {n}")
+    if n > cap:
+        raise ValueError(f"dense tables are capped at n <= {cap}, got n = {n}")
 
 
 def _freeze(obj, n: int, vector, copy) -> None:
@@ -91,38 +92,46 @@ class Spectrum(_DenseVector):
     coeffs: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SymmetricSpectrum:
     """Per-level spectrum of a permutation-invariant function.
 
     For a symmetric g every coefficient depends only on |S|, so the whole
-    spectrum is the vector of level coefficients g_hat([m]) for m = 0..n.
-    Coefficients are exact rationals; ``log_abs`` holds log|g_hat([m])|
-    (-inf where the coefficient vanishes) for overflow-free large-n work and
-    is derived from them.  The dimension is not bounded by the dense-table cap.
+    spectrum is the levels g_hat([m]), m = 0..n, each held as its exact
+    rational in lowest terms, an integer pair (numerator, denominator > 0);
+    ``_adopt`` takes over reduced pairs.  ``level_coeffs`` (as ``Fraction``s)
+    and ``log_abs`` (log|g_hat([m])|, -inf at a zero) are views of the pairs,
+    computed on first use.  n is not bounded by the dense-table cap.
     """
 
     n: int
-    level_coeffs: tuple
-    log_abs: np.ndarray = field(init=False)
+    _pairs: tuple
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-        lc = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.level_coeffs)
-        if len(lc) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} level coefficients, got {len(lc)}")
-        la = np.array([log_abs_fraction(c) for c in lc])
+    def __init__(self, n: int, level_coeffs):
+        _validate_dimension(n, math.inf)
+        try:
+            lc = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in level_coeffs)
+        except OverflowError:  # an infinite float or Decimal
+            raise ValueError("level_coeffs contains non-finite entries") from None
+        if len(lc) != n + 1:
+            raise ValueError(f"need {n + 1} level coefficients, got {len(lc)}")
+        self.__dict__.update(n=n, _pairs=tuple((c.numerator, c.denominator) for c in lc), level_coeffs=lc)
+
+    @classmethod
+    def _adopt(cls, n: int, pairs: tuple):
+        obj = object.__new__(cls)
+        obj.__dict__.update(n=n, _pairs=pairs)
+        return obj
+
+    @functools.cached_property
+    def level_coeffs(self) -> tuple:
+        return tuple(Fraction(p, q) for p, q in self._pairs)
+
+    @functools.cached_property
+    def log_abs(self) -> np.ndarray:
+        la = np.array([math.log(abs(p)) - math.log(q) if p else -math.inf for p, q in self._pairs])
         la.flags.writeable = False
-        object.__setattr__(self, "level_coeffs", lc)
-        object.__setattr__(self, "log_abs", la)
-
-
-def log_abs_fraction(q: Fraction) -> float:
-    """log|q| of an exact rational, -inf for zero.  Safe for huge numerators."""
-    if q == 0:
-        return -math.inf
-    return math.log(abs(q.numerator)) - math.log(q.denominator)
+        return la
 
 
 def subset_levels(n: int) -> np.ndarray:

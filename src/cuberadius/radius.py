@@ -103,6 +103,9 @@ PROFILE_TOL = 1e-9
 #: Shifted log below which a term of a tail sum counts as 0 (e^-700 of the row's largest term).
 LOG_TINY = -700.0
 
+#: Nats below a kept term at which _parseval_cut cuts: 45 beyond LOG_TINY, for the bound's rounding.
+CUT_NATS = 745.0
+
 #: Most Newton steps of the warm start; a row that has not converged only fails its certificate.
 NEWTON_STEPS = 8
 
@@ -440,12 +443,6 @@ def _binomials(n: int, m: int = 0, b: int = 1):
         b = b * (n - k) // (k + 1)
 
 
-def _odd_part(x: int) -> tuple:
-    """(o, u) with x = o 2^u and o odd, for an integer x > 0."""
-    u = (x & -x).bit_length() - 1
-    return x >> u, u
-
-
 def _one_radius(log_tail: np.ndarray, log_target: float) -> RadiusResult:
     radius, residual, iterations = _solve_reduced(log_tail[None, :], np.array([log_target]))
     method = "bisection" if math.isfinite(radius[0]) else "closed_form"
@@ -466,27 +463,60 @@ def boolean_radius(p: LevelProfile) -> RadiusResult:
     return _one_radius(p.log_weights[1:], _log_targets(p.weights[0], p.sup_norm))
 
 
+def _parseval_cut(n: int, j: int, log_rho: float, log_lead: float) -> int:
+    """M, the last level that a row of level logs must keep, for a nonzero
+    level j >= 1 with log L_j over the target, log_rho = min(0, -L_j / j) and
+    log_lead = log(W_j / G), G >= ||g||_2 (a sup norm passed unchecked is none).
+
+    The root is at most rho_c = e^log_rho, where term j alone reaches the
+    target (or 1).  By Parseval W_m <= G sqrt(binom(n, m)), so at rho_c term
+    m is at most e^f(m) times term j, f(m) = 0.5 log binom(n, m) + (m - j)
+    log_rho - log_lead, concave with f(j) >= 0; M is the first m > j with
+    f(m) < -CUT_NATS, less one.  The full row's bits stay: near and below
+    rho_c the tail-sum evaluator zeroes a skipped term (e^-745 below term j),
+    further up term j alone passes the target in both rows, and numpy's
+    pairwise sum splits at exact halves, so padding to _block_width(M) sums
+    to the bits of padding to _block_width(n).
+    """
+    log, half_log_binom, floor = math.log, 0.0, log_lead - CUT_NATS
+    for m in range(1, n + 1):
+        half_log_binom += 0.5 * log((n - m + 1) / m)
+        if m > j and half_log_binom + (m - j) * log_rho < floor:
+            return m - 1
+    return n
+
+
+def _log_norm_bound(n: int, pairs) -> float:
+    """Upper bound on log ||g||_2 from the bit lengths, |p / q| < 2^(len p + 1 - len q), some p nonzero."""
+    lengths = np.array([(p.bit_length(), q.bit_length()) for p, q in pairs], dtype=float).T
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log(np.arange(n, 0.0, -1.0) / np.arange(1.0, n + 1.0)))))
+    terms = np.where(lengths[0] > 0, log_binom + 2.0 * _LOG2 * (lengths[0] + 1.0 - lengths[1]), -math.inf)
+    return 0.5 * float(np.logaddexp.reduce(terms))
+
+
 def boolean_radius_symmetric(s: SymmetricSpectrum, sup: float) -> RadiusResult:
     """Radius of a permutation-invariant function from its per-level spectrum.
 
-    With the reduced target t = sup - |g_hat([0])| as an exact rational, each
-    level log log(W_m / t), W_m = binom(n, m) |g_hat([m])|, is one _log_ratio
-    of exact integers (binom(n, m) from a running product), so any n works
-    without dense tables and the target log is 0.  The row is padded to
-    _block_width(n) as a threshold row is; the residual is scaled back by t.
+    Over the exact target t = sup - |g_hat([0])|, each level log log(W_m / t),
+    W_m = binom(n, m) |g_hat([m])|, is one _log_ratio of the exact integers
+    binom(n, m) |p_m| den(t) and q_m num(t), (p_m, q_m) the level's pair, up to
+    the _parseval_cut at the lowest nonzero level, with ||g||_2 bounded from
+    the pairs.  Any n works; the residual is scaled back by t.
     """
     if _finite_sup(sup) <= 0:
         raise ValueError("sup norm must be positive")
-    t = Fraction(sup) - abs(s.level_coeffs[0])
+    t = Fraction(sup) - abs(Fraction(*s._pairs[0]))
     # t <= 0 only reaches _solve_reduced's profile checks, through the target
-    scale, tail = abs(t) or 1, np.full(_block_width(s.n), -math.inf)
-    (pt, ut), (qt, vt) = _odd_part(scale.numerator), _odd_part(scale.denominator)
-    for m, (binom, c) in enumerate(zip(_binomials(s.n), s.level_coeffs)):
-        if m and c:  # powers of two enter as the shift, not as factors of a product
-            (pm, um), (qm, vm) = _odd_part(abs(c.numerator)), _odd_part(c.denominator)
-            tail[m - 1] = _log_ratio(binom * pm * qt, qm * pt, um + vt - vm - ut)
+    tn, td = (abs(t) or Fraction(1)).as_integer_ratio()
+    level_log = lambda binom, p, q: _log_ratio(binom * abs(p) * td, q * tn, 0) if p else -math.inf
+    cut, j = s.n, next((m for m in range(1, s.n + 1) if s._pairs[m][0]), 0)  # j: the lowest nonzero level
+    if j:
+        lj = level_log(math.comb(s.n, j), *s._pairs[j])
+        cut = _parseval_cut(s.n, j, min(0.0, -lj / j), lj + _log_ratio(tn, td, 0) - _log_norm_bound(s.n, s._pairs))
+    logs = [level_log(b, p, q) for b, (p, q) in zip(_binomials(s.n, 1, s.n), s._pairs[1 : cut + 1])]
+    tail = np.array(logs + [-math.inf] * (_block_width(len(logs)) - len(logs)))
     result = _one_radius(tail, 0.0 if t > 0 else -math.inf if t == 0 else math.nan)
-    return replace(result, residual=result.residual * float(scale))
+    return replace(result, residual=result.residual * (tn / td))
 
 
 def class_radius(profiles) -> float:

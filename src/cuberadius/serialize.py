@@ -23,7 +23,7 @@ nearest to it, as ``float`` does.  It is strict JSON: ``NaN``, ``Infinity``
 and numbers beyond the double range are malformed text, and an integer of
 2^64 or more is read as its nearest double.  Symmetric spectra are parsed
 by the standard ``json`` module, whose non-finite tokens reach the loader's
-own check of the rationals.
+own check of the rationals; exponent forms in their texts are refused.
 """
 
 from __future__ import annotations
@@ -255,18 +255,6 @@ def dumps_spectrum(s: Spectrum) -> str:
     return dumps({"n": s.n, "coeffs": s.coeffs})
 
 
-def _entries(obj: dict, key: str, convert):
-    """convert(obj[key]) for a JSON list; any failure is a ValueError naming key."""
-    items = obj[key]
-    # JSON true/false would otherwise be read as 1/0
-    if not isinstance(items, list) or bool in map(type, items):
-        raise ValueError(f"{key} must hold numbers in a list (booleans are not numbers)")
-    try:
-        return convert(items)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
 def _loads_vector(text: str | bytes, kind: str, key: str, adopt):
     # imported here, not with the module, so that commands without --input
     # start without orjson's import (about 10 ms)
@@ -305,8 +293,8 @@ def _dumps_levels(n: int, levels) -> str:
 
 def dumps_symmetric_spectrum(s: SymmetricSpectrum) -> str:
     # exact threshold spectra share a few power-of-two denominators, so each distinct one is printed once
-    dens = {q: str(q) for q in {c.denominator for c in s.level_coeffs}}
-    levels = ((str(c.numerator), dens[c.denominator], v) for c, v in zip(s.level_coeffs, s.log_abs.tolist()))
+    dens = {q: str(q) for q in {q for _, q in s._pairs}}
+    levels = ((str(p), dens[q], v) for (p, q), v in zip(s._pairs, s.log_abs.tolist()))
     return _dumps_levels(s.n, levels)
 
 
@@ -320,7 +308,18 @@ def loads_symmetric_spectrum(text: str) -> SymmetricSpectrum:
     obj = json.loads(text)
     if not isinstance(obj, dict) or not {"n", "level_coeffs"} <= set(obj) <= {"n", "level_coeffs", "log_abs"}:
         raise ValueError('symmetric-spectrum JSON must be {"n": ..., "level_coeffs": [...]}, "log_abs" optional')
-    return SymmetricSpectrum(obj["n"], _entries(obj, "level_coeffs", lambda v: [Fraction(c) for c in v]))
+    items = obj["level_coeffs"]
+    # JSON true/false would otherwise be read as 1/0
+    if not isinstance(items, list) or bool in map(type, items):
+        raise ValueError("level_coeffs must hold numbers in a list (booleans are not numbers)")
+    # an exponent form such as "1e-10000000" would build a 33-million-bit denominator first
+    if any(isinstance(c, str) and ("e" in c or "E" in c) for c in items):
+        raise ValueError("level_coeffs: exponent forms are not read; write p/q or a plain decimal")
+    try:
+        coeffs = [Fraction(c) for c in items]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"level_coeffs: {exc}") from None
+    return SymmetricSpectrum(obj["n"], coeffs)
 
 
 def radius_result_obj(r: RadiusResult) -> dict:

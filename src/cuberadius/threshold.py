@@ -13,22 +13,8 @@ from these integers, a whole scan in one batch, the published spectrum (an
 integer over 2^{N-1} per level, by Krawtchouk reciprocity) from the dual
 recurrence.
 
-A radius row keeps only levels 1..M of its N.  psi is +-1 valued, so by
-Parseval binom(N, m) psihat([m])^2 <= 1 and W_m <= sqrt(binom(N, m)).  With
-L1 the level-1 log over the target and rho_c = min(1, e^-L1), the level-1
-term alone reaches the target at rho_c, so the root lies below it.  The
-bound 0.5 log binom(N, m) + m log rho_c is concave in m, and M is the last
-level before it falls CUT_NATS (745) below the level-1 term at rho_c.  The
-bits stay those of the full row:
-  * at every rho <= rho_c a skipped term is below e^-745 of the level-1 term,
-    so the tail-sum evaluator, which zeroes terms below e^-700 of the row's
-    largest, would have set it to exactly 0;
-  * just above rho_c the skipped terms are still zeroed, and further up the
-    level-1 term alone exceeds the target in both rows, so every comparison
-    with the target has the same outcome;
-  * _block_width is a power of two and numpy's pairwise sum splits at exact
-    halves, so a row padded to _block_width(M) sums to the bits of the one
-    padded to _block_width(N): the dropped halves are all zeros.
+A radius row keeps only levels 1..M of its N: psi is +-1 valued, so
+||psi||_2 = 1, and M is radius._parseval_cut's, taken at the level-1 term.
 The exact tail count is summed from the nearer end of [0, N/2].
 
 On top of this the module provides the torus supremum G and its
@@ -45,13 +31,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .cube import SymmetricSpectrum
 from .families import canonical_alpha
-from .radius import SCAN_BLOCK_DOUBLES, RadiusResult, _binomials, _bisect, _block_width, _log_ratio, _solve_reduced
+from .radius import (SCAN_BLOCK_DOUBLES, RadiusResult, _binomials, _bisect, _block_width, _log_ratio, _parseval_cut,
+                     _solve_reduced)
 
 #: Dimension cap for threshold radii and scans (exact integers of N bits).
 MAX_SYMMETRIC_N = 100001
@@ -62,10 +48,6 @@ MAX_SPECTRUM_N = 4001
 
 #: Leading bits kept of each big integer factor of a level weight.
 HEAD_BITS = 128
-
-#: A level whose Parseval bound lies this many nats below the level-1 term is cut
-#: from its row: 45 beyond LOG_TINY's 700, which absorb the rounding of the bound.
-CUT_NATS = 745.0
 
 #: Relative slack for the sandwich inequalities.
 SANDWICH_TOL = 1e-9
@@ -166,15 +148,19 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     (1+z)^{n-x} (1-z)^x.  The dual recurrence d_0 = binom(n, b) and
     (n - x) d_{x+1} = alpha d_x - x d_{x-1} divides exactly, so no product of
     two N-bit integers and no gcd is formed; level 0 is the exact tail
-    expectation (T - 2^n) / 2^n.  alpha = -1 (N even) is admitted so that
-    canonicalized thresholds with an even integer alpha, where the odd-parity
-    representative drops below zero, still have an exact spectrum; the
-    identities hold there unchanged.
+    expectation (T - 2^n) / 2^n.  Each level is kept as (d >> u, 2^(n - u)),
+    u the trailing zeros of d up to n: no Fraction is built.  alpha = -1 (N
+    even) is admitted so that canonicalized thresholds with an even integer
+    alpha, where the odd-parity representative drops below zero, still have an
+    exact spectrum; the identities hold there unchanged.
     """
     N = _check_n(N, MAX_SPECTRUM_N)
     alpha, T, lead = _tail_terms(N, alpha)
-    n = N - 1
-    return SymmetricSpectrum(N, [_dyadic(T - 2**n, n)] + [_dyadic(d, n) for d in _dual_terms(alpha, n, lead)])
+    n, pairs = N - 1, []
+    for d in itertools.chain((T - 2**n,), _dual_terms(alpha, n, lead)):
+        u = min((d & -d).bit_length() - 1, n) if d else n
+        pairs.append((d >> u, 1 << (n - u)))
+    return SymmetricSpectrum._adopt(N, tuple(pairs))
 
 
 def _dual_terms(alpha, n: int, lead):
@@ -223,23 +209,9 @@ def threshold_spectrum_text(N: int, alpha: int) -> list:
             if u not in dens:
                 dens[u] = decimal.Decimal(1 << u), str(1 << (n - u)), math.log(1 << (n - u))
             two_u, q, log_q = dens[u]
-            # the log of threshold_spectrum_exact's reduced Fraction, bit for bit
+            # the log_abs of threshold_spectrum_exact's reduced pair, bit for bit
             out.append((str(e // two_u), q, math.log(abs(d >> u)) - log_q))
     return out
-
-
-def _dyadic(num: int, k: int) -> Fraction:
-    """The Fraction num / 2^k in lowest terms: only the trailing zeros of num cancel.
-
-    The result is written straight into the two slots of CPython's
-    ``Fraction`` (``_numerator``, ``_denominator``), which skips the gcd
-    ``Fraction(p, q)`` would run on an already reduced pair; this relies on
-    the standard library's private slot layout.
-    """
-    u = min((num & -num).bit_length() - 1, k) if num else k
-    c = object.__new__(Fraction)
-    c._numerator, c._denominator = num >> u, 1 << (k - u)
-    return c
 
 
 def maj_identity_eval(N: int, r: float) -> float:
@@ -427,11 +399,7 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
     is N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0.
     Each of the three big factors enters as its HEAD_BITS-bit head, which moves
     the quotient by about 2^-126 relative: far below one rounding of a double.
-
-    M is the Parseval cut of the module docstring, found before the levels by
-    a float loop over log binom(N, m): the first m at which
-    0.5 log binom(N, m) + (m - 1) log rho_c falls below log W_1 - CUT_NATS
-    (W_1 in sup units, log rho_c = min(0, -L1), L1 the level-1 log), less one.
+    M is radius._parseval_cut's at level 1, with ||psi||_2 = 1.
 
     c_k, the z^k coefficient of (1+z)^a (1-z)^b, comes from the Krawtchouk
     recurrence c_0 = 1, (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1} (from
@@ -441,16 +409,9 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
     sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
     num, den, shift = num >> sn, den >> sd, sn - sd
     log, log2, logs = math.log, math.log(2.0), []
-    log_w1 = log(num) + (sn - N + 1) * log2
-    log_rho = min(0.0, log(den) - log(num) - shift * log2)
-    floor, half_log_binom, kept = log_w1 - CUT_NATS, 0.0, N
-    for m in range(1, N + 1):
-        half_log_binom += 0.5 * log((N - m + 1) / m)
-        if half_log_binom + (m - 1) * log_rho < floor:
-            kept = m - 1
-            break
+    log_w1, log_rho = log(num) + (sn - N + 1) * log2, min(0.0, log(den) - log(num) - shift * log2)
     c_prev, c = 0, 1
-    for k in range(kept):
+    for k in range(_parseval_cut(N, 1, log_rho, log_w1)):
         if c:
             h = abs(c)
             s = h.bit_length() - HEAD_BITS

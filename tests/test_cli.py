@@ -512,13 +512,16 @@ class TestSpectrumCommand:
         assert out["level_coeffs"][0::2] == ["0/1"] * 3 and out["log_abs"][0::2] == ["-inf"] * 3
 
     def test_symmetric_builds_no_fraction(self, monkeypatch):
-        from cuberadius import cube, threshold
+        from fractions import Fraction
 
-        def refuse(*args):
+        from cuberadius import cube
+
+        def refuse(*args, **kwargs):
             raise AssertionError("built a Fraction or a SymmetricSpectrum")
 
-        monkeypatch.setattr(threshold, "_dyadic", refuse)
-        monkeypatch.setattr(cube.SymmetricSpectrum, "__post_init__", refuse)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        monkeypatch.setattr(cube.SymmetricSpectrum, "__init__", refuse)
+        monkeypatch.setattr(cube.SymmetricSpectrum, "_adopt", refuse)
         code, out, err = _capture(["spectrum", "--family", "threshold", "--n", "61", "--alpha", "12", "--symmetric"])
         assert (code, err) == (0, "") and json.loads(out)["n"] == 61
 

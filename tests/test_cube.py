@@ -391,6 +391,12 @@ class TestSymmetricSpectrum:
         with pytest.raises(TypeError):
             SymmetricSpectrum(2, ["0", "1/2", quarter], s.log_abs)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, np.float64(math.inf), math.nan])
+    def test_rejects_non_finite_coefficients(self, bad):
+        # as the dense types do: a ValueError, not the OverflowError of Fraction(inf)
+        with pytest.raises(ValueError):
+            SymmetricSpectrum(1, [0, bad])
+
 
 def test_subset_levels_are_popcounts():
     lv = subset_levels(4)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,20 @@ def test_symmetric_spectrum_rejects_non_rationals():
     for bad in ("null", '"1/0"', "Infinity", "NaN", '"x"'):
         with pytest.raises(ValueError, match="level_coeffs"):
             loads_symmetric_spectrum('{"n": 1, "level_coeffs": [%s, "1/2"]}' % bad)
+
+
+def test_symmetric_spectrum_refuses_exponent_forms_fast():
+    # "1e-10000000" alone would build a 33-million-bit denominator (13.8 s) before any check
+    import time
+
+    for bad in ('"1e-10000000"', '"2.5E3"', '"1/2e1"'):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^level_coeffs: exponent forms are not read"):
+            loads_symmetric_spectrum('{"n": 1, "level_coeffs": ["0", %s]}' % bad)
+        assert time.perf_counter() - start < 1.0, bad
+    # "p/q", plain decimals and JSON numbers, exponent-form numbers among them, still load
+    s = loads_symmetric_spectrum('{"n": 3, "level_coeffs": ["-3/4", "0.25", 0.25, 25e-2]}')
+    assert s.level_coeffs == (Fraction(-3, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
 
 
 def test_dense_emitters_match_the_generic_emitter():

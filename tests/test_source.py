@@ -68,6 +68,23 @@ def test_one_home_for_each_exact_integer_step():
     assert functions_matching(r"\* \((\w+) - (\w+)\) // \(\2 \+ 1\)") == [("radius", "_binomials")]
 
 
+def test_no_fraction_internals():
+    # symmetric spectra hold integer pairs: nothing builds a Fraction by hand or writes its private slots
+    found = [path.name for path in SOURCES if re.search(r"_numerator|_denominator|__new__\(Fraction\)", path.read_text())]
+    assert found == []
+
+
+def test_one_parseval_cut():
+    # the threshold rows and boolean_radius_symmetric cut their rows by one helper
+    readers = [
+        (path.stem, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and any(isinstance(n, ast.Name) and n.id == "CUT_NATS" for n in ast.walk(node))
+    ]
+    assert readers == [("radius", "_parseval_cut")]
+
+
 def imported_modules(source: str) -> set:
     """The top-level names of the modules that ``source`` imports, relative imports left out."""
     found = set()

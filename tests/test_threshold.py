@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from cuberadius import threshold as threshold_module
-from cuberadius.cube import log_abs_fraction, subset_levels, sup_norm, walsh_transform
+from cuberadius.cube import SymmetricSpectrum, subset_levels, sup_norm, walsh_transform
 from cuberadius.families import ThresholdSpec, canonical_alpha, threshold
 from cuberadius.radius import SCAN_BLOCK_DOUBLES, _solve_reduced, boolean_radius, boolean_radius_symmetric, level_profile
 from cuberadius.threshold import (
@@ -21,7 +21,6 @@ from cuberadius.threshold import (
     ThresholdReport,
     _block_width,
     _dual_terms,
-    _dyadic,
     _level_logs,
     _radii_exact,
     _tail_count,
@@ -150,27 +149,14 @@ class TestExactSpectrum:
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (N, alpha, m)
             assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1, (N, alpha, m)
             assert got == want and hash(got) == hash(want), (N, alpha, m)
-            assert sym.log_abs[m].hex() == log_abs_fraction(want).hex(), (N, alpha, m)
+            log_abs = math.log(abs(want.numerator)) - math.log(want.denominator) if want else -math.inf
+            assert sym.log_abs[m].hex() == log_abs.hex(), (N, alpha, m)
 
     def test_lowest_terms_every_alpha_up_to_60(self):
         # every admissible alpha, -1 (even N) included
         for N in range(1, 61):
             for alpha in range(-1 + N % 2, N, 2):
                 self._assert_lowest_terms_exact(N, alpha)
-
-    def test_lowest_terms_matches_the_fraction_constructor(self):
-        # _dyadic writes Fraction's two private slots; a changed layout fails here first
-        assert Fraction.__slots__ == ("_numerator", "_denominator")
-        cases = [
-            (0, 3), (0, 0), (-3, 2), (12, 0), (1, 0), (12, 5), (-(2**75), 70),
-            (5 * 2**40, 9), (-(3**50) * 2**3, 70), (2**70, 70), (2**69 * 7, 70),
-        ]
-        for num, k in cases:
-            got = _dyadic(num, k)
-            want = Fraction(num, 2**k)
-            assert type(got) is Fraction, (num, k)
-            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (num, k)
-            assert got == want and hash(got) == hash(want), (num, k)
 
     def test_levels_are_dual_integers_over_a_power_of_two(self):
         # every admissible alpha, -1 (even N) included: each level is d_x / 2^(N-1)
@@ -874,6 +860,88 @@ class TestParsevalCut:
             bound = logs[0] + log_rho - 700.0
             assert all(logs[m - 1] + m * log_rho < bound for m in range(kept + 1, N + 1)), (N, a)
             assert N < 1001 or kept < N // 2, (N, a, kept)  # the cut keeps a few hundred levels
+
+
+def _full_row_symmetric(s, sup):
+    """(radius, residual, halvings) of boolean_radius_symmetric's row with all n
+    levels, padded to _block_width(n): each level log over t = sup - |g_hat(empty)|
+    from the whole products binom(n, m) |p_m| den(t) and q_m num(t)."""
+    coeffs = s.level_coeffs
+    t = Fraction(sup) - abs(coeffs[0])
+    tail = np.full((1, _block_width(s.n)), -math.inf)
+    for m, (binom, c) in enumerate(zip(_binomial_row(s.n), coeffs)):
+        if m and c:
+            tail[0, m - 1] = _full_width_log_ratio(binom * abs(c.numerator) * t.denominator, c.denominator * t.numerator)
+    radius, residual, halvings = _solve_reduced(tail, np.zeros(1))
+    return radius[0].item(), residual[0].item() * float(t), halvings[0].item()
+
+
+class TestSymmetricParsevalCut:
+    """boolean_radius_symmetric keeps a row's levels only up to the Parseval cut
+    at its lowest nonzero level, with ||g||_2 bounded from the level pairs; the
+    radius, residual and halvings must keep the bits of the full row."""
+
+    @pytest.fixture
+    def cuts(self, monkeypatch):
+        """The n and M of every cut that boolean_radius_symmetric makes."""
+        import cuberadius.radius as radius_module
+
+        made, cut = [], radius_module._parseval_cut
+        monkeypatch.setattr(radius_module, "_parseval_cut", lambda n, *rest: made.append((n, cut(n, *rest))) or made[-1][1])
+        return made
+
+    @staticmethod
+    def _assert_full_row_bits(s, sup):
+        got = boolean_radius_symmetric(s, sup)
+        assert repr((got.radius, got.residual, got.iterations)) == repr(_full_row_symmetric(s, sup))
+        return got
+
+    def test_threshold_spectra(self, cuts):
+        for N, a in _cut_pairs():
+            self._assert_full_row_bits(threshold_spectrum_exact(N, a), 1.0)
+        assert sum(M < n for n, M in cuts) == 25  # every pair at the five larger N
+
+    def test_random_rational_spectra(self, cuts):
+        # levels up to about 1/sqrt(binom(n, m)) in size with odd and even denominators,
+        # from a lowest nonzero level j, and targets from W_j down to 2^-300 W_j
+        import random
+
+        rng = random.Random(28)
+        for _ in range(200):
+            n = rng.randint(1, 400)
+            j = min(rng.choice((1, 1, 2, 3, rng.randint(1, n))), n)
+            coeffs = [Fraction(0)] * (n + 1)
+            for m in range(j, n + 1):
+                if m == j or rng.random() < 0.6:
+                    size = math.isqrt(math.comb(n, m)) * rng.randint(1, 999) + rng.randint(1, 99)
+                    coeffs[m] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), size)
+            coeffs[0] = Fraction(rng.randint(-8, 8), 16) if rng.random() < 0.5 else Fraction(0)
+            w_j = math.comb(n, j) * abs(coeffs[j])
+            sup = float(abs(coeffs[0]) + w_j / 2 ** rng.randint(0, 30 if coeffs[0] else 300))
+            if Fraction(sup) > abs(coeffs[0]):  # else the target rounded away
+                self._assert_full_row_bits(SymmetricSpectrum(n, coeffs), sup)
+        assert sum(M < n for n, M in cuts) >= 100  # 121 of the 200 rows are cut
+
+    def test_a_sup_below_the_two_norm_does_not_shorten_the_row(self, cuts):
+        # sup is not checked against g: with ||g||_2 bounded by this sup the cut
+        # would keep 77 levels and give the radius 3.0517578124999986e-05
+        n = 200
+        coeffs = [0] * (n + 1)
+        coeffs[1], coeffs[100] = Fraction(1, 200), Fraction(2**1520, math.comb(200, 100))
+        got = self._assert_full_row_bits(SymmetricSpectrum(n, coeffs), 2.0**-15)
+        assert got.radius == 2.3591152481136412e-05
+        assert len(cuts) == 1 and cuts[0][1] >= 100  # level 100 is kept
+
+    @pytest.mark.parametrize("sup", [1.0, 0.5, 2.0**-40])
+    def test_a_high_lowest_level_is_kept(self, cuts, sup):
+        # the cut starts at the lowest nonzero level j = 2000: at m = 1 the bound
+        # 0.5 log binom(n, m) + (m - j) log_rho - log_lead is far below -CUT_NATS
+        n = 4000
+        coeffs = [0] * (n + 1)
+        coeffs[2000] = Fraction(1, math.comb(n, 2000))
+        got = self._assert_full_row_bits(SymmetricSpectrum(n, coeffs), sup)
+        assert got.radius == (1.0 if sup == 1.0 else pytest.approx(sup ** (1 / 2000), rel=1e-15))
+        assert cuts[0][1] >= 2000
 
 
 class TestTailCount:
