@@ -255,8 +255,12 @@ def caratheodory_sharpness(lambdas, p: float):
     as lambda -> 0, which is why the constant 2 cannot be improved), while
     for any p > 1 it blows up as lambda -> 0 (no p > 1 version exists).
     """
+    if not p >= 1.0:
+        raise ValueError(f"need p >= 1, got p = {p}")
     rows = []
     for lam in lambdas:
+        if not 0.0 < lam <= 1.0:
+            raise ValueError(f"need 0 < lambda <= 1, got lambda = {lam}")
         lhs = ((2.0 - 2.0 * lam) ** p * lam + (2.0 * lam) ** p * (1.0 - lam)) ** (1.0 / p)
         rows.append((float(lam), lhs / (4.0 * lam)))
     return rows
@@ -564,6 +568,8 @@ def run_suite(suite: str, n_max: int, samples: int, seed: int, d: int = 3) -> In
         raise ValueError("need d >= 1 for the low-degree draw mode")
     if samples < 1:
         raise ValueError(f"need samples >= 1 random draws per mode and dimension, got {samples}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed = {seed}")
     merges = [_Merge(s) for s in (ASSERTABLE_SUITES if suite == "all" else (suite,))]
     for t, key_of in _blocks(n_max, samples, seed, d):
         for merge in merges:

@@ -589,6 +589,8 @@ def homogeneous_class_scan(N: int, m: int, trials: int, seed: int) -> float:
         raise ValueError("scan is capped at N <= 20")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed = {seed}")
     count = list(_binomials(N))[m]
     ones = np.ones(count)
     step = max(1, SCAN_BLOCK_DOUBLES >> N)

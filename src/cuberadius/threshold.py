@@ -97,8 +97,8 @@ def canonical_pair(N: int, alpha: float, cap: int = MAX_SYMMETRIC_N) -> tuple:
 
 
 def _as_int(name: str, x) -> int:
-    """x as an int: an integral float such as 7.0 passes, any other non-integer raises."""
-    if isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer():
+    """x as an int: an integral float such as 7.0 passes, a bool or any other non-integer raises."""
+    if not isinstance(x, bool) and (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()):
         return int(x)
     raise ValueError(f"{name} must be an integer here, got {x!r}")
 
@@ -550,8 +550,7 @@ def tn_lower_bound(N: int) -> float:
     undefined; the k >= 1 reading matches the coefficient-bound indexing the
     equation comes from, and is what is solved here.
     """
-    if not 1 <= N <= MAX_TN_N:
-        raise ValueError(f"need 1 <= N <= {MAX_TN_N}")
+    N = _check_n(N, MAX_TN_N)
     if N == 1:  # cos(pi/3) t = 1/2 has the root 1, but math.cos(math.pi / 3) is 0.5000000000000001
         return 1.0
     coefs = [math.cos(math.pi / (N // k + 2)) for k in range(1, N + 1)]

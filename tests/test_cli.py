@@ -609,6 +609,11 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "wiener", "--n-max", "4", "--samples", "-3"]) == 2
         assert "samples >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys):
+        # numpy's own message, "expected non-negative integer", named no flag
+        assert main(["verify", "--suite", "wiener", "--n-max", "2", "--samples", "1", "--seed", "-1"]) == 2
+        assert "need seed >= 0, got seed = -1" in capsys.readouterr().err
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])

@@ -166,6 +166,17 @@ class TestSharpness:
         assert rows[0][1] == pytest.approx(0.8660254037844386, abs=1e-12)
         assert rows[1][1] == pytest.approx(3.968626966596886, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.25, 1.5, math.nan])
+    def test_rejects_lambda_outside_unit_interval(self, lam):
+        # lambda = 0 divided by zero
+        with pytest.raises(ValueError, match=r"need 0 < lambda <= 1"):
+            caratheodory_sharpness([0.25, lam], 1.0)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan])
+    def test_rejects_p_below_one(self, p):
+        with pytest.raises(ValueError, match=r"need p >= 1"):
+            caratheodory_sharpness([0.25], p)
+
 
 class TestDegreeL2:
     def test_dictator(self):

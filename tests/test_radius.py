@@ -757,3 +757,7 @@ class TestHomogeneousScan:
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             homogeneous_class_scan(5, 6, trials=1, seed=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"need seed >= 0, got seed = -1"):
+            homogeneous_class_scan(3, 2, trials=5, seed=-1)

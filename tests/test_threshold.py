@@ -522,6 +522,7 @@ class TestMajorityScan:
         (threshold_module.canonical_pair, (2.0,)),
         (maj_identity_eval, (0.3,)),
         (tail_lower_bound_check, (1,)),
+        (tn_lower_bound, ()),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -531,6 +532,30 @@ def test_n_is_checked_as_an_int(entry, args):
     assert repr(entry(float(N), *args)) == repr(entry(N, *args))
     with pytest.raises(ValueError, match=re.escape(f"N must be an integer here, got {N + 0.5!r}")):
         entry(N + 0.5, *args)
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (threshold_radius, (0,)),
+        (exact_radius, (0,)),
+        (mckay_residual, (0,)),
+        (sandwich_check, (0,)),
+        (threshold_spectrum_exact, (0,)),
+        (threshold_module.threshold_spectrum_text, (0,)),
+        (threshold_module.canonical_pair, (0.0,)),
+        (maj_identity_eval, (0.3,)),
+        (tail_lower_bound_check, (0,)),
+        (tn_lower_bound, ()),
+        (lambda N: threshold_scan([(N, 0)]), ()),
+        (lambda N: majority_scan([N]), ()),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_n_refuses_a_bool(entry, args):
+    # True == 1, so each entry returned its N = 1 result
+    with pytest.raises(ValueError, match=re.escape("N must be an integer here, got True")):
+        entry(True, *args)
 
 
 class TestTailLowerBound:
