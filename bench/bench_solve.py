@@ -11,7 +11,9 @@ Times the solve on the inputs it meets in the CLI:
   padded with -inf to ``_block_width`` as ``threshold._radii_exact`` pads them;
 - the 172 distinct level profiles of the brute force at N = 4;
 - then ``threshold.exact_radius(24, 1)``, one row with its level logs;
-- and ``cli.main`` of that ``verify`` command (stdout captured).
+- ``cli.main`` of that ``verify`` command (stdout captured);
+- and the whole ``radius.brute_force_bn_radius(4)``: half-table butterflies,
+  level sums, the distinct profiles and their one solve.
 
 Every input is built by this checkout.  Each case also reports its
 evaluations: the calls of the tail-sum evaluators that ``radius._tail_sums``
@@ -37,6 +39,7 @@ CASES = {
     "brute_profiles_n4": "radius._solve_reduced of the 172 distinct level profiles of the brute force at N = 4",
     "exact_radius_24_1": "threshold.exact_radius(24, 1), one row with its level logs",
     "verify_all_10_10": "cli.main of " + " ".join(VERIFY_ARGV),
+    "brute_force_4": "radius.brute_force_bn_radius(4), the whole brute force",
 }
 
 
@@ -68,6 +71,7 @@ def cases(this):
         yield name, lambda tree: lambda: [tree.radius._solve_reduced(*args) for args in block]
     yield "exact_radius_24_1", lambda tree: functools.partial(tree.threshold.exact_radius, 24, 1)
     yield "verify_all_10_10", lambda tree: harness.cli_call(tree, VERIFY_ARGV)
+    yield "brute_force_4", lambda tree: functools.partial(tree.radius.brute_force_bn_radius, 4)
 
 
 def readings(tree, name, call) -> dict:

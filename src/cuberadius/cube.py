@@ -149,7 +149,8 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     """Unnormalized in-place Walsh-Hadamard butterfly along the last axis.
 
     Output[S] = sum_x (-1)^{popcount(S & x)} input[x]; cost O(n 2^n).  ``a``
-    must be C-contiguous: its reshapes are views, so writes land in ``a``.
+    must be C-contiguous, so that its reshapes are views and writes land in
+    ``a``; any other array raises ValueError.
 
     Stage h (h = 1, 2, ..., 2^n / 2) maps each pair (u, v) = (x, x + h) of
     every block of 2h entries to (u + v, u - v).  The stages run in two
@@ -168,6 +169,8 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     is computed as the same IEEE sum either way; only the loop order over
     independent pairs changes.
     """
+    if not a.flags.c_contiguous:
+        raise ValueError("the butterfly runs in place on a C-contiguous array only")
     size = a.shape[-1]
     flat = a.reshape(-1)
     low = min(size, FWHT_CHUNK)

@@ -367,15 +367,14 @@ def wiener_degree_ratio(f: BooleanFunction) -> float:
 
 
 def _level_m(t: _Tables, ms, epsilons):
-    """One column per (m, epsilon), m-major."""
+    """One column per (m, epsilon), m-major, for f or -f, whichever has E >= 0:
+    level energies are sign-blind, so delta = 1 - |fhat({})|."""
     if not all(0.0 < eps < 1.0 for eps in epsilons):
         raise ValueError("need 0 < epsilon < 1")
     if not all(1 <= m <= t.n for m in ms):
         raise ValueError("need 1 <= m <= n")
     _require(np.abs(t.sup - 1.0) <= 1e-9, "normalize to ||f||_inf = 1 first")
-    c0 = t.coeffs[:, 0]
-    _require(c0 >= -1e-12, "normalize so that E[f] >= 0 first")
-    delta = 1.0 - c0
+    delta = 1.0 - np.abs(t.coeffs[:, 0])
     _require(delta > 1e-12, "constant-one function excluded (delta = 0)")
     energy = np.sqrt(_level_sums(t.coeffs, np.square))[:, list(ms)]
     scale = np.array([[2.0 * eps ** (-m / 2.0) for eps in epsilons] for m in ms])
@@ -392,6 +391,8 @@ def level_m_bound_check(f: BooleanFunction, m: int, epsilon: float) -> Inequalit
     fails for fhat (its proof substitutes g = (1-f)/2, which only matches f
     on nonempty sets).
     """
+    if np.mean(f.values) < -1e-12:
+        raise ValueError("normalize so that E[f] >= 0 first")
     return _single("level-m", f, _level_m, [m], [epsilon])
 
 
@@ -437,14 +438,6 @@ def family_functions(N: int):
     return out
 
 
-def _normalized_nonneg(t: _Tables) -> _Tables:
-    """Rows scaled to sup norm 1 and negated where needed so that E >= 0."""
-    g = t.values / t.sup[:, None]
-    flip = np.mean(g, axis=1) < 0
-    g[flip] = -g[flip]
-    return _Tables(t.n, g)
-
-
 def _report_only(ratio: np.ndarray):
     return ratio[:, None], np.zeros((ratio.size, 1), dtype=bool)
 
@@ -457,7 +450,7 @@ _SUITE_CHECKS = {
     "degree-l2": lambda t: _degree_l2(t, np.maximum(t.degree, 1)),
     "norm-comparison": lambda t: _norm_comparison(t, np.maximum(t.degree, 1)),
     "hyper": lambda t: _hyper(t, HYPER_CHECKS),
-    "level-m": lambda t: _level_m(_normalized_nonneg(t), range(1, t.n + 1), EPSILON_GRID),
+    "level-m": lambda t: _level_m(t, range(1, t.n + 1), EPSILON_GRID),
     "biased-radius": _biased_radius,
     "bh": lambda t: _report_only(_bh(t, np.maximum(t.degree, 1))),
     "cd-ratio": lambda t: _report_only(_cd_ratio(t)),

@@ -86,7 +86,6 @@ from .cube import (
     Spectrum,
     SymmetricSpectrum,
     _fwht_inplace,
-    _walsh_rows,
     subset_levels,
 )
 from .families import _sign_spectra
@@ -546,9 +545,10 @@ def brute_force_bn_radius(N: int):
     being +1 when bit j of k is clear.  Returns (radius, minimizer) with ties
     broken by the first table in enumeration order.  Table k and its negation
     2^(2^N) - 1 - k share their level profile, so only k < 2^(2^N - 1) is
-    enumerated: the first minimizer lies there.  Those tables go through one
-    batched butterfly; only their distinct level profiles (172 at N = 4) are
-    solved.
+    enumerated: the first minimizer lies there.  Table k = lo + 2^h hi (h =
+    2^N / 2) is half-tables lo and hi side by side, so its butterfly is the
+    last stage (a + b, a - b) on their two batched butterflies (2^h + 2^(h-1)
+    rows); only the distinct level profiles (172 at N = 4) are solved.
 
     The matching lower-bound argument for 2^(1/N) - 1 covers all real-valued
     functions, so the +-1-valued sweep is a confirmation, not an independent
@@ -557,15 +557,20 @@ def brute_force_bn_radius(N: int):
     if not 1 <= N <= BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force is limited to 1 <= N <= {BRUTE_FORCE_MAX_N}")
     points = 2**N
-    bits = np.arange(points, dtype=np.uint64)
-    table = lambda ks: 1.0 - 2.0 * ((ks[..., None] >> bits) & 1)
-    sums = _level_sums(_walsh_rows(table(np.arange(2 ** (points - 1), dtype=np.uint64))), np.abs)
+    h = points // 2
+    table = lambda ks, width: 1.0 - 2.0 * ((ks[..., None] >> np.arange(width, dtype=np.uint64)) & 1)
+    low, high = (_fwht_inplace(table(np.arange(2**k, dtype=np.uint64), h)) for k in (h, h - 1))
+    spectra = np.empty((high.shape[0], low.shape[0], points))
+    np.add(low, high[:, None], out=spectra[..., :h])
+    np.subtract(low, high[:, None], out=spectra[..., h:])
+    spectra /= points
+    sums = _level_sums(spectra.reshape(-1, points), np.abs)
     # distinct rows by their bytes; each is solved on its own, so their order does not matter
     rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1])))[:, 0]
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     rho = _dense_radii(sums[first], 1.0)[inverse]
     i = int(np.argmin(rho))  # ties resolve to the smallest enumeration index
-    return float(rho[i]), BooleanFunction(N, table(np.uint64(i)))
+    return float(rho[i]), BooleanFunction(N, table(np.uint64(i), points))
 
 
 #: Most doubles in one block of sign tables of the homogeneous scan (512 KiB).

@@ -232,13 +232,17 @@ def maj_identity_eval(N: int, r: float) -> float:
 
 def branch_point(N: int, alpha: float) -> float:
     """r_alpha = alpha / ((N-1) + sqrt((N-1)^2 - alpha^2)), where G switches branch."""
+    return _branch_point(_check_n(N, MAX_SYMMETRIC_N), alpha)
+
+
+def _branch_point(N: int, alpha: float) -> float:
     if alpha <= 0:
         return 0.0
     return alpha / ((N - 1) + math.sqrt((N - 1) ** 2 - alpha**2))
 
 
-def _log_g(N: int, alpha: float, r: float) -> float:
-    """log of the torus supremum sup_z |1+zr|^a |1-zr|^b, valid for every r >= 0.
+def _g(N: int, alpha: float, r: float) -> float:
+    """The torus supremum sup_z |1+zr|^a |1-zr|^b from its log, valid for every r >= 0.
 
     The interior critical point t = alpha(1+r^2)/(2r(N-1)) lies in [-1,1]
     exactly for r between r_alpha and 1/r_alpha; there the supremum has the
@@ -246,15 +250,16 @@ def _log_g(N: int, alpha: float, r: float) -> float:
     """
     a = (N + alpha - 1) / 2.0
     b = (N - alpha - 1) / 2.0
-    ra = branch_point(N, alpha)
+    ra = _branch_point(N, alpha)
     if r >= ra and (ra == 0.0 or r <= 1.0 / ra):
         lg = (N - 1) / 2.0 * math.log1p(r * r)
         if alpha > 0:
             x = alpha / (N - 1)
             # at alpha = N - 1 (b = 0, x = 1) the b term tends to 0; log1p(-1) is undefined
             lg += a / 2.0 * math.log1p(x) + (b / 2.0 * math.log1p(-x) if b else 0.0)
-        return lg
-    return a * math.log1p(r) + b * math.log(abs(1.0 - r))
+    else:
+        lg = a * math.log1p(r) + b * math.log(abs(1.0 - r))
+    return math.exp(lg) if lg <= 709.0 else math.inf
 
 
 def g_function(N: int, alpha: float, r: float) -> float:
@@ -265,12 +270,18 @@ def g_function(N: int, alpha: float, r: float) -> float:
     continuous at r_alpha.  Defined for all r >= 0 (the supremum form is),
     which the sandwich check needs whenever 3 rho exceeds 1.
     """
+    N = _check_alpha(N, alpha)
     if not r >= 0:
         raise ValueError(f"need r >= 0, got {r!r}")
+    return _g(N, alpha, r)
+
+
+def _check_alpha(N: int, alpha: float) -> int:
+    """N checked as _check_n does, and 0 <= alpha <= N - 1, for G and I."""
+    N = _check_n(N, MAX_SYMMETRIC_N)
     if not 0 <= alpha <= N - 1:
         raise ValueError("need 0 <= alpha <= N - 1")
-    lg = _log_g(N, alpha, r)
-    return math.exp(lg) if lg <= 709.0 else math.inf
+    return N
 
 
 def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
@@ -313,15 +324,16 @@ def i_integral(N: int, alpha: float, rho: float) -> float:
     G is smooth away from its branch points, which are forced subdivision
     nodes.  rho may exceed 1 (the sandwich evaluates I at 3 rho).
     """
+    N = _check_alpha(N, alpha)
     if not 0 <= rho < math.inf:
         raise ValueError(f"need 0 <= rho < inf, got {rho!r}")
-    ra = branch_point(N, alpha)
+    ra = _branch_point(N, alpha)
     cuts = [0.0]
     for c in (ra, (1.0 / ra) if ra > 0 else math.inf):
         if 0.0 < c < rho:
             cuts.append(c)
     cuts.append(rho)
-    f = lambda r: g_function(N, alpha, r)
+    f = lambda r: _g(N, alpha, r)
     return sum(_adaptive_simpson(f, lo, hi, QUAD_REL_TOL) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 

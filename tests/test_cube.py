@@ -203,6 +203,14 @@ class TestBlockedButterfly:
         assert cube._fwht_inplace(got) is got
         assert_same_bits(got, want)
 
+    def test_refuses_an_array_that_is_not_c_contiguous(self):
+        # a column slice was transformed as a reshaped copy and came back unchanged
+        a = np.random.default_rng(6).normal(size=(4, 16))
+        before = a.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            cube._fwht_inplace(a[:, :8])
+        assert_same_bits(a, before)
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_single_pass(self, shape):
         self.check_against_single_pass(shape)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,22 @@ class TestLevelMBound:
         with pytest.raises(ValueError):
             level_m_bound_check(dictator(2, 1), 0, 0.5)
 
+    @pytest.mark.parametrize(
+        "values, m, eps, message",
+        [
+            ([1.0, -1.0, -1.0, -1.0], 1, 0.5, "normalize so that E[f] >= 0 first"),
+            ([-1.0] * 4, 1, 0.5, "normalize so that E[f] >= 0 first"),
+            ([0.5, -0.5, 0.5, 0.5], 1, 0.5, "normalize to ||f||_inf = 1 first"),
+            ([1.0] * 4, 1, 0.5, "constant-one function excluded (delta = 0)"),
+            ([1.0, -1.0, 1.0, -1.0], 3, 0.5, "need 1 <= m <= n"),
+            ([1.0, -1.0, 1.0, -1.0], 1, 1.0, "need 0 < epsilon < 1"),
+        ],
+    )
+    def test_each_refusal_names_its_cause(self, values, m, eps, message):
+        # the suite reads f and -f alike; the public check still asks for E[f] >= 0
+        with pytest.raises(ValueError, match=re.escape(message)):
+            level_m_bound_check(from_truth_table(2, values), m, eps)
+
 
 class TestBiasedRadiusLower:
     def test_majority3_frozen_bound(self):
@@ -364,6 +381,15 @@ class TestRunSuite:
         assert rep.worst_margin == pytest.approx(worst, rel=1e-12, abs=0.0)
         assert rep.witness.n == witness.n
         assert np.array_equal(rep.witness.values, witness.values)
+
+    @pytest.mark.parametrize("suite", ["level-m", "all"])
+    def test_one_butterfly_per_block(self, suite, monkeypatch):
+        # level-m reads the block's own spectrum; it transformed a sign-flipped copy of each block
+        calls = []
+        walsh_rows = inequalities._walsh_rows
+        monkeypatch.setattr(inequalities, "_walsh_rows", lambda values: calls.append(values.shape) or walsh_rows(values))
+        run_suite(suite, 10, 10, seed=3)
+        assert len(calls) == len(list(inequalities._blocks(10, 10, 3, 3)))
 
     def test_report_does_not_depend_on_the_block_size(self, monkeypatch):
         def reports():

@@ -736,6 +736,14 @@ class TestBruteForce:
         assert r.hex() == float(rho[i]).hex()
         assert np.array_equal(minimizer.values, tables[i]) and minimizer.values.dtype == tables.dtype
 
+    def test_transforms_half_tables_only(self, monkeypatch):
+        # the 2^8 low and 2^7 high half-tables at N = 4, not the 2^15 full tables
+        rows = []
+        fwht = radius_module._fwht_inplace
+        monkeypatch.setattr(radius_module, "_fwht_inplace", lambda a: rows.append(a.shape) or fwht(a))
+        brute_force_bn_radius(4)
+        assert rows == [(256, 8), (128, 8)]
+
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             brute_force_bn_radius(5)

@@ -68,6 +68,11 @@ def test_one_home_for_each_exact_integer_step():
     assert functions_matching(r"\* \((\w+) - (\w+)\) // \(\2 \+ 1\)") == [("radius", "_binomials")]
 
 
+def test_no_blas_call():
+    # OpenBLAS threads keep spinning after a call and raise the CPU time of a run; the oracle is the one product
+    assert functions_matching(r"\s@=?\s|\bdot\(|matmul|einsum") == [("cube", "walsh_transform_naive")]
+
+
 def test_no_fraction_internals():
     # symmetric spectra hold integer pairs: nothing builds a Fraction by hand or writes its private slots
     found = [path.name for path in SOURCES if re.search(r"_numerator|_denominator|__new__\(Fraction\)", path.read_text())]

@@ -331,7 +331,7 @@ class TestIIntegral:
     @pytest.mark.parametrize("rho", [math.nan, math.inf])
     def test_rejects_nan_and_infinite_rho(self, rho, monkeypatch):
         # both ran the quadrature to its evaluation cap before
-        monkeypatch.setattr(threshold_module, "g_function", lambda *a: pytest.fail("integrated"))
+        monkeypatch.setattr(threshold_module, "_g", lambda *a: pytest.fail("integrated"))
         with pytest.raises(ValueError, match=f"^need 0 <= rho < inf, got {rho}$"):
             i_integral(5, 0, rho)
 
@@ -523,6 +523,9 @@ class TestMajorityScan:
         (maj_identity_eval, (0.3,)),
         (tail_lower_bound_check, (1,)),
         (tn_lower_bound, ()),
+        (branch_point, (2,)),
+        (g_function, (2, 0.3)),
+        (i_integral, (2, 1.5)),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -549,6 +552,9 @@ def test_n_is_checked_as_an_int(entry, args):
         (tn_lower_bound, ()),
         (lambda N: threshold_scan([(N, 0)]), ()),
         (lambda N: majority_scan([N]), ()),
+        (branch_point, (0,)),
+        (g_function, (0, 0.3)),
+        (i_integral, (0, 0.5)),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -556,6 +562,18 @@ def test_n_refuses_a_bool(entry, args):
     # True == 1, so each entry returned its N = 1 result
     with pytest.raises(ValueError, match=re.escape("N must be an integer here, got True")):
         entry(True, *args)
+
+
+@pytest.mark.parametrize("entry, args", [(branch_point, (2,)), (g_function, (2, 0.3)), (i_integral, (2, 1.5))])
+def test_g_entries_check_n_once_per_call(entry, args, monkeypatch):
+    # i_integral evaluates G a few hundred times; N is checked at the entry, not per evaluation
+    calls = []
+    check_n = threshold_module._check_n
+    monkeypatch.setattr(threshold_module, "_check_n", lambda *a: calls.append(a) or check_n(*a))
+    entry(7, *args)
+    assert calls == [(7, MAX_SYMMETRIC_N)]
+    with pytest.raises(ValueError, match=re.escape("N must be an integer here, got 2.5")):
+        entry(2.5, *args)
 
 
 class TestTailLowerBound:
