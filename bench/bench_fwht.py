@@ -12,9 +12,9 @@ dense radius or spectrum: ``families.threshold`` and ``walsh_transform`` at
 n = 24, ``level_profile`` of that spectrum, ``dumps_spectrum`` at n = 17,
 ``dumps_truth_table`` of 2^17 subnormals (every value written by ``%.17g``
 itself, the vector writer's worst case), ``loads_truth_table`` of the JSON text
-of a uniform(-1, 1) table at n = 17 and 18, and ``brute_force_bn_radius(4)``.
-It also times three whole commands through ``cli.main`` (stdout captured):
-``radius --input`` of that n = 18 table from a file, ``spectrum --input`` of
+of a uniform(-1, 1) table at n = 17 and 18; ``bench_solve.py`` times the
+brute force.  It also times three whole commands through ``cli.main`` (stdout
+captured): ``radius --input`` of that n = 18 table from a file, ``spectrum --input`` of
 the n = 17 table, and ``radius --family threshold --n 24``, which builds no table:
 that radius is solved from exact integer level weights, so the case times the
 CLI, not the dense layer.  Every input is built by this checkout.  The timing,
@@ -43,7 +43,6 @@ CASES = {name: f"cube._fwht_inplace of uniform(-1, 1) doubles of shape {shape}" 
     "dumps_truth_table_n17_subnormal": "serialize.dumps_truth_table of 2^17 subnormals, each left to %.17g",
     "loads_truth_table_n17": "serialize.loads_truth_table of a uniform(-1, 1) table's JSON text",
     "loads_truth_table_n18": "serialize.loads_truth_table of a uniform(-1, 1) table's JSON text",
-    "brute_force_n4": "radius.brute_force_bn_radius(4)",
     "radius_input_n18": "cli.main of radius --input <file of that n = 18 table>",
     "spectrum_input_n17": "cli.main of spectrum --input <file of that n = 17 table>",
     "radius_threshold_n24": "cli.main of " + " ".join(RADIUS_ARGV),
@@ -72,7 +71,6 @@ def cases(this):
         table = np.random.default_rng(n).uniform(-1.0, 1.0, size=2**n)
         texts[n] = this.serialize.dumps_truth_table(this.cube.from_truth_table(n, table))
         yield f"loads_truth_table_n{n}", lambda tree: functools.partial(tree.serialize.loads_truth_table, texts[n])
-    yield "brute_force_n4", lambda tree: functools.partial(tree.radius.brute_force_bn_radius, 4)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {n: Path(tmp) / f"table{n}.json" for n in texts}
         for n, path in paths.items():

@@ -9,6 +9,12 @@ starts threads.  ``bn``, ``verify`` and ``majority-scan`` still parse
 library function takes a worker count.  Ranges and caps are checked by the
 library function that owns them, not again here.  Exit codes: 0 success,
 1 verification failure, 2 usage, input or work-cap error.
+
+``FAMILIES`` is the one table of the ``--family`` names: argparse's choices
+read it, and ``_family`` checks a name and its flags once per command and
+resolves it to where its radius comes from (an exact threshold row, a
+character's level, or its dense table) and how its dense table is built.
+``--n`` is ignored when ``--input`` gives a table.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,67 +39,53 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _family(args) -> str:
-    """Check --family and --n, and the arguments that threshold and majority need."""
+class _Family(NamedTuple):
+    """What --family names, for the flags given."""
+
+    row: tuple | None  # (N, alpha): the radius is the exact threshold row psi_{N,alpha}'s
+    subset: range | None  # S: a character x^S, whose radius is that of weight 1 at level |S|
+    table: Callable  # () -> the dense table, for spectrum and for the other radii
+    problem: str | None = None  # why the flags name no member
+    symmetric: bool = False  # --symmetric prints the row's exact spectrum
+
+
+def _character(n: int, m: int) -> _Family:
+    """x^S for S = {1, ..., m}."""
+    S = range(1, m + 1)
+    return _Family(None, S, lambda: families.parity(n, S), f"--m must be >= 0, got {m}" if m < 0 else None)
+
+
+# In argparse's order.  The extremal indicator flip is -psi_{N,N-1}, the dictator x^{1}.
+FAMILIES = {
+    "extremal": lambda a: _Family((a.n, a.n - 1), None, lambda: families.extremal_indicator_flip(a.n)),
+    "dictator": lambda a: _character(a.n, 1),
+    "parity": lambda a: _character(a.n, a.n if a.m is None else a.m),
+    "threshold": lambda a: _Family(
+        (a.n, a.alpha), None, lambda: families.threshold(families.ThresholdSpec(a.n, a.alpha)),
+        "threshold needs --alpha" if a.alpha is None else None, True,
+    ),
+    "majority": lambda a: _Family(
+        (a.n, 0), None, lambda: families.majority(a.n), "majority needs odd n" if a.n % 2 == 0 else None, True
+    ),
+    "biased": lambda a: _Family(
+        None, None, lambda: families.biased_indicator(a.n, a.lam), "biased needs --lambda" if a.lam is None else None
+    ),
+}
+
+
+def _family(args) -> _Family:
+    """Check --family and the flags it needs, once per command, and resolve it.
+    --symmetric (spectrum only) refuses a family before its own flags are checked."""
     if args.family is None:
         raise ValueError("need --family (or --input where supported)")
     if args.n is None:
         raise ValueError("--n is required with --family")
-    if args.family == "threshold" and args.alpha is None:
-        raise ValueError("threshold needs --alpha")
-    if args.family == "majority" and args.n % 2 == 0:
-        raise ValueError("majority needs odd n")
-    return args.family
-
-
-def _threshold_pair(args):
-    """(N, alpha) of the threshold function psi_{N,alpha} that the family
-    threshold, majority or extremal names, alpha as given; None for the other
-    families.  The extremal indicator flip is -psi_{N,N-1}."""
-    name = _family(args)
-    if name not in ("threshold", "majority", "extremal"):
-        return None
-    return args.n, {"threshold": args.alpha, "majority": 0, "extremal": args.n - 1}[name]
-
-
-def _parity_set(args) -> range:
-    m = args.m if args.m is not None else args.n
-    if m < 0:
-        raise ValueError(f"--m must be >= 0, got {m}")
-    return range(1, m + 1)
-
-
-def _character_profile(args):
-    """The level profile of the character x^S that dictator (S = {1}) or
-    parity (S = {1..m}) names, with the checks of its dense table: weight 1
-    at level |S| (the constant at S empty), sup norm 1, the profile the
-    butterfly would find.  None for the other families."""
-    name = _family(args)
-    if name not in ("dictator", "parity"):
-        return None
-    degree = families.subset_mask(args.n, [1] if name == "dictator" else _parity_set(args)).bit_count()
-    w = np.zeros(args.n + 1)
-    w[degree] = 1.0
-    return radius.LevelProfile(args.n, w, 1.0)
-
-
-def _build_family(args):
-    name = _family(args)
-    if name == "threshold":
-        return families.threshold(families.ThresholdSpec(args.n, args.alpha))
-    if name == "majority":
-        return families.majority(args.n)
-    if name == "extremal":
-        return families.extremal_indicator_flip(args.n)
-    if name == "dictator":
-        return families.dictator(args.n, 1)
-    if name == "parity":
-        return families.parity(args.n, _parity_set(args))
-    if name == "biased":
-        if args.lam is None:
-            raise ValueError("biased needs --lambda")
-        return families.biased_indicator(args.n, args.lam)
-    raise ValueError(f"unknown family {name!r}")
+    family = FAMILIES[args.family](args)
+    if getattr(args, "symmetric", False) and not family.symmetric:
+        raise ValueError("--symmetric supports only threshold and majority")
+    if family.problem:
+        raise ValueError(family.problem)
+    return family
 
 
 def _load_input_function(path: str):
@@ -107,12 +100,16 @@ def cmd_radius(args) -> int:
     # radius is solved from exact integer level weights, with no 2^n table, up to
     # N = 100001 and with the bits threshold-scan prints; dictator and parity are
     # characters, whose level profile is known, so they build no table either
-    if not args.input and (pair := _threshold_pair(args)):
-        result = threshold.exact_radius(*threshold.canonical_pair(*pair))
-    elif not args.input and (profile := _character_profile(args)):
-        result = radius.boolean_radius(profile)
+    family = None if args.input else _family(args)
+    if family and family.row:
+        result = threshold.exact_radius(*threshold.canonical_pair(*family.row))
+    elif family and family.subset is not None:
+        degree = families.subset_mask(args.n, family.subset).bit_count()
+        w = np.zeros(args.n + 1)
+        w[degree] = 1.0
+        result = radius.boolean_radius(radius.LevelProfile(args.n, w, 1.0))
     else:
-        f = _load_input_function(args.input) if args.input else _build_family(args)
+        f = _load_input_function(args.input) if args.input else family.table()
         # The radius does not change under scaling.  A table whose butterfly
         # could overflow is scaled by an exact power of two to a sup norm in
         # [1/2, 1); the residual is scaled back.  Smaller tables keep their bits.
@@ -178,13 +175,10 @@ def cmd_majority_scan(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.symmetric:
-        pair = _threshold_pair(args)
-        if pair is None or args.family == "extremal":
-            raise ValueError("--symmetric supports only threshold and majority")
-        pair = threshold.canonical_pair(*pair, threshold.MAX_SPECTRUM_N)
+        pair = threshold.canonical_pair(*_family(args).row, threshold.MAX_SPECTRUM_N)
         text = serialize.dumps_threshold_spectrum(*pair)
     else:
-        f = _load_input_function(args.input) if args.input else _build_family(args)
+        f = _load_input_function(args.input) if args.input else _family(args).table()
         text = serialize.dumps_spectrum(walsh_transform(f))
     _write(args, text)
     return 0
@@ -223,10 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", help="write to this file instead of stdout")
 
     def add_family(p):
-        p.add_argument(
-            "--family",
-            choices=["extremal", "dictator", "parity", "threshold", "majority", "biased"],
-        )
+        p.add_argument("--family", choices=list(FAMILIES))
         p.add_argument("--n", type=int, help="cube dimension")
         p.add_argument("--alpha", type=float, help="threshold level")
         p.add_argument("--lambda", dest="lam", type=float, help="bias of the +-1 indicator")

@@ -44,6 +44,13 @@ def _validate_dimension(n: int, cap: float = MAX_DENSE_N) -> None:
         raise ValueError(f"dense tables are capped at n <= {cap}, got n = {n}")
 
 
+def _as_int(name: str, x) -> int:
+    """x as an int: an integral float such as 7.0 passes, a bool or any other non-integer raises."""
+    if not isinstance(x, bool) and (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()):
+        return int(x)
+    raise ValueError(f"{name} must be an integer here, got {x!r}")
+
+
 def _freeze(obj, n: int, vector, copy) -> None:
     """Check n and ``vector`` as floats (a copy if ``copy`` is True, else a view
     where possible) once, and set both on obj, the vector read-only."""

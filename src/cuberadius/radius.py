@@ -85,6 +85,7 @@ from .cube import (
     BooleanFunction,
     Spectrum,
     SymmetricSpectrum,
+    _as_int,
     _fwht_inplace,
     subset_levels,
 )
@@ -528,6 +529,7 @@ def class_radius(profiles) -> float:
 
 def bn_radius_formula(N: int) -> float:
     """Exact radius 2^{1/N} - 1 of the class of all functions on {-1,+1}^N."""
+    N = _as_int("N", N)
     if N < 1:
         raise ValueError("N must be a positive integer")
     return math.expm1(_LOG2 / N)
@@ -554,6 +556,7 @@ def brute_force_bn_radius(N: int):
     functions, so the +-1-valued sweep is a confirmation, not an independent
     optimization.
     """
+    N = _as_int("N", N)
     if not 1 <= N <= BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force is limited to 1 <= N <= {BRUTE_FORCE_MAX_N}")
     points = 2**N
@@ -588,6 +591,8 @@ def homogeneous_class_scan(N: int, m: int, trials: int, seed: int) -> float:
     sup norm, so one batched inverse butterfly per block of trials gives the
     sup norms and one solve at the smallest of them gives the answer.
     """
+    N, m = _as_int("N", N), _as_int("m", m)
+    trials, seed = _as_int("trials", trials), _as_int("seed", seed)
     if not 1 <= m <= N:
         raise ValueError("need 1 <= m <= N")
     if N > 20:

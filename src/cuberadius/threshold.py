@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SymmetricSpectrum
+from .cube import SymmetricSpectrum, _as_int
 from .families import canonical_alpha
 from .radius import (SCAN_BLOCK_DOUBLES, RadiusResult, _binomials, _bisect, _block_width, _log_ratio, _parseval_cut,
                      _solve_reduced)
@@ -94,13 +94,6 @@ def canonical_pair(N: int, alpha: float, cap: int = MAX_SYMMETRIC_N) -> tuple:
     cap before alpha: MAX_SYMMETRIC_N for radii, MAX_SPECTRUM_N for spectra."""
     N = _check_n(N, cap)
     return N, canonical_alpha(N, alpha)
-
-
-def _as_int(name: str, x) -> int:
-    """x as an int: an integral float such as 7.0 passes, a bool or any other non-integer raises."""
-    if not isinstance(x, bool) and (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()):
-        return int(x)
-    raise ValueError(f"{name} must be an integer here, got {x!r}")
 
 
 def _check_parity(N: int, alpha) -> int:

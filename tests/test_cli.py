@@ -233,6 +233,31 @@ class TestRadiusCommand:
         assert _capture(["radius"] + argv) == (2, "", f"cuberadius: error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["radius"], ["spectrum"], ["spectrum", "--symmetric"]])
+@pytest.mark.parametrize("family", ["extremal", "dictator", "parity", "threshold", "majority", "biased", None])
+@pytest.mark.parametrize("n", ["5", "4", "-2"])
+def test_family_is_checked_once_per_command(command, family, n, monkeypatch):
+    # each command resolved the family up to three times
+    from cuberadius import cli
+
+    calls = []
+    check = cli._family
+    monkeypatch.setattr(cli, "_family", lambda args: calls.append(args.family) or check(args))
+    flags = ["--n", n, "--alpha", "1", "--lambda", "0.25"] + (["--family", family] if family else [])
+    assert _capture(command + flags)[0] in (0, 2)
+    assert calls == [family]
+
+
+def test_input_needs_no_family_check(tmp_path, monkeypatch):
+    from cuberadius import cli
+
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 1, "values": [1, -1]}')
+    monkeypatch.setattr(cli, "_family", lambda args: pytest.fail("checked --family"))
+    for command in ("radius", "spectrum"):
+        assert _capture([command, "--input", str(path), "--family", "threshold"])[0] == 0
+
+
 def _capture(argv):
     """(exit code, stdout, stderr) of one in-process CLI run; argparse exits count."""
     out, err = io.StringIO(), io.StringIO()

@@ -20,6 +20,15 @@ from cuberadius.families import (
 from cuberadius.radius import bn_radius_formula, boolean_radius, level_profile
 
 
+
+def test_the_package_threshold_is_the_module():
+    # the package's name threshold is the submodule; the constructor is families.threshold
+    import cuberadius
+    import cuberadius.families
+
+    assert cuberadius.threshold.__name__ == "cuberadius.threshold" and cuberadius.threshold.exact_radius
+    assert cuberadius.families.threshold is threshold and callable(threshold)
+
 def _edge_alphas(N):
     """Admissible alphas at the level boundaries: each integer and its float
     neighbours, the midpoints, and the extremes near 0 and N."""

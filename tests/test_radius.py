@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -769,3 +770,32 @@ class TestHomogeneousScan:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match=r"need seed >= 0, got seed = -1"):
             homogeneous_class_scan(3, 2, trials=5, seed=-1)
+
+    @pytest.mark.parametrize(
+        "name, value", [("m", True), ("trials", 2.5), ("trials", True), ("seed", 0.5), ("seed", "0")]
+    )
+    def test_counts_and_seed_are_integers(self, name, value):
+        # a float trials or seed reached numpy as a TypeError
+        args = {"N": 4, "m": 1, "trials": 3, "seed": 0} | {name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer here, got {value!r}")):
+            homogeneous_class_scan(**args)
+        assert homogeneous_class_scan(4.0, 1.0, 3.0, 0.0) == homogeneous_class_scan(4, 1, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [(bn_radius_formula, ()), (brute_force_bn_radius, ()), (homogeneous_class_scan, (1, 3, 0))],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+@pytest.mark.parametrize("N", [True, 2.5])
+def test_n_is_checked_as_an_int(entry, args, N, monkeypatch):
+    # bn_radius_formula(True) returned 1.0 and (2.5) 0.3195..., the scan ran True as N = 1,
+    # and the brute force refused True only after its sweep
+    monkeypatch.setattr(radius_module, "_fwht_inplace", lambda a: pytest.fail("swept"))
+    with pytest.raises(ValueError, match=re.escape(f"N must be an integer here, got {N!r}")):
+        entry(N, *args)
+    monkeypatch.undo()
+    got, want = entry(3.0, *args), entry(3, *args)
+    if entry is brute_force_bn_radius:  # (radius, minimizer)
+        got, want = got[0], want[0]
+    assert repr(got) == repr(want)
