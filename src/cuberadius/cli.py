@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import types
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,8 +56,8 @@ def _character(n: int, m: int) -> _Family:
     return _Family(None, S, lambda: families.parity(n, S), f"--m must be >= 0, got {m}" if m < 0 else None)
 
 
-# In argparse's order.  The extremal indicator flip is -psi_{N,N-1}, the dictator x^{1}.
-FAMILIES = {
+# In argparse's order, read-only.  The extremal indicator flip is -psi_{N,N-1}, the dictator x^{1}.
+FAMILIES = types.MappingProxyType({
     "extremal": lambda a: _Family((a.n, a.n - 1), None, lambda: families.extremal_indicator_flip(a.n)),
     "dictator": lambda a: _character(a.n, 1),
     "parity": lambda a: _character(a.n, a.n if a.m is None else a.m),
@@ -70,7 +71,7 @@ FAMILIES = {
     "biased": lambda a: _Family(
         None, None, lambda: families.biased_indicator(a.n, a.lam), "biased needs --lambda" if a.lam is None else None
     ),
-}
+})
 
 
 def _family(args) -> _Family:
@@ -104,6 +105,7 @@ def cmd_radius(args) -> int:
     if family and family.row:
         result = threshold.exact_radius(*threshold.canonical_pair(*family.row))
     elif family and family.subset is not None:
+        # the dense table's checks first; S empty is the constant, weight 1 at level 0
         degree = families.subset_mask(args.n, family.subset).bit_count()
         w = np.zeros(args.n + 1)
         w[degree] = 1.0

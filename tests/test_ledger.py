@@ -29,6 +29,7 @@ import platform
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +148,7 @@ def fingerprint() -> dict:
 
 
 def _run(line: str, tmp: str) -> dict:
+    """One ledger entry; a line's bytes are its stdout and, with --output, the file it wrote."""
     argv = shlex.split(line.format(tmp=tmp))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -168,24 +170,10 @@ def _run(line: str, tmp: str) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _fixed_terminal():
-    """argparse wraps its usage and help to the terminal width, which COLUMNS sets."""
-    saved = {k: os.environ.get(k) for k in ("COLUMNS", "LINES")}
-    os.environ.update(COLUMNS="80", LINES="24")
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def run_cli_lines() -> tuple:
     """Two passes over ARGV in this process: (first pass, second pass), each {line: entry}."""
-    with tempfile.TemporaryDirectory() as tmp, _fixed_terminal():
+    # argparse wraps its usage and help to the terminal width, which COLUMNS sets
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80", LINES="24"):
         for name, text in INPUTS.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         return tuple({line: _run(line, tmp) for line in ARGV} for _ in range(2))
@@ -245,7 +233,7 @@ def test_exit_codes_and_stderr(ledger, runs):
     want = {line: (e["code"], e["stderr"]) for line, e in ledger["cli"].items()}
     assert {line: got[line] for line in ARGV if got[line] != want[line]} == {}
     # a usage or input error is one cuberadius line, never a traceback
-    assert all(e["stderr"].startswith(("cuberadius", "usage")) for e in ledger["cli"].values() if e["code"])
+    assert all(e["stderr"].startswith("cuberadius") for e in ledger["cli"].values() if e["code"])
 
 
 def test_stdout_bytes(ledger, runs):
