@@ -94,11 +94,20 @@ ARGV = [
     "verify --suite all --n-max 6 --samples 3 --seed 1 --workers 1",
     "verify --suite hyper --n-max 5 --samples 4 --seed 12345",
     "verify --suite bh --n-max 5 --samples 4 --seed 1",
+    "verify --suite wiener --n-max 5 --samples 4 --seed 1",
+    "verify --suite split --n-max 5 --samples 4 --seed 1",
+    "verify --suite caratheodory --n-max 5 --samples 4 --seed 1",
+    "verify --suite degree-l2 --n-max 5 --samples 4 --seed 1",
+    "verify --suite norm-comparison --n-max 5 --samples 4 --seed 1",
+    "verify --suite level-m --n-max 5 --samples 4 --seed 1",
+    "verify --suite biased-radius --n-max 5 --samples 4 --seed 1",
+    "verify --suite cd-ratio --n-max 5 --samples 4 --seed 1",
     "gamma",
     "tn --n 50",
     "--help",
     "radius --help",
     "spectrum --help",
+    "verify --help",
     # error exits
     "radius --family parity --n -2 --m -1",
     "radius --family parity --n -2",
@@ -129,6 +138,7 @@ ARGV = [
     "threshold-scan --n-list 5 --alphas 1.5",
     "majority-scan --n-start 7 --n-stop 3",
     "verify --suite wiener --n-max 2 --samples 1 --seed -1",
+    "verify --suite bogus --n-max 3",
     "tn --n 0",
 ]
 
