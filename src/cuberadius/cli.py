@@ -177,6 +177,8 @@ def cmd_majority_scan(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.symmetric:
+        if args.input:
+            raise ValueError("--symmetric prints a family's exact spectrum and reads no file: drop --input")
         pair = threshold.canonical_pair(*_family(args).row, threshold.MAX_SPECTRUM_N)
         text = serialize.dumps_threshold_spectrum(*pair)
     else:
@@ -260,11 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run an inequality suite; exit 0 iff no failures")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=list(inequalities.ASSERTABLE_SUITES) + list(inequalities.REPORT_SUITES) + ["all"],
-    )
+    p.add_argument("--suite", required=True, choices=[*inequalities.SUITES, "all"])
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--samples", type=int, default=100, help="random draws per mode per dimension")
     p.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,7 @@ import numpy as np
 from .cube import (
     MAX_DENSE_N,
     BooleanFunction,
+    _as_int,
     _fwht_inplace,
     _validate_dimension,
     subset_levels,
@@ -40,6 +41,7 @@ def extremal_indicator_flip(N: int) -> BooleanFunction:
     This is the extremal witness for the exact class radius 2^{1/N} - 1: its
     spectrum is 1 - 2^{1-N} at the empty set and -2^{1-N} everywhere else.
     """
+    N = _as_int("N", N)
     if not 1 <= N <= MAX_DENSE_N:
         raise ValueError(f"need 1 <= N <= {MAX_DENSE_N}")
     values = np.ones(2**N)
@@ -147,6 +149,7 @@ def random_sign_homogeneous(N: int, m: int, coeffs, seed: int):
     fail (only some sign pattern is guaranteed to work), so retry loops belong
     to the caller and the construction stays deterministic per seed.
     """
+    N, m = _as_int("N", N), _as_int("m", m)
     if not 1 <= m <= N or N > 20:
         raise ValueError("need 1 <= m <= N <= 20")
     count = math.comb(N, m)
@@ -165,6 +168,7 @@ def biased_indicator(N: int, lam: float) -> BooleanFunction:
     measure matters for the bias counterexamples, so the support is fixed to
     the lexicographically first indices.  E[f] = 2 lam - 1.
     """
+    N = _as_int("N", N)
     if not 1 <= N <= MAX_DENSE_N:
         raise ValueError(f"need 1 <= N <= {MAX_DENSE_N}")
     if not 0 < lam <= 0.5:

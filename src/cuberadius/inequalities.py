@@ -22,14 +22,17 @@ bitmask order), and every scalar power goes through libm ``pow`` (``cube._pow``)
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 # walsh_transform is not called here; perfbench/test_spans.py reads it from this module
-from .cube import BooleanFunction, _degrees, _fwht_inplace, _p_norms, _pow, _walsh_rows, subset_levels, walsh_transform
+from .cube import (
+    BooleanFunction, _as_int, _degrees, _fwht_inplace, _p_norms, _pow, _walsh_rows, subset_levels, walsh_transform
+)
 from .families import (
     _sign_draw,
     biased_indicator,
@@ -52,19 +55,6 @@ SLACK = 1e-9
 BLOCK_DOUBLES = 2**14
 
 RANDOM_MODES = ("table_uniform", "boolean_pm1", "spectral_random", "low_degree")
-
-ASSERTABLE_SUITES = (
-    "wiener",
-    "split",
-    "caratheodory",
-    "degree-l2",
-    "norm-comparison",
-    "hyper",
-    "level-m",
-    "biased-radius",
-)
-
-REPORT_SUITES = ("bh", "cd-ratio")
 
 #: Admissible (p, q) pairs exercised by the hypercontractivity suite.
 HYPER_GRID = ((2.0, 4.0), (2.0, 3.0), (1.5, 3.0), (3.0, 6.0))
@@ -199,6 +189,7 @@ def random_bounded_function(N: int, seed, mode: str, d: int = 3) -> BooleanFunct
     random spectrum supported on levels <= d.  ``seed`` may be anything
     numpy's default_rng accepts, including (seed, index) sequences.
     """
+    N, d = _as_int("N", N), _as_int("d", d)
     if not 1 <= N <= 14:
         raise ValueError("random draws are capped at N <= 14")
     if mode not in RANDOM_MODES:
@@ -393,7 +384,7 @@ def level_m_bound_check(f: BooleanFunction, m: int, epsilon: float) -> Inequalit
     """
     if np.mean(f.values) < -1e-12:
         raise ValueError("normalize so that E[f] >= 0 first")
-    return _single("level-m", f, _level_m, [m], [epsilon])
+    return _single("level-m", f, _level_m, [_as_int("m", m)], [epsilon])
 
 
 def _biased_radius(t: _Tables):
@@ -419,6 +410,7 @@ def biased_radius_lower_check(f: BooleanFunction) -> InequalityReport:
 
 def family_functions(N: int):
     """Deterministic list of (name, function) for the named families at dimension N."""
+    N = _as_int("N", N)
     out = [
         ("extremal", extremal_indicator_flip(N)),
         ("dictator", dictator(N, 1)),
@@ -438,48 +430,53 @@ def family_functions(N: int):
     return out
 
 
-def _report_only(ratio: np.ndarray):
-    return ratio[:, None], np.zeros((ratio.size, 1), dtype=bool)
+class _Suite(NamedTuple):
+    """A verify suite's check over a block, the rows it applies to, and whether
+    it only reports.  An assertable check gives (margins, failures), each shaped
+    (rows, checks per row); a report-only one gives one ratio per row."""
+
+    check: Callable
+    rows: Callable = lambda t: np.ones(t.rows, dtype=bool)
+    report: bool = False
 
 
-#: Suite -> (margins, failures), each shaped (rows, checks per row), of a block.
-_SUITE_CHECKS = {
-    "wiener": _wiener,
-    "split": _split,
-    "caratheodory": _caratheodory,
-    "degree-l2": lambda t: _degree_l2(t, np.maximum(t.degree, 1)),
-    "norm-comparison": lambda t: _norm_comparison(t, np.maximum(t.degree, 1)),
-    "hyper": lambda t: _hyper(t, HYPER_CHECKS),
-    "level-m": lambda t: _level_m(t, range(1, t.n + 1), EPSILON_GRID),
-    "biased-radius": _biased_radius,
-    "bh": lambda t: _report_only(_bh(t, np.maximum(t.degree, 1))),
-    "cd-ratio": lambda t: _report_only(_cd_ratio(t)),
-}
+def _nonconstant(t: _Tables) -> np.ndarray:
+    return ~t.constant
 
-#: Suites whose checks exclude constant functions.
-_NONCONSTANT_SUITES = ("level-m", "biased-radius", "cd-ratio")
+
+# In verify's order, read-only; ``all`` runs the assertable suites in this order.
+SUITES = types.MappingProxyType({
+    "wiener": _Suite(_wiener),
+    "split": _Suite(_split),
+    "caratheodory": _Suite(_caratheodory),
+    "degree-l2": _Suite(lambda t: _degree_l2(t, np.maximum(t.degree, 1))),
+    "norm-comparison": _Suite(lambda t: _norm_comparison(t, np.maximum(t.degree, 1))),
+    "hyper": _Suite(lambda t: _hyper(t, HYPER_CHECKS)),
+    "level-m": _Suite(lambda t: _level_m(t, range(1, t.n + 1), EPSILON_GRID), _nonconstant),
+    "biased-radius": _Suite(_biased_radius, _nonconstant),
+    "bh": _Suite(lambda t: _bh(t, np.maximum(t.degree, 1)), lambda t: t.sup != 0, True),
+    "cd-ratio": _Suite(_cd_ratio, _nonconstant, True),
+})
+
+ASSERTABLE_SUITES = tuple(name for name, suite in SUITES.items() if not suite.report)
+REPORT_SUITES = tuple(name for name, suite in SUITES.items() if suite.report)
 
 
 def _suite_rows(suite: str, t: _Tables):
-    """Per-row (samples, failures, margin) of one suite over a block.
-
-    A row's margin is its worst check (largest ratio for report suites); rows
-    the suite does not apply to get 0 samples and a NaN margin.
-    """
-    if suite in _NONCONSTANT_SUITES:
-        keep = ~t.constant
-    elif suite == "bh":
-        keep = t.sup != 0
-    else:
-        keep = np.ones(t.rows, dtype=bool)
+    """Per-row (samples, failures, margin) of one suite over a block; rows the
+    suite does not apply to get 0 samples and a NaN margin."""
+    check, rows, report = SUITES[suite]
+    keep = rows(t)
     samples = np.zeros(t.rows, dtype=np.int64)
     failures = np.zeros(t.rows, dtype=np.int64)
     margin = np.full(t.rows, np.nan)
     if keep.any():
-        margins, fails = _SUITE_CHECKS[suite](t if keep.all() else t.take(keep))
-        samples[keep] = margins.shape[1]
-        failures[keep] = fails.sum(axis=1)
-        margin[keep] = margins.max(axis=1) if suite in REPORT_SUITES else margins.min(axis=1)
+        out = check(t if keep.all() else t.take(keep))
+        if report:  # never fails; the worst ratio is the largest
+            samples[keep], margin[keep] = 1, out
+        else:
+            margins, fails = out
+            samples[keep], failures[keep], margin[keep] = margins.shape[1], fails.sum(axis=1), margins.min(axis=1)
     return samples, failures, margin
 
 
@@ -489,7 +486,7 @@ class _Merge:
 
     def __init__(self, suite: str):
         self.suite = suite
-        self.maximize = suite in REPORT_SUITES
+        self.maximize = SUITES[suite].report
         self.samples = self.failures = 0
         self.worst = self.key = self.witness = None
 
@@ -550,11 +547,13 @@ def run_suite(suite: str, n_max: int, samples: int, seed: int, d: int = 3) -> In
     use substreams keyed by (seed, N, mode, index), each drawn once and shared
     by every suite under ``all``.  The report merges by failure sum and worst
     margin, ties going to the first item (families N <= 10, then draws by N,
-    mode, index).  Report-only suites (bh, cd-ratio) carry the maximum
-    observed ratio in ``worst_margin`` and never fail.
+    mode, index).  Report-only suites carry the maximum observed ratio in
+    ``worst_margin`` and never fail.
     """
-    if suite != "all" and suite not in ASSERTABLE_SUITES + REPORT_SUITES:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    n_max, samples = _as_int("n_max", n_max), _as_int("samples", samples)
+    seed, d = _as_int("seed", seed), _as_int("d", d)
     if not 2 <= n_max <= 14:
         raise ValueError("need 2 <= n_max <= 14")
     if d < 1:

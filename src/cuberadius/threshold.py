@@ -522,13 +522,18 @@ def gamma_constant() -> float:
     return float(root)
 
 
+def _odd_n(N) -> int:
+    N = _as_int("N", N)
+    if N % 2 == 0:
+        raise ValueError(f"majority scan needs odd N, got {N}")
+    return _check_n(N, MAX_SYMMETRIC_N)
+
+
 def majority_scan(Ns):
     """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd integer N, in input order."""
-    Ns = [_as_int("N", N) for N in Ns]
-    for N in Ns:
-        if N % 2 == 0:
-            raise ValueError(f"majority scan needs odd N, got {N}")
-        _check_n(N, MAX_SYMMETRIC_N)  # before the first radius
+    # each N is checked as it is taken, before the first radius: a range far
+    # past the cap stops at its first N over it instead of building every row
+    Ns = [_odd_n(N) for N in Ns]
     gam = gamma_constant()
     radii = _radii_exact([(N, *_tail_terms(N, 0)) for N in Ns])[0]
     return [(N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam) for N, rho in zip(Ns, radii)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,3 +266,21 @@ def test_constructors_round_trip_and_parseval(f):
     assert float(np.sum(s.coeffs**2)) == pytest.approx(
         float(np.mean(f.values**2)), rel=1e-10
     )
+
+
+def test_integer_parameters():
+    # a float N or m reached numpy's shape arguments as a TypeError, and True ran as 1
+    assert np.array_equal(extremal_indicator_flip(3.0).values, extremal_indicator_flip(3).values)
+    assert np.array_equal(biased_indicator(3.0, 0.25).values, biased_indicator(3, 0.25).values)
+    g, h = random_sign_homogeneous(3.0, 1.0, [1.0] * 3, 0), random_sign_homogeneous(3, 1, [1.0] * 3, 0)
+    assert np.array_equal(g[0].values, h[0].values) and g[1] == h[1]
+    calls = [
+        ("N", lambda v: extremal_indicator_flip(v)),
+        ("N", lambda v: biased_indicator(v, 0.25)),
+        ("N", lambda v: random_sign_homogeneous(v, 1, [1.0] * 3, 0)),
+        ("m", lambda v: random_sign_homogeneous(3, v, [1.0] * 3, 0)),
+    ]
+    for name, call in calls:
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer here, got {bad!r}")):
+                call(bad)

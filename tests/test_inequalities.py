@@ -1,12 +1,15 @@
+import ast
 import math
 import re
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberadius import inequalities, radius
+from cuberadius import cli, inequalities, radius
 from cuberadius.cube import BooleanFunction, degree, from_truth_table, subset_levels, sup_norm, walsh_transform
 from cuberadius.families import (
     _sign_draw,
@@ -23,6 +26,7 @@ from cuberadius.inequalities import (
     HYPER_GRID,
     RANDOM_MODES,
     REPORT_SUITES,
+    SUITES,
     InequalityReport,
     bh_ratio,
     biased_radius_lower_check,
@@ -372,6 +376,17 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="samples >= 1"):
             run_suite("wiener", 5, 0, seed=0)
 
+    @pytest.mark.parametrize("name", ["n_max", "samples", "seed", "d"])
+    def test_counts_and_seed_are_integers(self, name):
+        # a float n_max reached numpy as a TypeError, and samples=True or seed=True ran as 1
+        args = {"suite": "wiener", "n_max": 3, "samples": 2, "seed": 0, "d": 2}
+        a, b = run_suite(**args | {name: float(args[name])}), run_suite(**args)
+        assert (a.samples, a.failures, a.worst_margin) == (b.samples, b.failures, b.worst_margin)
+        assert np.array_equal(a.witness.values, b.witness.values)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer here, got {bad!r}")):
+                run_suite(**args | {name: bad})
+
     @pytest.mark.parametrize("suite", ASSERTABLE_SUITES + REPORT_SUITES)
     @pytest.mark.parametrize("seed", [4, 20240601])
     def test_matches_the_per_function_checks(self, suite, seed):
@@ -459,6 +474,55 @@ def reference_suite(suite, n_max, samples, seed, d=3):
         if worst is None or (margin > worst if maximize else margin < worst):
             worst, witness = margin, f
     return total, failures, worst, witness
+
+
+def test_one_function_entries_take_integers():
+    # random_bounded_function and family_functions raised numpy's TypeError on 2.0, level_m_bound_check IndexError
+    f = majority(3)
+    assert level_m_bound_check(f, 1.0, 0.5) == level_m_bound_check(f, 1, 0.5)
+    assert np.array_equal(random_bounded_function(2.0, 1, "low_degree", d=1.0).values,
+                          random_bounded_function(2, 1, "low_degree", d=1).values)
+    assert [(a, g.values.tolist()) for a, g in family_functions(3.0)] == [
+        (a, g.values.tolist()) for a, g in family_functions(3)
+    ]
+    calls = [
+        ("N", lambda v: random_bounded_function(v, 1, "boolean_pm1")),
+        ("d", lambda v: random_bounded_function(2, 1, "low_degree", d=v)),
+        ("N", family_functions),
+        ("m", lambda v: level_m_bound_check(f, v, 0.5)),
+    ]
+    for name, call in calls:
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer here, got {bad!r}")):
+                call(bad)
+
+
+class TestSuiteTable:
+    def test_read_only_and_in_verify_order(self):
+        assert isinstance(SUITES, types.MappingProxyType)
+        with pytest.raises(TypeError):
+            SUITES["wiener"] = SUITES["split"]
+        assert ASSERTABLE_SUITES + REPORT_SUITES == tuple(SUITES)
+        assert REPORT_SUITES == ("bh", "cd-ratio")
+
+    def test_each_name_is_written_once_in_the_table_and_once_in_its_check(self):
+        # a suite is defined by its SUITES entry; the only other place that writes
+        # its name is the report of its one-function check
+        def strings(module):
+            text = Path(module.__file__).read_text()
+            return [n.value for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Constant) and n.value in SUITES]
+
+        written = strings(inequalities)
+        assert {name: written.count(name) for name in SUITES} == {
+            name: 1 if name in REPORT_SUITES else 2 for name in SUITES
+        }
+        assert strings(cli) == []
+
+    def test_verify_offers_every_suite_and_all(self):
+        action = next(
+            a for a in cli.build_parser()._subparsers._group_actions[0].choices["verify"]._actions if a.dest == "suite"
+        )
+        assert action.choices == [*SUITES, "all"]
 
 
 def test_family_function_roster():

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -508,6 +509,17 @@ class TestMajorityScan:
     def test_integral_float_n_is_its_int(self):
         assert majority_scan([7.0, np.int64(9)]) == majority_scan([7, 9])
         assert [type(row[0]) for row in majority_scan([7.0])] == [int]
+
+    def test_a_range_past_the_cap_stops_at_its_first_n_over_it(self):
+        # every N of the range was taken into a list before the first check: 78 MB traced here
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need 1 <= N <= 100001"):
+                majority_scan(range(1, 4000001, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize(
