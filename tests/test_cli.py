@@ -258,6 +258,18 @@ def test_input_needs_no_family_check(tmp_path, monkeypatch):
         assert _capture([command, "--input", str(path), "--family", "threshold"])[0] == 0
 
 
+def test_symmetric_refuses_an_input_file(tmp_path, monkeypatch):
+    # without --family it asked for one; with --family it printed the family and ignored the file
+    from cuberadius import cli
+
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 1, "values": [1, -1]}')
+    monkeypatch.setattr(cli, "_family", lambda args: pytest.fail("checked --family"))
+    message = "cuberadius: error: --symmetric prints a family's exact spectrum and reads no file: drop --input\n"
+    for family in ([], ["--family", "majority", "--n", "3"]):
+        assert _capture(["spectrum", "--symmetric", "--input", str(path)] + family) == (2, "", message)
+
+
 def _capture(argv):
     """(exit code, stdout, stderr) of one in-process CLI run; argparse exits count."""
     out, err = io.StringIO(), io.StringIO()

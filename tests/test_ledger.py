@@ -132,6 +132,8 @@ ARGV = [
     "spectrum --family parity --n 3 --symmetric",
     "spectrum --family extremal --n 3 --symmetric",
     "spectrum --symmetric --family threshold --n 4002 --alpha 1",
+    "spectrum --symmetric --input {tmp}/t6.json",
+    "spectrum --family majority --n 5 --symmetric --input {tmp}/t6.json",
     "radius --input {tmp}/nan.json",
     "spectrum --input {tmp}/short.json",
     "bn --n 5 --brute",
