@@ -518,12 +518,6 @@ class TestSuiteTable:
         }
         assert strings(cli) == []
 
-    def test_verify_offers_every_suite_and_all(self):
-        action = next(
-            a for a in cli.build_parser()._subparsers._group_actions[0].choices["verify"]._actions if a.dest == "suite"
-        )
-        assert action.choices == [*SUITES, "all"]
-
 
 def test_family_function_roster():
     names = [name for name, _ in family_functions(5)]
