@@ -5,7 +5,8 @@ ledger, ``tests/ledger.json``, pins for a fixed list of in-process ``cli.main``
 argv lines the exit code, the sha256 and length of the output bytes and the
 last stderr line, and the ``float.hex`` of library radii at the oracle pairs
 of ``test_threshold.py`` and of ``brute_force_bn_radius(1..4)`` with its
-witness.  Every line runs twice in one process, and both runs must agree.
+witness, and the sha256 of a few exact spectra's reduced pairs and
+``log_abs`` bytes.  Every line runs twice in one process, and both runs must agree.
 
 The bytes depend on numpy's and the C library's exp and log on this CPU, so
 the file records a machine fingerprint.  On another fingerprint the exit
@@ -85,6 +86,14 @@ ARGV = [
     "spectrum --family biased --n 4 --lambda 0.375",
     "spectrum --family majority --n 41 --symmetric",
     "spectrum --family threshold --n 401 --alpha 197 --symmetric",
+    # the Krawtchouk mirror's edges: b odd and even, n odd and even, a zero middle level
+    "spectrum --family threshold --n 1 --alpha 0 --symmetric",
+    "spectrum --family threshold --n 2 --alpha 0 --symmetric",
+    "spectrum --family threshold --n 4000 --alpha 0 --symmetric",
+    "spectrum --family threshold --n 3995 --alpha 1994 --symmetric",
+    "spectrum --family threshold --n 4001 --alpha 1998 --symmetric",
+    "spectrum --family threshold --n 4001 --alpha 4000 --symmetric",
+    "spectrum --family majority --n 4001 --symmetric",
     "spectrum --input {tmp}/t6.json --n 6",
     "spectrum --input {tmp}/huge.json",
     "bn --n 7",
@@ -147,6 +156,10 @@ ARGV = [
 # The pairs of test_threshold.py's 60-digit oracle (N - alpha odd).
 ORACLE_PAIRS = [(101, 50), (1001, 0), (2001, 44), (2001, 1000), (101, 98), (106, 101), (114, 21)]
 
+# Exact spectra pinned by their reduced pairs and log_abs bytes: a zero middle level,
+# the formal alpha = -1 at the cap and at its smallest N, and the benchmark's point.
+SPECTRUM_PAIRS = [(4001, 1998), (4000, -1), (3995, 1994), (2, -1)]
+
 
 def fingerprint() -> dict:
     """What the bits depend on besides the code: numpy, the C library and the CPU's SIMD features."""
@@ -202,6 +215,12 @@ def library_bits() -> dict:
         rho, witness = brute_force_bn_radius(N)
         bits[f"brute_force_bn_radius({N})"] = [rho.hex(), hashlib.sha256(witness.values.tobytes()).hexdigest()]
     bits["homogeneous_class_scan(10, 2, 50, 3)"] = [homogeneous_class_scan(10, 2, 50, 3).hex()]
+    for N, a in SPECTRUM_PAIRS:
+        s = threshold_spectrum_exact(N, a)
+        bits[f"threshold_spectrum_exact({N}, {a})"] = [
+            hashlib.sha256(" ".join(f"{p:x}/{q:x}" for p, q in s._pairs).encode()).hexdigest(),  # hex is linear
+            hashlib.sha256(s.log_abs.tobytes()).hexdigest(),
+        ]
     return bits
 
 
