@@ -140,20 +140,22 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     Krawtchouk reciprocity d_x = K_b(x; n), the z^b coefficient of
     (1+z)^{n-x} (1-z)^x.  The dual recurrence d_0 = binom(n, b) and
     (n - x) d_{x+1} = alpha d_x - x d_{x-1} divides exactly, so no product of
-    two N-bit integers and no gcd is formed; level 0 is the exact tail
+    two N-bit integers and no gcd is formed; it runs for x <= n/2 only, and
+    _mirror gives the rest by d_{n-x} = (-1)^b d_x.  Level 0 is the exact tail
     expectation (T - 2^n) / 2^n.  Each level is kept as (d >> u, 2^(n - u)),
-    u the trailing zeros of d up to n: no Fraction is built.  alpha = -1 (N
-    even) is admitted so that canonicalized thresholds with an even integer
-    alpha, where the odd-parity representative drops below zero, still have an
-    exact spectrum; the identities hold there unchanged.
+    u the trailing zeros of d up to n, and -d as (-(d >> u), 2^(n - u)): no
+    Fraction is built.  alpha = -1 (N even) is admitted so that canonicalized
+    thresholds with an even integer alpha, where the odd-parity representative
+    drops below zero, still have an exact spectrum; the identities hold there
+    unchanged.
     """
     N = _check_n(N, MAX_SPECTRUM_N)
     alpha, T, lead = _tail_terms(N, alpha)
     n, pairs = N - 1, []
-    for d in itertools.chain((T - 2**n,), _dual_terms(alpha, n, lead)):
+    for d in itertools.chain((T - 2**n,), itertools.islice(_dual_terms(alpha, n, lead), n // 2 + 1)):
         u = min((d & -d).bit_length() - 1, n) if d else n
         pairs.append((d >> u, 1 << (n - u)))
-    return SymmetricSpectrum._adopt(N, tuple(pairs))
+    return SymmetricSpectrum._adopt(N, (pairs[0], *_mirror(pairs[1:], n, alpha, lambda pq: (-pq[0], pq[1]))))
 
 
 def _dual_terms(alpha, n: int, lead):
@@ -162,12 +164,22 @@ def _dual_terms(alpha, n: int, lead):
 
     Every division is exact, so int's floor and Decimal's truncation give the
     same integers; a Decimal run needs an exact context (_EXACT) around it.
+    d_x = K_b(x; n) is the z^b coefficient of (1+z)^{n-x} (1-z)^x, and
+    z -> -z swaps the two factors, so d_{n-x} = (-1)^b d_x: the spectra take
+    d_0..d_{n//2} from here and the rest from _mirror.
     """
     d_prev, d = 0, lead
     yield d
     for x in range(n):
         d_prev, d = d, (alpha * d - x * d_prev) // (n - x)
         yield d
+
+
+def _mirror(half: list, n: int, alpha: int, negate) -> list:
+    """Values of d_0..d_n from those of d_0..d_{n//2}, by d_{n-x} = (-1)^b d_x
+    with b = (n - alpha) / 2; negate maps the value of d to that of -d."""
+    rest = reversed(half[: n + 1 - len(half)])
+    return half + list(map(negate, rest) if (n - alpha) // 2 % 2 else rest)
 
 
 #: Decimal arithmetic that never rounds an integer: libmpdec's widest context.
@@ -180,18 +192,21 @@ def threshold_spectrum_text(N: int, alpha: int) -> list:
     with no Fraction built.
 
     CPython's int-to-str is quadratic in the digit count, which at N = 4001
-    costs more than the spectrum itself.  So the dual recurrence runs twice:
-    on ints, which give each level's trailing-zero count u and its log, and
-    on exact Decimals, which hold the same integers in base 10^19 limbs,
-    where each step and str() are linear.  A zero level is taken from the int
-    side as ("0", "1", -inf), since Decimal can give -0.  Each distinct
-    denominator's text and log is made once and shared by reference.
+    costs more than the spectrum itself.  So the dual recurrence runs twice,
+    each time up to x = n/2 only: on ints, which give each level's
+    trailing-zero count u and its log, and on exact Decimals, which hold the
+    same integers in base 10^19 limbs, where each step and str() are linear.
+    The levels past the middle come from _mirror (d_{n-x} = (-1)^b d_x): the
+    partner's numerator text, with its sign flipped when b is odd, and its
+    denominator text and log.  A zero level is taken from the int side as
+    ("0", "1", -inf), since Decimal can give -0.  Each distinct denominator's
+    text and log is made once and shared by reference.
     """
     N = _check_n(N, MAX_SPECTRUM_N)
     alpha, T, lead = _tail_terms(N, alpha)
     n, empty = N - 1, T - 2 ** (N - 1)  # level 0 is empty / 2^n, level m >= 1 is d_{m-1} / 2^n
-    ints = itertools.chain((empty,), _dual_terms(alpha, n, lead))
-    decs = itertools.chain((decimal.Decimal(empty),), _dual_terms(alpha, n, decimal.Decimal(lead)))
+    ints = itertools.chain((empty,), itertools.islice(_dual_terms(alpha, n, lead), n // 2 + 1))
+    decs = itertools.chain((decimal.Decimal(empty),), _dual_terms(alpha, n, decimal.Decimal(lead)))  # zip stops it
     dens, out = {}, []  # u -> (Decimal 2^u, text and log of 2^(n - u))
     with decimal.localcontext(_EXACT):
         for d, e in zip(ints, decs):
@@ -204,7 +219,13 @@ def threshold_spectrum_text(N: int, alpha: int) -> list:
             two_u, q, log_q = dens[u]
             # the log_abs of threshold_spectrum_exact's reduced pair, bit for bit
             out.append((str(e // two_u), q, math.log(abs(d >> u)) - log_q))
-    return out
+    return [out[0], *_mirror(out[1:], n, alpha, _negate_text)]
+
+
+def _negate_text(level: tuple) -> tuple:
+    """The (numerator, denominator, log) text of -d from that of d; "0" stays "0"."""
+    p, q, log = level
+    return (p if p == "0" else p[1:] if p[0] == "-" else "-" + p), q, log
 
 
 def maj_identity_eval(N: int, r: float) -> float:

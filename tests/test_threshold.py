@@ -1,5 +1,6 @@
 import decimal
 import functools
+import itertools
 import json
 import math
 import re
@@ -213,6 +214,66 @@ class TestExactSpectrum:
         for N, alpha in [(4002, 1), (4002, -1)]:
             with pytest.raises(ValueError, match="need 1 <= N <= 4001"):
                 threshold_spectrum_exact(N, alpha)
+
+
+def _full_run_spectra(N, alpha):
+    """threshold_spectrum_exact's pairs and threshold_spectrum_text's levels
+    from the whole dual run d_0..d_n, with no mirror."""
+    alpha, T, lead = _tail_terms(N, alpha)
+    n, empty = N - 1, T - 2 ** (N - 1)
+    pairs, text = [], []
+    with decimal.localcontext(threshold_module._EXACT):
+        decs = itertools.chain((Decimal(empty),), _dual_terms(alpha, n, Decimal(lead)))
+        for d, e in zip(itertools.chain((empty,), _dual_terms(alpha, n, lead)), decs):
+            u = min((d & -d).bit_length() - 1, n) if d else n
+            pairs.append((d >> u, 1 << (n - u)))
+            log = math.log(abs(d >> u)) - math.log(1 << (n - u)) if d else -math.inf
+            text.append((str(e // (1 << u)), str(1 << (n - u)), log) if d else ("0", "1", -math.inf))
+    return tuple(pairs), text
+
+
+class TestKrawtchoukMirror:
+    # d_x = K_b(x; n), the z^b coefficient of (1+z)^(n-x) (1-z)^x: z -> -z swaps
+    # the factors, so d_(n-x) = (-1)^b d_x and the spectra run half the recurrence
+
+    def test_dual_run_is_its_own_mirror(self):
+        # every admissible alpha, -1 (even N) included
+        for N in range(1, 121):
+            for alpha in range(-1 + N % 2, N, 2):
+                b = (N - alpha - 1) // 2
+                d = list(_dual_terms(alpha, N - 1, math.comb(N - 1, b)))
+                assert d[::-1] == [(-1) ** b * v for v in d], (N, alpha)
+
+    @pytest.mark.parametrize("N,alpha", [(2, -1), (3, 0), (4, 1), (9, 4), (60, 13), (4001, 1998), (4000, -1)])
+    def test_each_spectrum_runs_half_the_recurrence(self, N, alpha, monkeypatch):
+        taken = []
+        dual = threshold_module._dual_terms
+
+        def counted(*args):  # a plain function, so each run gets its slot when it is made
+            k = len(taken)
+            taken.append(0)
+
+            def run():
+                for d in dual(*args):
+                    taken[k] += 1
+                    yield d
+
+            return run()
+
+        monkeypatch.setattr(threshold_module, "_dual_terms", counted)
+        threshold_spectrum_exact(N, alpha)
+        assert taken == [(N - 1) // 2 + 1]
+        taken.clear()
+        threshold_module.threshold_spectrum_text(N, alpha)
+        assert taken == [(N - 1) // 2 + 1] * 2  # the int run and the Decimal run
+
+    @pytest.mark.parametrize("N,alpha", [(1, 0), (2, -1), (3995, 1994), (4001, 1998), (4000, -1)])
+    def test_both_outputs_equal_the_full_run(self, N, alpha):
+        pairs, text = _full_run_spectra(N, alpha)
+        s = threshold_spectrum_exact(N, alpha)
+        assert s._pairs == pairs
+        assert s.log_abs.tobytes() == np.array([v for _, _, v in text]).tobytes()
+        assert threshold_module.threshold_spectrum_text(N, alpha) == text
 
 
 class TestMajIdentity:
