@@ -76,13 +76,16 @@ FAMILIES = types.MappingProxyType({
 
 def _family(args) -> _Family:
     """Check --family and the flags it needs, once per command, and resolve it.
-    --symmetric (spectrum only) refuses a family before its own flags are checked."""
+    --symmetric (spectrum only) names the two families it takes when --family is
+    missing, and refuses another family before its own flags are checked."""
+    symmetric = getattr(args, "symmetric", False)
     if args.family is None:
-        raise ValueError("need --family (or --input where supported)")
+        raise ValueError("--symmetric needs --family threshold or majority" if symmetric
+                         else "need --family (or --input where supported)")
     if args.n is None:
         raise ValueError("--n is required with --family")
     family = FAMILIES[args.family](args)
-    if getattr(args, "symmetric", False) and not family.symmetric:
+    if symmetric and not family.symmetric:
         raise ValueError("--symmetric supports only threshold and majority")
     if family.problem:
         raise ValueError(family.problem)
@@ -161,6 +164,8 @@ def _alpha_tokens(spec: str, N: int):
 def cmd_threshold_scan(args) -> int:
     Ns = [_int_token("--n-list", t.strip()) for t in args.n_list.split(",") if t.strip()]
     pairs = [(N, a) for N in Ns for a in _alpha_tokens(args.alphas, N)]
+    if not pairs:
+        raise ValueError("empty threshold scan: --n-list and --alphas each need at least one value")
     _write(args, serialize.threshold_scan_csv(threshold.threshold_scan(pairs)))
     return 0
 

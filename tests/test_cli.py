@@ -270,6 +270,13 @@ def test_symmetric_refuses_an_input_file(tmp_path, monkeypatch):
         assert _capture(["spectrum", "--symmetric", "--input", str(path)] + family) == (2, "", message)
 
 
+@pytest.mark.parametrize("flags", [[], ["--n", "5"]])
+def test_symmetric_without_a_family_names_the_families_it_takes(flags):
+    # it asked for "--family (or --input where supported)", and --symmetric refuses --input
+    message = "cuberadius: error: --symmetric needs --family threshold or majority\n"
+    assert _capture(["spectrum", "--symmetric"] + flags) == (2, "", message)
+
+
 def _capture(argv):
     """(exit code, stdout, stderr) of one in-process CLI run; argparse exits count."""
     out, err = io.StringIO(), io.StringIO()
@@ -432,6 +439,12 @@ class TestScanCommands:
     )
     def test_threshold_scan_names_the_flag_it_cannot_read(self, argv, err):
         assert _capture(["threshold-scan"] + argv) == (2, "", f"cuberadius: error: {err}\n")
+
+    @pytest.mark.parametrize("argv", [["--n-list", ",,"], ["--n-list", "5", "--alphas", ","]])
+    def test_threshold_scan_refuses_an_empty_scan(self, argv):
+        # it printed the CSV header alone and exited 0
+        message = "cuberadius: error: empty threshold scan: --n-list and --alphas each need at least one value\n"
+        assert _capture(["threshold-scan"] + argv) == (2, "", message)
 
     def test_threshold_scan_at_alpha_n_minus_1(self, capsys):
         # the default alphas at N = 2 reach alpha = N - 1, where G's b term vanishes

@@ -143,10 +143,14 @@ ARGV = [
     "spectrum --symmetric --family threshold --n 4002 --alpha 1",
     "spectrum --symmetric --input {tmp}/t6.json",
     "spectrum --family majority --n 5 --symmetric --input {tmp}/t6.json",
+    "spectrum --symmetric",
+    "spectrum --symmetric --n 5",
     "radius --input {tmp}/nan.json",
     "spectrum --input {tmp}/short.json",
     "bn --n 5 --brute",
     "threshold-scan --n-list 5 --alphas 1.5",
+    "threshold-scan --n-list ,,",
+    "threshold-scan --n-list 5 --alphas ,",
     "majority-scan --n-start 7 --n-stop 3",
     "verify --suite wiener --n-max 2 --samples 1 --seed -1",
     "verify --suite bogus --n-max 3",
