@@ -300,7 +300,11 @@ HYPER_CHECKS = tuple(
 
 
 def _hyper(t: _Tables, checks):
-    """One column per (p, q, rho); one inverse butterfly per distinct rho."""
+    """One column per (p, q, rho); one inverse butterfly per distinct nonzero rho.
+
+    T_0 f is the constant fhat(empty), so rho = 0 repeats each row's first
+    coefficient: the butterfly of (c_0, +-0, ...) gives c_0 in every entry,
+    up to the sign of a zero, which _p_norms drops with its abs."""
     for p, q, rho in checks:
         bound = hypercontractive_bound(p, q)
         if not 0.0 <= rho <= bound + 1e-12:
@@ -309,7 +313,10 @@ def _hyper(t: _Tables, checks):
     lhs = np.empty((t.rows, len(checks)))
     rhs = np.empty_like(lhs)
     for rho in dict.fromkeys(rho for _, _, rho in checks):
-        smoothed = _fwht_inplace(t.coeffs * rho**t.levels)
+        if rho == 0.0:
+            smoothed = np.repeat(t.coeffs[:, :1], t.coeffs.shape[1], axis=1)  # contiguous, as a butterfly leaves it
+        else:
+            smoothed = _fwht_inplace(t.coeffs * rho**t.levels)
         for i, (p, q, r) in enumerate(checks):
             if r == rho:
                 lhs[:, i] = _p_norms(smoothed, q)

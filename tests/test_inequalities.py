@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuberadius import cli, inequalities, radius
-from cuberadius.cube import BooleanFunction, degree, from_truth_table, subset_levels, sup_norm, walsh_transform
+from cuberadius.cube import (
+    BooleanFunction,
+    _fwht_inplace,
+    _p_norms,
+    degree,
+    from_truth_table,
+    subset_levels,
+    sup_norm,
+    walsh_transform,
+)
 from cuberadius.families import (
     _sign_draw,
     _sign_spectra,
@@ -23,6 +32,7 @@ from cuberadius.families import (
 from cuberadius.inequalities import (
     ASSERTABLE_SUITES,
     EPSILON_GRID,
+    HYPER_CHECKS,
     HYPER_GRID,
     RANDOM_MODES,
     REPORT_SUITES,
@@ -216,6 +226,15 @@ class TestNormComparison:
             assert norm_comparison_check(f, 2).failures == 0
 
 
+def _hyper_at_every_rho(t, checks):
+    """The hyper block check with an inverse butterfly for every column, rho = 0 included."""
+    lhs, rhs = np.empty((t.rows, len(checks))), np.empty((t.rows, len(checks)))
+    for i, (p, q, rho) in enumerate(checks):
+        lhs[:, i] = _p_norms(_fwht_inplace(t.coeffs * rho**t.levels), q)
+        rhs[:, i] = _p_norms(t.values, p)
+    return inequalities._check(rhs, lhs)
+
+
 class TestHypercontractivity:
     def test_admissible_bound_values(self):
         assert hypercontractive_bound(2, 4) == pytest.approx(1 / math.sqrt(3))
@@ -242,6 +261,22 @@ class TestHypercontractivity:
     def test_rejects_inadmissible_rho(self):
         with pytest.raises(ValueError):
             hypercontractivity_check(dictator(2, 1), 2, 4, 0.8)
+
+    def test_rho_zero_takes_no_butterfly(self, monkeypatch):
+        # T_0 f is the constant fhat(empty): 8 inverse butterflies per block, not 9,
+        # with the margins and failure flags of a butterfly at every rho, bit for bit
+        blocks = [t for t, _ in inequalities._blocks(10, 4, 12345, 3)]
+        for t in blocks:
+            t.coeffs  # the forward transforms, through cube's own binding, before counting
+        calls = []
+        butterfly = inequalities._fwht_inplace
+        monkeypatch.setattr(inequalities, "_fwht_inplace", lambda a: calls.append(a.shape) or butterfly(a))
+        for t in blocks:
+            calls.clear()
+            margin, fail = inequalities._hyper(t, HYPER_CHECKS)
+            assert len(calls) == 8
+            want_margin, want_fail = _hyper_at_every_rho(t, HYPER_CHECKS)
+            assert margin.tobytes() == want_margin.tobytes() and np.array_equal(fail, want_fail)
 
 
 class TestBhRatio:
