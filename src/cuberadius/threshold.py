@@ -155,7 +155,7 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     for d in itertools.chain((T - 2**n,), itertools.islice(_dual_terms(alpha, n, lead), n // 2 + 1)):
         u = min((d & -d).bit_length() - 1, n) if d else n
         pairs.append((d >> u, 1 << (n - u)))
-    return SymmetricSpectrum._adopt(N, (pairs[0], *_mirror(pairs[1:], n, alpha, lambda pq: (-pq[0], pq[1]))))
+    return SymmetricSpectrum._adopt(N, tuple(_mirror(pairs, n, alpha, lambda pq: (-pq[0], pq[1]))))
 
 
 def _dual_terms(alpha, n: int, lead):
@@ -175,11 +175,13 @@ def _dual_terms(alpha, n: int, lead):
         yield d
 
 
-def _mirror(half: list, n: int, alpha: int, negate) -> list:
-    """Values of d_0..d_n from those of d_0..d_{n//2}, by d_{n-x} = (-1)^b d_x
-    with b = (n - alpha) / 2; negate maps the value of d to that of -d."""
-    rest = reversed(half[: n + 1 - len(half)])
-    return half + list(map(negate, rest) if (n - alpha) // 2 % 2 else rest)
+def _mirror(levels: list, n: int, alpha: int, negate) -> list:
+    """levels, extended in place from levels 0..n//2 + 1 to 0..n + 1: level m >= 1
+    holds d_{m-1}, and d_{n-x} = (-1)^b d_x with b = (n - alpha) / 2; negate
+    maps a level of d to that of -d."""
+    rest = levels[n - n // 2 : 0 : -1]  # d_{n - n//2 - 1}, ..., d_0
+    levels += map(negate, rest) if (n - alpha) // 2 % 2 else rest
+    return levels
 
 
 #: Decimal arithmetic that never rounds an integer: libmpdec's widest context.
@@ -219,7 +221,7 @@ def threshold_spectrum_text(N: int, alpha: int) -> list:
             two_u, q, log_q = dens[u]
             # the log_abs of threshold_spectrum_exact's reduced pair, bit for bit
             out.append((str(e // two_u), q, math.log(abs(d >> u)) - log_q))
-    return [out[0], *_mirror(out[1:], n, alpha, _negate_text)]
+    return _mirror(out, n, alpha, _negate_text)
 
 
 def _negate_text(level: tuple) -> tuple:
