@@ -100,6 +100,8 @@ ARGV = [
     "bn --n 4 --brute --workers 2",
     "threshold-scan --n-list 101,201 --alphas 0,sqrt,half",
     "majority-scan --n-start 91 --n-stop 111 --workers 1",
+    # consecutive odd N at the radius cap
+    "majority-scan --n-start 99997 --n-stop 100001",
     "verify --suite all --n-max 6 --samples 3 --seed 1 --workers 1",
     "verify --suite hyper --n-max 5 --samples 4 --seed 12345",
     "verify --suite bh --n-max 5 --samples 4 --seed 1",
