@@ -106,6 +106,9 @@ LOG_TINY = -700.0
 #: Nats below a kept term at which _parseval_cut cuts: 45 beyond LOG_TINY, for the bound's rounding.
 CUT_NATS = 745.0
 
+#: Leading bits kept of each big integer factor of a level weight (_level_row).
+HEAD_BITS = 128
+
 #: Most Newton steps of the warm start; a row that has not converged only fails its certificate.
 NEWTON_STEPS = 8
 
@@ -463,22 +466,22 @@ def boolean_radius(p: LevelProfile) -> RadiusResult:
     return _one_radius(p.log_weights[1:], _log_targets(p.weights[0], p.sup_norm))
 
 
-def _parseval_cut(n: int, j: int, log_rho: float, log_lead: float) -> int:
-    """M, the last level that a row of level logs must keep, for a nonzero
-    level j >= 1 with log L_j over the target, log_rho = min(0, -L_j / j) and
-    log_lead = log(W_j / G), G >= ||g||_2 (a sup norm passed unchecked is none).
+def _parseval_cut(n: int, j: int, lj: float, log_scale: float) -> int:
+    """M, the last level that a row of level logs must keep, for its lowest
+    nonzero level j >= 1, lj = log(W_j / t) over the target t and log_scale =
+    log(t / G), G >= ||g||_2 (a sup norm passed unchecked is none).
 
-    The root is at most rho_c = e^log_rho, where term j alone reaches the
-    target (or 1).  By Parseval W_m <= G sqrt(binom(n, m)), so at rho_c term
-    m is at most e^f(m) times term j, f(m) = 0.5 log binom(n, m) + (m - j)
-    log_rho - log_lead, concave with f(j) >= 0; M is the first m > j with
-    f(m) < -CUT_NATS, less one.  The full row's bits stay: near and below
+    The root is at most rho_c = e^log_rho, log_rho = min(0, -lj / j), where term
+    j alone reaches the target (or 1).  By Parseval W_m <= G sqrt(binom(n, m)),
+    so at rho_c term m is at most e^f(m) times term j, f(m) = 0.5 log binom(n,
+    m) + (m - j) log_rho - lj - log_scale, concave with f(j) >= 0; M is the first
+    m > j with f(m) < -CUT_NATS, less one.  The full row's bits stay: near and below
     rho_c the tail-sum evaluator zeroes a skipped term (e^-745 below term j),
     further up term j alone passes the target in both rows, and numpy's
     pairwise sum splits at exact halves, so padding to _block_width(M) sums
     to the bits of padding to _block_width(n).
     """
-    log, half_log_binom, floor = math.log, 0.0, log_lead - CUT_NATS
+    log, half_log_binom, log_rho, floor = math.log, 0.0, min(0.0, -lj / j), lj + log_scale - CUT_NATS
     for m in range(1, n + 1):
         half_log_binom += 0.5 * log((n - m + 1) / m)
         if m > j and half_log_binom + (m - j) * log_rho < floor:
@@ -494,26 +497,42 @@ def _log_norm_bound(n: int, pairs) -> float:
     return 0.5 * float(np.logaddexp.reduce(terms))
 
 
+def _level_row(n: int, num: int, den: int, levels, log_scale: float) -> list:
+    """log(W_m / t), m = 1..M, for W_m / t = num a_m / (m den b_m) and the exact pairs (a_m >= 0, b_m > 0)
+    that ``levels`` yields for m = 1, 2, ..., each one _log_ratio of the HEAD_BITS-bit heads x >> s of the
+    four factors, shifts summed.  A head is x 2^-s (1 - e), 0 <= e < 2^(1 - HEAD_BITS): the quotient moves
+    under 2^(3 - HEAD_BITS) relative, far below a double's rounding, and powers of two move neither
+    _log_ratio's quotient in (1/2, 2) nor its exponent.  M is the _parseval_cut at the lowest nonzero level,
+    log_scale = log(t / G); no pair past M is taken, and an all-zero row keeps n."""
+    sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
+    num, den, shift, logs, cut = num >> sn, den >> sd, sn - sd, [], None
+    for m, (a, b) in enumerate(levels, 1):
+        if a:
+            sa, sb = a.bit_length() - HEAD_BITS, b.bit_length() - HEAD_BITS
+            sa, sb = sa if sa > 0 else 0, sb if sb > 0 else 0  # bits dropped; max() would add two calls per level
+            logs.append(_log_ratio(num * (a >> sa), m * den * (b >> sb), shift + sa - sb))
+            cut = cut or _parseval_cut(n, m, logs[-1], log_scale)
+        else:
+            logs.append(-math.inf)
+        if m == cut:
+            break
+    return logs
+
+
 def boolean_radius_symmetric(s: SymmetricSpectrum, sup: float) -> RadiusResult:
     """Radius of a permutation-invariant function from its per-level spectrum.
 
-    Over the exact target t = sup - |g_hat([0])|, each level log log(W_m / t),
-    W_m = binom(n, m) |g_hat([m])|, is one _log_ratio of the exact integers
-    binom(n, m) |p_m| den(t) and q_m num(t), (p_m, q_m) the level's pair, up to
-    the _parseval_cut at the lowest nonzero level, with ||g||_2 bounded from
-    the pairs.  Any n works; the residual is scaled back by t.
-    """
+    Over t = sup - |g_hat([0])|, binom(n, m) = n binom(n - 1, m - 1) / m makes W_m / t
+    the _level_row of n den(t), num(t) and (binom(n - 1, m - 1) |p_m|, q_m), (p_m, q_m)
+    the level's pair, with ||g||_2 bounded from the pairs: on a threshold spectrum, the
+    threshold row's factors up to powers of two.  The residual is scaled back by t."""
     if _finite_sup(sup) <= 0:
         raise ValueError("sup norm must be positive")
     t = Fraction(sup) - abs(Fraction(*s._pairs[0]))
     # t <= 0 only reaches _solve_reduced's profile checks, through the target
     tn, td = (abs(t) or Fraction(1)).as_integer_ratio()
-    level_log = lambda binom, p, q: _log_ratio(binom * abs(p) * td, q * tn, 0) if p else -math.inf
-    cut, j = s.n, next((m for m in range(1, s.n + 1) if s._pairs[m][0]), 0)  # j: the lowest nonzero level
-    if j:
-        lj = level_log(math.comb(s.n, j), *s._pairs[j])
-        cut = _parseval_cut(s.n, j, min(0.0, -lj / j), lj + _log_ratio(tn, td, 0) - _log_norm_bound(s.n, s._pairs))
-    logs = [level_log(b, p, q) for b, (p, q) in zip(_binomials(s.n, 1, s.n), s._pairs[1 : cut + 1])]
+    levels = ((b * abs(p), q) for b, (p, q) in zip(_binomials(s.n - 1), s._pairs[1:]))
+    logs = _level_row(s.n, s.n * td, tn, levels, _log_ratio(tn, td, 0) - _log_norm_bound(s.n, s._pairs))
     tail = np.array(logs + [-math.inf] * (_block_width(len(logs)) - len(logs)))
     result = _one_radius(tail, 0.0 if t > 0 else -math.inf if t == 0 else math.nan)
     return replace(result, residual=result.residual * (tn / td))

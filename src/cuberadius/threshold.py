@@ -13,9 +13,8 @@ from these integers, a whole scan in one batch, the published spectrum (an
 integer over 2^{N-1} per level, by Krawtchouk reciprocity) from the dual
 recurrence.
 
-A radius row keeps only levels 1..M of its N: psi is +-1 valued, so
-||psi||_2 = 1, and M is radius._parseval_cut's, taken at the level-1 term.
-The exact tail count is summed from the nearer end of [0, N/2].
+A radius row is radius._level_row's, cut at level 1 with ||psi||_2 = 1 (psi
+is +-1 valued); the exact tail count is summed from the nearer end of [0, N/2].
 
 On top of this the module provides the torus supremum G and its
 antiderivative I, the Mills-ratio-type function Y, the binomial-tail
@@ -36,7 +35,7 @@ import numpy as np
 
 from .cube import SymmetricSpectrum, _as_int
 from .families import canonical_alpha
-from .radius import (SCAN_BLOCK_DOUBLES, RadiusResult, _binomials, _bisect, _block_width, _log_ratio, _parseval_cut,
+from .radius import (SCAN_BLOCK_DOUBLES, RadiusResult, _binomials, _bisect, _block_width, _level_row, _log_ratio,
                      _solve_reduced)
 
 #: Dimension cap for threshold radii and scans (exact integers of N bits).
@@ -45,9 +44,6 @@ MAX_SYMMETRIC_N = 100001
 #: Dimension cap for exact symmetric spectra: their output grows as N^2 digits,
 #: and above N of about 14,000 a numerator passes CPython's 4,300-digit int-to-str limit.
 MAX_SPECTRUM_N = 4001
-
-#: Leading bits kept of each big integer factor of a level weight.
-HEAD_BITS = 128
 
 #: Relative slack for the sandwich inequalities.
 SANDWICH_TOL = 1e-9
@@ -421,34 +417,18 @@ def _mckay(N: int, alpha: int, T: int, lead: int) -> float:
 
 
 def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
-    """log(W_m / target), m = 1..M, for psi_{N,alpha} with (alpha, T, lead) =
-    _tail_terms(N, alpha).  Over the reduced target 1 - |psihat(empty)| =
-    min(T, 2^N - T) / 2^{N-1}, the level weight W_m = binom(N, m) |psihat([m])|
-    is N binom(N-1, b) |c_{m-1}| / (m min(T, 2^N - T)), so the target log is 0.
-    Each of the three big factors enters as its HEAD_BITS-bit head, which moves
-    the quotient by about 2^-126 relative: far below one rounding of a double.
-    M is radius._parseval_cut's at level 1, with ||psi||_2 = 1.
+    """log(W_m / t), m = 1..M, W_m = binom(N, m) |psihat([m])|, of psi_{N,alpha} with (alpha, T, lead) =
+    _tail_terms(N, alpha): as t = 1 - |psihat(empty)| = den / 2^{N-1}, den = min(T, 2^N - T), and ||psi||_2 = 1,
+    the _level_row of N lead, den and (|c_{m-1}|, 1), c_k the z^k coefficient of (1+z)^a (1-z)^b: c_0 = 1,
+    (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1} from (1 - z^2) P' = (alpha - (N-1) z) P, every division exact."""
+    def levels():
+        c_prev, c = 0, 1
+        for k in range(N):
+            yield abs(c), 1
+            c_prev, c = c, (alpha * c - (N - k) * c_prev) // (k + 1)
 
-    c_k, the z^k coefficient of (1+z)^a (1-z)^b, comes from the Krawtchouk
-    recurrence c_0 = 1, (k+1) c_{k+1} = alpha c_k - (N-k) c_{k-1} (from
-    (1 - z^2) P' = (alpha - (N-1) z) P; every division is exact), each kept
-    level's log taken by _log_ratio from the heads of its integers."""
-    num, den = N * lead, min(T, 2**N - T)
-    sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
-    num, den, shift = num >> sn, den >> sd, sn - sd
-    log, log2, logs = math.log, math.log(2.0), []
-    log_w1, log_rho = log(num) + (sn - N + 1) * log2, min(0.0, log(den) - log(num) - shift * log2)
-    c_prev, c = 0, 1
-    for k in range(_parseval_cut(N, 1, log_rho, log_w1)):
-        if c:
-            h = abs(c)
-            s = h.bit_length() - HEAD_BITS
-            s = s if s > 0 else 0  # bits dropped; max() would add a builtin call per level
-            logs.append(_log_ratio(num * (h >> s), (k + 1) * den, shift + s))
-        else:
-            logs.append(-math.inf)
-        c_prev, c = c, (alpha * c - (N - k) * c_prev) // (k + 1)
-    return logs
+    den = min(T, 2**N - T)
+    return _level_row(N, N * lead, den, levels(), _log_ratio(den, 1, 1 - N))
 
 
 def _radii_exact(rows) -> tuple:

@@ -789,19 +789,21 @@ def test_threshold_radius_against_high_precision_oracle(N, alpha):
 
 
 def test_symmetric_solver_has_the_bits_of_the_exact_radius():
-    # every canonical pair with 2 <= N <= 60: the general symmetric solver forms
-    # the same level ratios as the threshold rows, reduced by other gcds, so a
-    # quotient can leave _log_ratio on the other side of a power of two
+    # every canonical pair with 2 <= N <= 60, the pairs with N < 120 whose level
+    # quotients a factorisation with the odd factor m on the other side splits
+    # across a power of two, and two cap points: radius and halvings
     pairs = [(N, a) for N in range(2, 61) for a in range(N % 2 - 1, N, 2)]
+    pairs += [(63, 34), (66, 43), (75, 26), (79, 28), (84, 27), (92, 75), (100, 51), (106, -1), (106, 1), (106, 3)]
+    pairs += [(4001, 1998), (4000, -1)]
     # exact_radius is the one-row _radii_exact, whose bits a batch keeps (TestBatchedSolve)
-    wanted = _radii_exact([(N, *_tail_terms(N, a)) for N, a in pairs])[0]
+    radii, _, halvings = _radii_exact([(N, *_tail_terms(N, a)) for N, a in pairs])
     differ = []
-    for (N, a), want in zip(pairs, wanted):
-        got = boolean_radius_symmetric(threshold_spectrum_exact(N, a), 1.0).radius
-        assert abs(got - want) <= 10 * math.ulp(want), (N, a)
-        if got != want:
+    for (N, a), want, want_halvings in zip(pairs, radii, halvings):
+        got = boolean_radius_symmetric(threshold_spectrum_exact(N, a), 1.0)
+        assert abs(got.radius - want) <= 10 * math.ulp(want), (N, a)
+        if (got.radius.hex(), got.iterations) != (want.hex(), want_halvings):
             differ.append((N, a))
-    assert len(differ) <= 2, differ
+    assert differ == []
 
 
 @pytest.mark.parametrize("N,alpha", [(101, 50), (101, 98), (106, 101), (114, 21), (2001, 1000)])
@@ -981,13 +983,14 @@ class TestParsevalCut:
 def _full_row_symmetric(s, sup):
     """(radius, residual, halvings) of boolean_radius_symmetric's row with all n
     levels, padded to _block_width(n): each level log over t = sup - |g_hat(empty)|
-    from the whole products binom(n, m) |p_m| den(t) and q_m num(t)."""
+    from the whole products n den(t) binom(n - 1, m - 1) |p_m| and m q_m num(t)."""
     coeffs = s.level_coeffs
     t = Fraction(sup) - abs(coeffs[0])
     tail = np.full((1, _block_width(s.n)), -math.inf)
-    for m, (binom, c) in enumerate(zip(_binomial_row(s.n), coeffs)):
-        if m and c:
-            tail[0, m - 1] = _full_width_log_ratio(binom * abs(c.numerator) * t.denominator, c.denominator * t.numerator)
+    for m, (binom, c) in enumerate(zip(_binomial_row(s.n - 1), coeffs[1:]), 1):
+        if c:
+            p, q = s.n * t.denominator * binom * abs(c.numerator), m * c.denominator * t.numerator
+            tail[0, m - 1] = _full_width_log_ratio(p, q)
     radius, residual, halvings = _solve_reduced(tail, np.zeros(1))
     return radius[0].item(), residual[0].item() * float(t), halvings[0].item()
 
