@@ -13,9 +13,12 @@ padded with -inf to ``threshold._block_width`` of its longest row as
 ``threshold._radii_exact`` pads it.  The case ``tail_count_100001_25000``
 times ``threshold._tail_count(100001, 25000)``, the exact tail count of the
 row (100001, 50000) at the radius cap: 25,000 terms of 100,001 bits walked
-from the middle end.  Every input is built by this checkout.  The two solves
-also report their minor page faults per call (``ru_minflt`` of
-``resource.getrusage``, over FAULT_CALLS calls after one untimed call).
+from the middle end.  The case ``majority_scan_99981_100001`` times
+``threshold.majority_scan`` over the 11 odd N 99981..100001 at the cap, whose
+rows walk binom(N - 1, (N - 1)/2) from one math.comb.  Every input is built
+by this checkout.  The two solves also report their minor page faults per
+call (``ru_minflt`` of ``resource.getrusage``, over FAULT_CALLS calls after
+one untimed call).
 
 The cold cases run ``threshold-scan --n-list 1011,1991`` in COLD_RUNS fresh
 processes and ``majority-scan --n-start 1 --n-stop 4001`` in LONG_RUNS, so the
@@ -50,12 +53,14 @@ CASES = {
     "radius_majority_100001": "cli.main of " + " ".join(RADIUS_ARGV),
     "level_logs_911_989": "level logs of the 40 majority rows N = 911..989",
     "tail_count_100001_25000": "threshold._tail_count(100001, 25000), the tail walk of (100001, 50000) at the cap",
+    "majority_scan_99981_100001": "threshold.majority_scan over the 11 odd N 99981..100001 at the cap",
     "solve_911_989": "radius solve of those 40 rows of level logs",
     "solve_scan_1007_1993": "radius solve of the 6 rows of the threshold scan",
     "cold_threshold_scan_1011_1991": "a fresh process running threshold-scan --n-list 1011,1991",
     "cold_majority_scan_1_4001": "a fresh process running majority-scan --n-start 1 --n-stop 4001",
 }
 TAIL_COUNT_ARGS = (100001, 25000)
+CAP_MAJORITY = range(99981, 100002, 2)
 MAJORITY_PAIRS = [(N, 0) for N in range(911, 990, 2)]
 SCAN_PAIRS = [(N, a) for N in (1007, 1993) for a in (0, math.isqrt(N), N // 2)]
 FAULT_CALLS = 20
@@ -69,6 +74,7 @@ def cases(this):
     rows = [(N, *threshold._tail_terms(N, a)) for N, a in MAJORITY_PAIRS]
     yield "level_logs_911_989", lambda tree: lambda: [tree.threshold._level_logs(*row) for row in rows]
     yield "tail_count_100001_25000", lambda tree: functools.partial(tree.threshold._tail_count, *TAIL_COUNT_ARGS)
+    yield "majority_scan_99981_100001", lambda tree: functools.partial(tree.threshold.majority_scan, CAP_MAJORITY)
     for name, pairs in [("solve_911_989", MAJORITY_PAIRS), ("solve_scan_1007_1993", SCAN_PAIRS)]:
         logs = [threshold._level_logs(N, *threshold._tail_terms(N, this.families.canonical_alpha(N, a))) for N, a in pairs]
         tail = np.full((len(logs), threshold._block_width(max(map(len, logs)))), -math.inf)

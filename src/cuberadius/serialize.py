@@ -283,11 +283,16 @@ def _dumps_levels(n: int, levels) -> str:
     # what dumps emits for {"n": n, "level_coeffs": ["p/q", ...], "log_abs": ["%.17g" or "-inf", ...]},
     # from (p text, q text, log) per level; log is finite or -inf by construction.
     # The texts go into one join as they are: no entry string copies a numerator.
-    parts, logs, sep = ['{"n": %d, "level_coeffs": [' % n], [], ""
+    # Each distinct log is formatted once per call (the Krawtchouk mirror repeats half
+    # of them), keyed by its float: log|p| - log q is never -0.0, which would share 0.0's key.
+    parts, logs, texts, sep = ['{"n": %d, "level_coeffs": [' % n], [], {}, ""
     for p, q, v in levels:
         parts += (sep, '"', p, "/", q, '"')
         sep = ", "
-        logs.append('"-inf"' if v == -math.inf else '"%.17g"' % v)
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = '"-inf"' if v == -math.inf else '"%.17g"' % v
+        logs.append(text)
     parts.append('], "log_abs": [%s]}\n' % ", ".join(logs))
     return "".join(parts)
 

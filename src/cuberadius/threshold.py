@@ -533,12 +533,24 @@ def _odd_n(N) -> int:
 
 
 def majority_scan(Ns):
-    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd integer N, in input order."""
+    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd integer N, in input order.
+
+    Row N is (N, *_tail_terms(N, 0)): the tail count of odd N is 2^(N-1), and lead(N) =
+    binom(N - 1, (N - 1)/2) walks from the row before when that row is N - 2, lead(N) =
+    lead(N - 2) (N - 2) (N - 1) / ((N - 1)/2)^2, one exact division; the first N and an N
+    after a gap, a repeat or a step down take math.comb."""
     # each N is checked as it is taken, before the first radius: a range far
     # past the cap stops at its first N over it instead of building every row
     Ns = [_odd_n(N) for N in Ns]
     gam = gamma_constant()
-    radii = _radii_exact([(N, *_tail_terms(N, 0)) for N in Ns])[0]
+    rows = []
+    for N in Ns:
+        if rows and rows[-1][0] == N - 2:
+            lead = rows[-1][3] * (N - 2) * (N - 1) // ((N - 1) // 2) ** 2
+        else:
+            lead = math.comb(N - 1, (N - 1) // 2)
+        rows.append((N, 0, 1 << (N - 1), lead))
+    radii = _radii_exact(rows)[0]
     return [(N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam) for N, rho in zip(Ns, radii)]
 
 

@@ -560,6 +560,18 @@ class TestMajorityScan:
         with pytest.raises(ValueError):
             majority_scan([2])
 
+    def test_walked_leads_equal_a_comb_per_row(self, monkeypatch):
+        # unsorted, gapped and repeated N: every row as a math.comb per row gives it, and
+        # math.comb only for the first N and after a gap, a repeat or a step down
+        Ns = [1001, 5, 99999, 7, 9, 11, 101, 101, 103, 3]
+        gam = gamma_constant()
+        want = [(N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam)
+                for N, rho in zip(Ns, _radii_exact([(N, *_tail_terms(N, 0)) for N in Ns])[0])]
+        calls, comb = [], math.comb
+        monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+        assert repr(majority_scan(Ns)) == repr(want)
+        assert [n + 1 for n, _ in calls] == [1001, 5, 99999, 7, 101, 101, 3]
+
     @pytest.mark.parametrize("N", [5.5, 7.9, "7", math.nan])
     def test_rejects_non_integral_n(self, N, monkeypatch):
         # int() truncated 5.5 and 7.9 to the rows of N = 5 and 7
