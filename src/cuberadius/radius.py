@@ -501,9 +501,9 @@ def _level_row(n: int, num: int, den: int, levels, log_scale: float) -> list:
     """log(W_m / t), m = 1..M, for W_m / t = num a_m / (m den b_m) and the exact pairs (a_m >= 0, b_m > 0)
     that ``levels`` yields for m = 1, 2, ..., each one _log_ratio of the HEAD_BITS-bit heads x >> s of the
     four factors, shifts summed.  A head is x 2^-s (1 - e), 0 <= e < 2^(1 - HEAD_BITS): the quotient moves
-    under 2^(3 - HEAD_BITS) relative, far below a double's rounding, and powers of two move neither
-    _log_ratio's quotient in (1/2, 2) nor its exponent.  M is the _parseval_cut at the lowest nonzero level,
-    log_scale = log(t / G) with G >= ||g||_2; no pair past M is taken, and an all-zero row keeps n."""
+    under 2^(3 - HEAD_BITS) relative, far below a double's rounding, and one ratio factored with other powers
+    of two has one quotient in (1/2, 2) and exponent.  M is the _parseval_cut at the lowest nonzero level,
+    log_scale = log(t / G), G >= ||g||_2; no pair past M is taken (all n for an all-zero row)."""
     sn, sd = (max(x.bit_length() - HEAD_BITS, 0) for x in (num, den))  # bits dropped
     num, den, shift, logs, cut = num >> sn, den >> sd, sn - sd, [], None
     for m, (a, b) in enumerate(levels, 1):
