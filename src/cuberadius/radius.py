@@ -452,6 +452,23 @@ def _one_radius(log_tail: np.ndarray, log_target: float) -> RadiusResult:
     return RadiusResult(float(radius[0]), float(residual[0]), int(iterations[0]), method)
 
 
+def _solve_rows(logs) -> tuple:
+    """Radii, residuals (over t) and halvings, as three lists, of the rows of level logs log(W_m / t),
+    m = 1..len(row), each over its own target t, that ``logs`` yields; each row becomes an array as it comes.
+    Consecutive rows are padded with -inf to the _block_width of their widest row, in blocks of at most
+    SCAN_BLOCK_DOUBLES (as the widest row of all allows), each solved by one _solve_reduced."""
+    logs = [np.array(row) for row in logs]
+    out, step = ([], [], []), max(1, SCAN_BLOCK_DOUBLES // _block_width(max(map(len, logs), default=1)))
+    for i in range(0, len(logs), step):
+        block = logs[i : i + step]
+        tail = np.full((len(block), _block_width(max(map(len, block)))), -math.inf)
+        for r, row in enumerate(block):
+            tail[r, : len(row)] = row
+        for acc, part in zip(out, _solve_reduced(tail, np.zeros(len(block)))):
+            acc += part.tolist()
+    return out
+
+
 def _dense_radii(w: np.ndarray, sup) -> np.ndarray:
     """Radii of the (rows, n + 1) level-weight rows ``w`` with sup norms ``sup``."""
     return _solve_reduced(_log(w[:, 1:]), _log_targets(w[:, 0], sup))[0]
@@ -595,7 +612,7 @@ def brute_force_bn_radius(N: int):
     return float(rho[i]), BooleanFunction(N, table(np.uint64(i), points))
 
 
-#: Most doubles in one block of sign tables of the homogeneous scan (512 KiB).
+#: Most doubles in one block of level-log rows (_solve_rows) or of sign tables of the homogeneous scan (512 KiB).
 SCAN_BLOCK_DOUBLES = 2**16
 
 

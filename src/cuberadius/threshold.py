@@ -35,8 +35,7 @@ import numpy as np
 
 from .cube import SymmetricSpectrum, _as_int
 from .families import canonical_alpha
-from .radius import (SCAN_BLOCK_DOUBLES, RadiusResult, _binomials, _bisect, _block_width, _level_row, _log_ratio,
-                     _solve_reduced)
+from .radius import RadiusResult, _binomials, _level_row, _log_ratio, _one_radius, _solve_rows
 
 #: Dimension cap for threshold radii and scans (exact integers of N bits).
 MAX_SYMMETRIC_N = 100001
@@ -55,7 +54,7 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 Y_SWITCH = 6.0
 Y_CF_TERMS = 24
 
-#: Dimension cap for t_N (one Python float per degree, a Horner pass per halving).
+#: Dimension cap for t_N (one Python float per degree, one level-log row of N doubles).
 MAX_TN_N = 10**6
 
 #: Quadrature: adaptive Simpson relative target and work cap.
@@ -296,10 +295,10 @@ def _check_alpha(N: int, alpha: float) -> int:
     return N
 
 
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
+def _adaptive_simpson(f, a: float, b: float) -> float:
     """Classic adaptive Simpson with Richardson correction and a work cap.
 
-    The acceptance tolerance is absolute, scaled once by the coarse estimate
+    The acceptance tolerance is absolute, QUAD_REL_TOL scaled once by the coarse estimate
     of the whole integral, and halves per level; the Simpson error shrinks
     sixteenfold per halving, so the recursion always terminates.
     """
@@ -327,7 +326,7 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     m = 0.5 * (a + b)
     fa, fm, fb = fc(a), fc(m), fc(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return rec(a, fa, m, fm, b, fb, whole, rel_tol * max(abs(whole), 1e-300), 0)
+    return rec(a, fa, m, fm, b, fb, whole, QUAD_REL_TOL * max(abs(whole), 1e-300), 0)
 
 
 def i_integral(N: int, alpha: float, rho: float) -> float:
@@ -346,7 +345,7 @@ def i_integral(N: int, alpha: float, rho: float) -> float:
             cuts.append(c)
     cuts.append(rho)
     f = lambda r: _g(N, alpha, r)
-    return sum(_adaptive_simpson(f, lo, hi, QUAD_REL_TOL) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return sum(_adaptive_simpson(f, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 def _two_square(z: float) -> tuple:
@@ -433,21 +432,9 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
 
 def _radii_exact(rows) -> tuple:
     """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _tail_terms,
-    with the residual of each reduced equation (over its target) and the halvings.
-    The level logs of every row are formed first; consecutive rows are then
-    padded with -inf to the _block_width of their widest kept row, in blocks of
-    at most SCAN_BLOCK_DOUBLES, and each block is solved by one _solve_reduced."""
-    logs = [np.array(_level_logs(*row)) for row in rows]
-    widest = _block_width(max(map(len, logs), default=1))
-    out, step = ([], [], []), max(1, SCAN_BLOCK_DOUBLES // widest)
-    for i in range(0, len(logs), step):
-        block = logs[i : i + step]
-        tail = np.full((len(block), _block_width(max(map(len, block)))), -math.inf)
-        for r, row in enumerate(block):
-            tail[r, : len(row)] = row
-        for acc, part in zip(out, _solve_reduced(tail, np.zeros(len(block)))):
-            acc += part.tolist()
-    return out
+    with the residual of each reduced equation (over its target) and the halvings:
+    radius._solve_rows of their level logs, every row formed first."""
+    return _solve_rows(_level_logs(*row) for row in rows)
 
 
 def exact_radius(N: int, alpha: int) -> RadiusResult:
@@ -514,15 +501,16 @@ def threshold_scan(pairs) -> list:
 
 @functools.cache
 def gamma_constant() -> float:
-    """The gamma with int_0^gamma e^{u^2/2} du = sqrt(pi/2).
+    """The gamma with int_0^gamma e^{u^2/2} du = sqrt(pi/2), a one-row radius.
 
-    Bisection on [0.5, 2] over the adaptive-Simpson integral; the integrand
-    is smooth and increasing, and the bracket is driven to machine width, so
-    the defining integral matches sqrt(pi/2) to well under 1e-12.
+    Termwise, at rho = gamma/2 the integral is sum_k W_(2k+1) rho^(2k+1) with W_(2k+1) = 2^(k+1) / ((2k+1) k!),
+    one _log_ratio each, and 0 at even levels: gamma is twice its radius._one_radius at the target sqrt(pi/2).
+    The series stops at k = 31.  On [0, 1] each later term is under 2/33 of the one before, so the rest is under
+    twice the k = 32 term, 2^33 / (65 32!) < 1e-27, far below a rounding of the target.
     """
-    f = lambda u: math.exp(0.5 * u * u)
-    root, _ = _bisect(lambda mid: _adaptive_simpson(f, 0.0, float(mid), 1e-14) < SQRT_HALF_PI, 0.5, 2.0)
-    return float(root)
+    log_tail = np.full(64, -math.inf)
+    log_tail[::2] = [_log_ratio(1, (2 * k + 1) * math.factorial(k), k + 1) for k in range(32)]
+    return 2.0 * _one_radius(log_tail, math.log(SQRT_HALF_PI)).radius
 
 
 def _odd_n(N) -> int:
@@ -569,21 +557,14 @@ def tail_lower_bound_check(N: int, alpha: float) -> bool:
 
 
 def tn_lower_bound(N: int) -> float:
-    """The root t_N in (0, 1] of sum_{k=1}^N cos(pi/(floor(N/k)+2)) t^k = 1/2.
+    """The root t_N in (0, 1] of sum_{k=1}^N cos(pi/(floor(N/k)+2)) t^k = 1/2, a one-row radius.
 
     The printed equation starts the sum at k = 0, whose floor(N/0) term is
     undefined; the k >= 1 reading matches the coefficient-bound indexing the
-    equation comes from, and is what is solved here.
+    equation comes from, and is what is solved here, by radius._one_radius of
+    the weights' logs at the target 1/2.  At N = 1, cos(pi/3) rounds to
+    0.5000000000000001, within UNIT_RADIUS_TOL of the target: the root is 1.0.
     """
     N = _check_n(N, MAX_TN_N)
-    if N == 1:  # cos(pi/3) t = 1/2 has the root 1, but math.cos(math.pi / 3) is 0.5000000000000001
-        return 1.0
-    coefs = [math.cos(math.pi / (N // k + 2)) for k in range(1, N + 1)]
-
-    def f(t: float) -> float:
-        acc = 0.0
-        for c in reversed(coefs):  # Horner from the top power
-            acc = (acc + c) * t
-        return acc
-
-    return float(_bisect(lambda mid: f(float(mid)) < 0.5, 0.0, 1.0)[0])
+    log_tail = np.log([math.cos(math.pi / (N // k + 2)) for k in range(1, N + 1)])
+    return _one_radius(log_tail, math.log(0.5)).radius

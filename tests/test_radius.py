@@ -292,9 +292,10 @@ def _log_tail_sums(log_tail, rho):
 
 
 def _threshold_block(pairs):
-    """The -inf-padded level logs of threshold rows, as threshold._radii_exact forms one block."""
+    """The -inf-padded level logs of threshold rows, as radius._solve_rows forms one block."""
     from cuberadius.families import canonical_alpha
-    from cuberadius.threshold import _block_width, _level_logs, _tail_terms
+    from cuberadius.radius import _block_width
+    from cuberadius.threshold import _level_logs, _tail_terms
 
     logs = [_level_logs(N, *_tail_terms(N, canonical_alpha(N, a))) for N, a in pairs]
     tail = np.full((len(logs), _block_width(max(map(len, logs)))), -math.inf)

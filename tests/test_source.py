@@ -90,6 +90,21 @@ def test_one_parseval_cut():
     assert readers == [("radius", "_parseval_cut")]
 
 
+def test_radius_owns_every_root():
+    # one solver finds every root: no other module bisects, solves the reduced equation or pads rows into blocks
+    owned = {"_solve_reduced", "_bisect", "_block_width", "SCAN_BLOCK_DOUBLES"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and owned & {alias.name for alias in node.names}:
+                found.append((path.stem, "import"))
+            elif isinstance(node, ast.FunctionDef) and owned & {
+                n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+            }:
+                found.append((path.stem, node.name))
+    assert found and {module for module, _ in found} == {"radius"}, found
+
+
 def imported_modules(source: str) -> set:
     """The top-level names of the modules that ``source`` imports, relative imports left out."""
     found = set()

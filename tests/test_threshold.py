@@ -15,13 +15,19 @@ from scipy.integrate import quad
 from cuberadius import threshold as threshold_module
 from cuberadius.cube import SymmetricSpectrum, subset_levels, sup_norm, walsh_transform
 from cuberadius.families import ThresholdSpec, canonical_alpha, threshold
-from cuberadius.radius import SCAN_BLOCK_DOUBLES, _solve_reduced, boolean_radius, boolean_radius_symmetric, level_profile
+from cuberadius.radius import (
+    SCAN_BLOCK_DOUBLES,
+    _block_width,
+    _solve_reduced,
+    boolean_radius,
+    boolean_radius_symmetric,
+    level_profile,
+)
 from cuberadius.threshold import (
     MAX_SPECTRUM_N,
     MAX_SYMMETRIC_N,
     MAX_TN_N,
     ThresholdReport,
-    _block_width,
     _dual_terms,
     _level_logs,
     _radii_exact,
@@ -696,6 +702,27 @@ class TestTnRoot:
         root = (-c1 + math.sqrt(c1 * c1 + 4 * c2 * 0.5)) / (2 * c2)
         assert tn_lower_bound(2) == pytest.approx(root, abs=1e-12)
         assert tn_lower_bound(2) == pytest.approx(0.5176380902050415, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [*range(1, 61), 100, 1000])
+    def test_within_3_ulp_of_a_40_digit_root(self, N):
+        # the root of the exact equation, each cos at 40 digits, the sum by Horner
+        import mpmath as mp
+
+        with mp.workdps(40):
+            coefs = [mp.cos(mp.pi / (N // k + 2)) for k in range(1, N + 1)]
+
+            def f(t):
+                acc = mp.mpf(0)
+                for c in reversed(coefs):
+                    acc = (acc + c) * t
+                return acc
+
+            lo, hi = mp.mpf(0), mp.mpf(1)
+            for _ in range(140):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid) < 0.5 else (lo, mid)
+            got = tn_lower_bound(N)
+            assert abs(got - (lo + hi) / 2) <= 3 * math.ulp(got)
 
     def test_decreasing_toward_a_third(self):
         vals = [tn_lower_bound(N) for N in range(1, 51)]
