@@ -8,7 +8,7 @@ Times the solve on the inputs it meets in the CLI:
 - the 14 level-sum blocks that ``verify --suite all --n-max 10 --samples 10``
   solves (captured from one ``run_suite`` of this tree at SUITE_SEED);
 - the majority-scan block: the 40 rows N = 911..989 of threshold level logs,
-  padded with -inf to ``_block_width`` as ``threshold._radii_exact`` pads them;
+  padded with -inf to ``radius._block_width`` as ``radius._solve_rows`` pads them;
 - the 172 distinct level profiles of the brute force at N = 4;
 - then ``threshold.exact_radius(24, 1)``, one row with its level logs;
 - ``cli.main`` of that ``verify`` command (stdout captured);
@@ -57,7 +57,7 @@ def cases(this):
     finally:
         radius._solve_reduced = solve
     logs = [threshold._level_logs(N, *threshold._tail_terms(N, 0)) for N in range(911, 990, 2)]
-    tail = np.full((len(logs), threshold._block_width(max(map(len, logs)))), -math.inf)
+    tail = np.full((len(logs), radius._block_width(max(map(len, logs)))), -math.inf)
     for r, row in enumerate(logs):
         tail[r, : len(row)] = row
     points = 16

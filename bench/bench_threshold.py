@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the threshold radii: level logs, their solve and the two scans.
+"""Layer benchmark of the threshold radii: level logs, their solve, the two scans and the one-row roots.
 
     python3 bench/bench_threshold.py --label change
     python3 bench/bench_threshold.py --label change --against <other checkout>/src
@@ -9,16 +9,18 @@ Times ``majority-scan --n-start 911 --n-stop 989``, ``threshold-scan
 100001`` through ``cli.main`` (stdout captured), then the layers under them:
 the level logs of the 40 majority rows, and two solves by
 ``radius._solve_reduced``, of those rows and of the scan's 6 rows, each block
-padded with -inf to ``threshold._block_width`` of its longest row as
-``threshold._radii_exact`` pads it.  The case ``tail_count_100001_25000``
+padded with -inf to ``radius._block_width`` of its longest row as
+``radius._solve_rows`` pads it.  The case ``tail_count_100001_25000``
 times ``threshold._tail_count(100001, 25000)``, the exact tail count of the
 row (100001, 50000) at the radius cap: 25,000 terms of 100,001 bits walked
 from the middle end.  The case ``majority_scan_99981_100001`` times
 ``threshold.majority_scan`` over the 11 odd N 99981..100001 at the cap, whose
-rows walk binom(N - 1, (N - 1)/2) from one math.comb.  Every input is built
-by this checkout.  The two solves also report their minor page faults per
-call (``ru_minflt`` of ``resource.getrusage``, over FAULT_CALLS calls after
-one untimed call).
+rows walk binom(N - 1, (N - 1)/2) from one math.comb.  The case
+``tn_100000`` times ``threshold.tn_lower_bound(100000)``, a root of 100,000
+levels, and ``gamma_uncached`` times ``threshold.gamma_constant.__wrapped__()``,
+gamma without its cache.  Every input is built by this checkout.  The two
+solves also report their minor page faults per call (``ru_minflt`` of
+``resource.getrusage``, over FAULT_CALLS calls after one untimed call).
 
 The cold cases run ``threshold-scan --n-list 1011,1991`` in COLD_RUNS fresh
 processes and ``majority-scan --n-start 1 --n-stop 4001`` in LONG_RUNS, so the
@@ -54,6 +56,8 @@ CASES = {
     "level_logs_911_989": "level logs of the 40 majority rows N = 911..989",
     "tail_count_100001_25000": "threshold._tail_count(100001, 25000), the tail walk of (100001, 50000) at the cap",
     "majority_scan_99981_100001": "threshold.majority_scan over the 11 odd N 99981..100001 at the cap",
+    "tn_100000": "threshold.tn_lower_bound(100000), the root t_N of 100,000 levels",
+    "gamma_uncached": "threshold.gamma_constant.__wrapped__(), gamma without its cache",
     "solve_911_989": "radius solve of those 40 rows of level logs",
     "solve_scan_1007_1993": "radius solve of the 6 rows of the threshold scan",
     "cold_threshold_scan_1011_1991": "a fresh process running threshold-scan --n-list 1011,1991",
@@ -75,9 +79,11 @@ def cases(this):
     yield "level_logs_911_989", lambda tree: lambda: [tree.threshold._level_logs(*row) for row in rows]
     yield "tail_count_100001_25000", lambda tree: functools.partial(tree.threshold._tail_count, *TAIL_COUNT_ARGS)
     yield "majority_scan_99981_100001", lambda tree: functools.partial(tree.threshold.majority_scan, CAP_MAJORITY)
+    yield "tn_100000", lambda tree: functools.partial(tree.threshold.tn_lower_bound, 100000)
+    yield "gamma_uncached", lambda tree: tree.threshold.gamma_constant.__wrapped__
     for name, pairs in [("solve_911_989", MAJORITY_PAIRS), ("solve_scan_1007_1993", SCAN_PAIRS)]:
         logs = [threshold._level_logs(N, *threshold._tail_terms(N, this.families.canonical_alpha(N, a))) for N, a in pairs]
-        tail = np.full((len(logs), threshold._block_width(max(map(len, logs)))), -math.inf)
+        tail = np.full((len(logs), this.radius._block_width(max(map(len, logs)))), -math.inf)
         for r, row in enumerate(logs):
             tail[r, : len(row)] = row
         yield name, lambda tree: functools.partial(tree.radius._solve_reduced, tail, np.zeros(len(logs)))

@@ -306,6 +306,7 @@ def noise_operator(s: Spectrum, rho: float) -> Spectrum:
 
 def homogeneous_part(s: Spectrum, m: int) -> Spectrum:
     """Spectrum restricted to level m (all other coefficients zeroed)."""
+    m = _as_int("m", m)
     if not 0 <= m <= s.n:
         raise ValueError(f"level must lie in [0, {s.n}], got {m}")
     out = np.where(subset_levels(s.n) == m, s.coeffs, 0.0)

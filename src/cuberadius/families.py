@@ -52,6 +52,7 @@ def extremal_indicator_flip(N: int) -> BooleanFunction:
 def dictator(N: int, i: int) -> BooleanFunction:
     """f(x) = x_i (coordinates are 1-based)."""
     _validate_dimension(N)
+    i = _as_int("i", i)
     if not 1 <= i <= N:
         raise ValueError(f"coordinate must lie in [1, {N}]")
     bits = (np.arange(2**N, dtype=np.uint32) >> (i - 1)) & 1
@@ -63,9 +64,10 @@ def subset_mask(N: int, S) -> int:
     _validate_dimension(N)
     mask = 0
     for k in S:  # stops at the first stray member, even of a huge range
-        if not 1 <= int(k) <= N:
+        k = _as_int("subset member", k)
+        if not 1 <= k <= N:
             raise ValueError(f"subset members must lie in [1, {N}]")
-        mask |= 1 << (int(k) - 1)
+        mask |= 1 << (k - 1)
     return mask
 
 

@@ -269,7 +269,7 @@ def _degree_l2(t: _Tables, d: np.ndarray):
 
 def degree_l2_check(f: BooleanFunction, d: int) -> InequalityReport:
     """(sum_{0<|S|<=d} fhat(S)^2)^{1/2} <= 2 e^d (1 - |fhat({})|) for ||f||_inf <= 1."""
-    return _single("degree-l2", f, _degree_l2, np.array([d]))
+    return _single("degree-l2", f, _degree_l2, np.array([_as_int("d", d)]))
 
 
 def _norm_comparison(t: _Tables, d: np.ndarray):
@@ -280,7 +280,7 @@ def _norm_comparison(t: _Tables, d: np.ndarray):
 
 def norm_comparison_check(f: BooleanFunction, d: int) -> InequalityReport:
     """||f||_2 <= e^d ||f||_1 for functions of degree at most d."""
-    return _single("norm-comparison", f, _norm_comparison, np.array([d]))
+    return _single("norm-comparison", f, _norm_comparison, np.array([_as_int("d", d)]))
 
 
 def hypercontractive_bound(p: float, q: float) -> float:
@@ -346,7 +346,7 @@ def bh_ratio(f: BooleanFunction, d: int) -> float:
     Profiling quantity for the degree-d coefficient inequality; the constant
     there is existential, so the ratio is reported, never asserted.
     """
-    return float(_bh(_Tables(f.n, f.values[None, :]), np.array([d]))[0])
+    return float(_bh(_Tables(f.n, f.values[None, :]), np.array([_as_int("d", d)]))[0])
 
 
 def _cd_ratio(t: _Tables) -> np.ndarray:

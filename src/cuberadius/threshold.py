@@ -243,7 +243,7 @@ def maj_identity_eval(N: int, r: float) -> float:
 
 def branch_point(N: int, alpha: float) -> float:
     """r_alpha = alpha / ((N-1) + sqrt((N-1)^2 - alpha^2)), where G switches branch."""
-    return _branch_point(_check_n(N, MAX_SYMMETRIC_N), alpha)
+    return _branch_point(_check_alpha(N, alpha), alpha)
 
 
 def _branch_point(N: int, alpha: float) -> float:

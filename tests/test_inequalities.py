@@ -16,6 +16,7 @@ from cuberadius.cube import (
     _p_norms,
     degree,
     from_truth_table,
+    homogeneous_part,
     subset_levels,
     sup_norm,
     walsh_transform,
@@ -530,6 +531,27 @@ def test_one_function_entries_take_integers():
         for bad in (2.5, True):
             with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer here, got {bad!r}")):
                 call(bad)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("subset member", lambda v: parity(3, [1, v])),
+        ("i", lambda v: dictator(3, v)),
+        ("m", lambda v: homogeneous_part(walsh_transform(parity(3, [1, 2])), v)),
+        ("d", lambda v: degree_l2_check(parity(3, [1, 2]), v)),
+        ("d", lambda v: norm_comparison_check(parity(3, [1, 2]), v)),
+        ("d", lambda v: bh_ratio(parity(3, [1, 2]), v)),
+    ],
+    ids=["parity", "dictator", "homogeneous_part", "degree_l2_check", "norm_comparison_check", "bh_ratio"],
+)
+def test_integer_parameters_go_through_as_int(name, call):
+    # parity took 1.5 and "2" as x_1 and x_2, homogeneous_part(s, 1.5) gave zeros, dictator(3, 1.5) raised
+    # numpy's TypeError, and the checks reported a margin for the constant e^2.5
+    assert repr(call(2.0)) == repr(call(2))
+    for bad in (1.5, 2.5, "2", True):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer here, got {bad!r}")):
+            call(bad)
 
 
 class TestSuiteTable:

@@ -655,6 +655,14 @@ def test_n_refuses_a_bool(entry, args):
         entry(True, *args)
 
 
+@pytest.mark.parametrize("alpha", [4.5, math.inf, math.nan, -1])
+@pytest.mark.parametrize("entry, args", [(branch_point, ()), (g_function, (0.3,)), (i_integral, (1.5,))])
+def test_g_entries_check_alpha(entry, args, alpha):
+    # branch_point(5, 4.5) and (5, inf) raised "math domain error", (5, nan) gave nan and (5, -1) gave 0.0
+    with pytest.raises(ValueError, match=re.escape("need 0 <= alpha <= N - 1")):
+        entry(5, alpha, *args)
+
+
 @pytest.mark.parametrize("entry, args", [(branch_point, (2,)), (g_function, (2, 0.3)), (i_integral, (2, 1.5))])
 def test_g_entries_check_n_once_per_call(entry, args, monkeypatch):
     # i_integral evaluates G a few hundred times; N is checked at the entry, not per evaluation
