@@ -99,6 +99,8 @@ ARGV = [
     "bn --n 7",
     "bn --n 4 --brute --workers 2",
     "threshold-scan --n-list 101,201 --alphas 0,sqrt,half",
+    # consecutive odd N at alpha 0, whose rows walk their lead as majority-scan's do
+    "threshold-scan --n-list 1001,1003,1005 --alphas 0",
     "majority-scan --n-start 91 --n-stop 111 --workers 1",
     # consecutive odd N at the radius cap
     "majority-scan --n-start 99997 --n-stop 100001",
