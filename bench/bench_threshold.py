@@ -15,7 +15,9 @@ times ``threshold._tail_count(100001, 25000)``, the exact tail count of the
 row (100001, 50000) at the radius cap: 25,000 terms of 100,001 bits walked
 from the middle end.  The case ``majority_scan_99981_100001`` times
 ``threshold.majority_scan`` over the 11 odd N 99981..100001 at the cap, whose
-rows walk binom(N - 1, (N - 1)/2) from one math.comb.  The case
+rows walk binom(N - 1, (N - 1)/2) from one math.comb, and
+``threshold_scan_99997_100001`` times ``threshold.threshold_scan`` over
+(99997, 0), (99999, 0) and (100001, 0), whose rows walk the same way.  The case
 ``tn_100000`` times ``threshold.tn_lower_bound(100000)``, a root of 100,000
 levels, and ``gamma_uncached`` times ``threshold.gamma_constant.__wrapped__()``,
 gamma without its cache.  Every input is built by this checkout.  The two
@@ -56,6 +58,7 @@ CASES = {
     "level_logs_911_989": "level logs of the 40 majority rows N = 911..989",
     "tail_count_100001_25000": "threshold._tail_count(100001, 25000), the tail walk of (100001, 50000) at the cap",
     "majority_scan_99981_100001": "threshold.majority_scan over the 11 odd N 99981..100001 at the cap",
+    "threshold_scan_99997_100001": "threshold.threshold_scan over (99997, 0), (99999, 0), (100001, 0) at the cap",
     "tn_100000": "threshold.tn_lower_bound(100000), the root t_N of 100,000 levels",
     "gamma_uncached": "threshold.gamma_constant.__wrapped__(), gamma without its cache",
     "solve_911_989": "radius solve of those 40 rows of level logs",
@@ -65,6 +68,7 @@ CASES = {
 }
 TAIL_COUNT_ARGS = (100001, 25000)
 CAP_MAJORITY = range(99981, 100002, 2)
+CAP_SCAN = [(N, 0) for N in range(99997, 100002, 2)]
 MAJORITY_PAIRS = [(N, 0) for N in range(911, 990, 2)]
 SCAN_PAIRS = [(N, a) for N in (1007, 1993) for a in (0, math.isqrt(N), N // 2)]
 FAULT_CALLS = 20
@@ -79,6 +83,7 @@ def cases(this):
     yield "level_logs_911_989", lambda tree: lambda: [tree.threshold._level_logs(*row) for row in rows]
     yield "tail_count_100001_25000", lambda tree: functools.partial(tree.threshold._tail_count, *TAIL_COUNT_ARGS)
     yield "majority_scan_99981_100001", lambda tree: functools.partial(tree.threshold.majority_scan, CAP_MAJORITY)
+    yield "threshold_scan_99997_100001", lambda tree: functools.partial(tree.threshold.threshold_scan, CAP_SCAN)
     yield "tn_100000", lambda tree: functools.partial(tree.threshold.tn_lower_bound, 100000)
     yield "gamma_uncached", lambda tree: tree.threshold.gamma_constant.__wrapped__
     for name, pairs in [("solve_911_989", MAJORITY_PAIRS), ("solve_scan_1007_1993", SCAN_PAIRS)]:

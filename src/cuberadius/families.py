@@ -131,14 +131,19 @@ def _sign_draw(rng: np.random.Generator, size: int) -> np.ndarray:
     return _SIGNS[rng.integers(0, 2, size)]
 
 
+def _substream_rows(seeds, size: int, draw, at=slice(None)) -> np.ndarray:
+    """One row of size zeros per seed, with draw of that seed's numpy Generator
+    written at ``at``: a boolean mask, an index support or, by default, the whole row."""
+    out = np.zeros((len(seeds), size))
+    for row, seed in zip(out, seeds):
+        row[at] = draw(np.random.default_rng(seed))
+    return out
+
+
 def _sign_spectra(N: int, m: int, coeffs: np.ndarray, seeds) -> np.ndarray:
     """One spectrum row sum_{|S|=m} xi_S c_S per seed, the signs xi_S an i.i.d.
     +-1 draw from that seed, the c_S in increasing bitmask order."""
-    mask = subset_levels(N) == m
-    out = np.zeros((len(seeds), 2**N))
-    for row, seed in zip(out, seeds):
-        row[mask] = _sign_draw(np.random.default_rng(seed), coeffs.size) * coeffs
-    return out
+    return _substream_rows(seeds, 2**N, lambda rng: _sign_draw(rng, coeffs.size) * coeffs, subset_levels(N) == m)
 
 
 def random_sign_homogeneous(N: int, m: int, coeffs, seed: int):

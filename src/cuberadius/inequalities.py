@@ -35,6 +35,7 @@ from .cube import (
 )
 from .families import (
     _sign_draw,
+    _substream_rows,
     biased_indicator,
     dictator,
     extremal_indicator_flip,
@@ -162,22 +163,15 @@ def _draw_tables(N: int, seeds, mode: str, d: int) -> np.ndarray:
     """One row per seed, drawn as ``random_bounded_function`` describes; the
     spectral modes share one butterfly."""
     size = 2**N
-    out = np.zeros((len(seeds), size))
-    support = np.flatnonzero(subset_levels(N) <= min(d, N))
-    for row, seed in zip(out, seeds):
-        rng = np.random.default_rng(seed)
-        if mode == "boolean_pm1":
-            row[:] = _sign_draw(rng, size)
-        elif mode == "table_uniform":
-            row[:] = rng.uniform(-1.0, 1.0, size=size)
-        elif mode == "spectral_random":
-            row[:] = rng.normal(size=size)
-        else:
-            row[support] = rng.normal(size=support.size)
     if mode == "boolean_pm1":
-        return out
-    if mode in ("spectral_random", "low_degree"):
-        _fwht_inplace(out)
+        return _substream_rows(seeds, size, lambda rng: _sign_draw(rng, size))
+    if mode == "table_uniform":
+        out = _substream_rows(seeds, size, lambda rng: rng.uniform(-1.0, 1.0, size=size))
+    elif mode == "spectral_random":
+        out = _fwht_inplace(_substream_rows(seeds, size, lambda rng: rng.normal(size=size)))
+    else:
+        support = np.flatnonzero(subset_levels(N) <= min(d, N))
+        out = _fwht_inplace(_substream_rows(seeds, size, lambda rng: rng.normal(size=support.size), support))
     top = np.max(np.abs(out), axis=1, keepdims=True)
     return np.divide(out, top, out=out, where=top > 0)
 

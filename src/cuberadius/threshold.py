@@ -54,7 +54,7 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 Y_SWITCH = 6.0
 Y_CF_TERMS = 24
 
-#: Dimension cap for t_N (one Python float per degree, one level-log row of N doubles).
+#: Dimension cap for t_N (one level-log row of N doubles).
 MAX_TN_N = 10**6
 
 #: Quadrature: adaptive Simpson relative target and work cap.
@@ -144,13 +144,20 @@ def threshold_spectrum_exact(N: int, alpha: int) -> SymmetricSpectrum:
     drops below zero, still have an exact spectrum; the identities hold there
     unchanged.
     """
+    n, alpha, _, levels = _half_levels(N, alpha)
+    pairs = [(d >> u, 1 << (n - u)) for d, u in levels]
+    return SymmetricSpectrum._adopt(n + 1, tuple(_mirror(pairs, n, alpha, lambda pq: (-pq[0], pq[1]))))
+
+
+def _half_levels(N: int, alpha) -> tuple:
+    """(n, alpha, lead, levels) of the spectrum of (N, alpha), N checked against MAX_SPECTRUM_N: levels yields
+    (d, u) for levels 0..n//2 + 1, d = T - 2^n at level 0 and d_{m-1} at level m >= 1, u the trailing zeros
+    of d up to n (n for d = 0), so that each level is (d >> u) / 2^(n - u); each d is dropped once taken."""
     N = _check_n(N, MAX_SPECTRUM_N)
     alpha, T, lead = _tail_terms(N, alpha)
-    n, pairs = N - 1, []
-    for d in itertools.chain((T - 2**n,), itertools.islice(_dual_terms(alpha, n, lead), n // 2 + 1)):
-        u = min((d & -d).bit_length() - 1, n) if d else n
-        pairs.append((d >> u, 1 << (n - u)))
-    return SymmetricSpectrum._adopt(N, tuple(_mirror(pairs, n, alpha, lambda pq: (-pq[0], pq[1]))))
+    n = N - 1
+    ds = itertools.chain((T - 2**n,), itertools.islice(_dual_terms(alpha, n, lead), n // 2 + 1))
+    return n, alpha, lead, ((d, min((d & -d).bit_length() - 1, n) if d else n) for d in ds)
 
 
 def _dual_terms(alpha, n: int, lead):
@@ -199,18 +206,15 @@ def threshold_spectrum_text(N: int, alpha: int) -> list:
     ("0", "1", -inf), since Decimal can give -0.  Each distinct denominator's
     text and log is made once and shared by reference.
     """
-    N = _check_n(N, MAX_SPECTRUM_N)
-    alpha, T, lead = _tail_terms(N, alpha)
-    n, empty = N - 1, T - 2 ** (N - 1)  # level 0 is empty / 2^n, level m >= 1 is d_{m-1} / 2^n
-    ints = itertools.chain((empty,), itertools.islice(_dual_terms(alpha, n, lead), n // 2 + 1))
-    decs = itertools.chain((decimal.Decimal(empty),), _dual_terms(alpha, n, decimal.Decimal(lead)))  # zip stops it
+    n, alpha, lead, levels = _half_levels(N, alpha)
+    decs = itertools.chain((None,), _dual_terms(alpha, n, decimal.Decimal(lead)))  # zip stops it
     dens, out = {}, []  # u -> (Decimal 2^u, text and log of 2^(n - u))
     with decimal.localcontext(_EXACT):
-        for d, e in zip(ints, decs):
+        for (d, u), e in zip(levels, decs):
             if not d:
                 out.append(("0", "1", -math.inf))
                 continue
-            u = min((d & -d).bit_length() - 1, n)
+            e = decimal.Decimal(d) if e is None else e  # level 0, T - 2^n, is no dual term
             if u not in dens:
                 dens[u] = decimal.Decimal(1 << u), str(1 << (n - u)), math.log(1 << (n - u))
             two_u, q, log_q = dens[u]
@@ -237,7 +241,7 @@ def maj_identity_eval(N: int, r: float) -> float:
     if math.isnan(r):
         raise ValueError("need a number r, got nan")
     h = (N - 1) // 2
-    lg = math.log(math.comb(N - 1, h)) - (N - 1) * math.log(2.0) + h * math.log1p(r * r)
+    lg = math.log(_tail_terms(N, 0)[2]) - (N - 1) * math.log(2.0) + h * math.log1p(r * r)
     return math.exp(lg) if lg <= 709.0 else math.inf
 
 
@@ -393,14 +397,26 @@ def mckay_residual(N: int, alpha: int) -> float:
 
 
 def _tail_terms(N: int, alpha) -> tuple:
-    """(alpha, T, lead) for a checked alpha: the exact integers
-    T = sum_{m <= b} binom(N, m) and lead = binom(N-1, b), b = (N - alpha - 1) / 2,
-    computed once and shared by the radius, the tail correction and the
-    sandwich of one report."""
-    alpha = _check_parity(N, alpha)
-    b = (N - alpha - 1) // 2
-    lead = math.comb(N - 1, b)
-    return alpha, _tail_count(N, b, lead), lead
+    """(alpha, T, lead) for a checked alpha: the one row of _rows([(N, alpha)])."""
+    return next(_rows([(N, alpha)]))[1:]
+
+
+def _rows(pairs):
+    """(N, alpha, T, lead) for each (N, alpha) of pairs, alpha checked by _check_parity: the exact
+    integers T = sum_{m <= b} binom(N, m) and lead = binom(N-1, b), b = (N - alpha - 1) / 2, computed
+    once and shared by the radius, the tail correction and the sandwich of one report.  A majority row
+    two past a majority row walks its lead, lead(N) = lead(N - 2) (N - 2) (N - 1) / b^2, one exact
+    division; any other row takes math.comb."""
+    prev = ()
+    for N, alpha in pairs:
+        alpha = _check_parity(N, alpha)
+        b = (N - alpha - 1) // 2
+        if alpha == 0 and prev[:2] == (N - 2, 0):
+            lead = prev[3] * (N - 2) * (N - 1) // b**2
+        else:
+            lead = math.comb(N - 1, b)
+        prev = N, alpha, _tail_count(N, b, lead), lead
+        yield prev
 
 
 def _mckay(N: int, alpha: int, T: int, lead: int) -> float:
@@ -431,7 +447,7 @@ def _level_logs(N: int, alpha: int, T: int, lead: int) -> list:
 
 
 def _radii_exact(rows) -> tuple:
-    """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _tail_terms,
+    """Radii of psi_{N,alpha} for rows (N, alpha, T, lead), each from _rows,
     with the residual of each reduced equation (over its target) and the halvings:
     radius._solve_rows of their level logs, every row formed first."""
     return _solve_rows(_level_logs(*row) for row in rows)
@@ -490,8 +506,7 @@ def threshold_scan(pairs) -> list:
     radius.  Reports follow the input order; a repeated canonical (N, alpha) is
     dropped.
     """
-    keys = dict.fromkeys(canonical_pair(N, alpha) for N, alpha in pairs)
-    rows = [(N, *_tail_terms(N, a)) for N, a in keys]
+    rows = list(_rows(dict.fromkeys(canonical_pair(N, alpha) for N, alpha in pairs)))
     return [
         ThresholdReport(N, a, rho, rho * (a + math.sqrt(N)), _mckay(N, a, T, lead), _sandwich_ok(N, a, rho, T, lead),
                         y_function((a + 1) / math.sqrt(N)))
@@ -521,24 +536,14 @@ def _odd_n(N) -> int:
 
 
 def majority_scan(Ns):
-    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd integer N, in input order.
-
-    Row N is (N, *_tail_terms(N, 0)): the tail count of odd N is 2^(N-1), and lead(N) =
-    binom(N - 1, (N - 1)/2) walks from the row before when that row is N - 2, lead(N) =
-    lead(N - 2) (N - 2) (N - 1) / ((N - 1)/2)^2, one exact division; the first N and an N
-    after a gap, a repeat or a step down take math.comb."""
+    """Rows (N, rho(Maj_N), rho sqrt(N), rho sqrt(N)/gamma) for odd integer N, in input order,
+    from the _rows of (N, 0): the first N and an N after a gap, a repeat or a step down take
+    math.comb, every other N walks its lead from the row before."""
     # each N is checked as it is taken, before the first radius: a range far
     # past the cap stops at its first N over it instead of building every row
     Ns = [_odd_n(N) for N in Ns]
     gam = gamma_constant()
-    rows = []
-    for N in Ns:
-        if rows and rows[-1][0] == N - 2:
-            lead = rows[-1][3] * (N - 2) * (N - 1) // ((N - 1) // 2) ** 2
-        else:
-            lead = math.comb(N - 1, (N - 1) // 2)
-        rows.append((N, 0, 1 << (N - 1), lead))
-    radii = _radii_exact(rows)[0]
+    radii = _radii_exact(_rows((N, 0) for N in Ns))[0]
     return [(N, rho, rho * math.sqrt(N), rho * math.sqrt(N) / gam) for N, rho in zip(Ns, radii)]
 
 
@@ -566,5 +571,11 @@ def tn_lower_bound(N: int) -> float:
     0.5000000000000001, within UNIT_RADIUS_TOL of the target: the root is 1.0.
     """
     N = _check_n(N, MAX_TN_N)
-    log_tail = np.log([math.cos(math.pi / (N // k + 2)) for k in range(1, N + 1)])
+    # floor(N/k) never rises with k, so each of its about 2 sqrt(N) values holds for one run of k
+    starts, k = [], 1
+    while k <= N:
+        starts.append(k)
+        k = N // (N // k) + 1
+    cosines = [math.cos(math.pi / (N // k + 2)) for k in starts]
+    log_tail = np.log(np.repeat(cosines, np.diff(starts + [N + 1])))
     return _one_radius(log_tail, math.log(0.5)).radius

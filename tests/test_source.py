@@ -68,6 +68,20 @@ def test_one_home_for_each_exact_integer_step():
     assert functions_matching(r"\* \((\w+) - (\w+)\) // \(\2 \+ 1\)") == [("radius", "_binomials")]
 
 
+@pytest.mark.parametrize(
+    "pattern, home",
+    [
+        (r"math\.comb\(N - 1", ("threshold", "_rows")),  # the row integers (N, alpha, T, lead)
+        (r"\(d & -d\)", ("threshold", "_half_levels")),  # the spectrum half-walk and its trailing zeros
+        (r"default_rng\(", ("families", "_substream_rows")),  # one seeded row per substream key
+    ],
+    ids=["row-walk", "half-walk", "substream-rows"],
+)
+def test_one_construction_for_each_row(pattern, home):
+    text = "".join(path.read_text() for path in SOURCES)
+    assert (len(re.findall(pattern, text)), functions_matching(pattern)) == (1, [home])
+
+
 def test_no_blas_call():
     # OpenBLAS threads keep spinning after a call and raise the CPU time of a run; the oracle is the one product
     assert functions_matching(r"\s@=?\s|\bdot\(|matmul|einsum") == [("cube", "walsh_transform_naive")]

@@ -578,6 +578,23 @@ class TestMajorityScan:
         assert repr(majority_scan(Ns)) == repr(want)
         assert [n + 1 for n, _ in calls] == [1001, 5, 99999, 7, 101, 101, 3]
 
+    def test_threshold_scan_walks_the_majority_rows_alone(self, monkeypatch):
+        # alpha 0 beside other alphas, repeats (dropped, even as 0.5) and steps down: every report as a
+        # math.comb per row gives it, and only a majority row two past a majority row skips math.comb
+        pairs = [(1001, 0), (1003, 0), (1005, 0), (1005, 4), (1007, 0), (1009, 0), (1009, 0.5), (1007, 0),
+                 (7, 0), (9, 2), (11, 0), (13, 0), (13, 0), (15, 0), (201, 0), (201, 100)]
+        keys = list(dict.fromkeys(threshold_module.canonical_pair(N, a) for N, a in pairs))
+        rows = [(N, a, _tail_count(N, (N - a - 1) // 2, lead), lead)
+                for N, a in keys for lead in [math.comb(N - 1, (N - a - 1) // 2)]]
+        radii = _radii_exact(rows)[0]
+        want = [ThresholdReport(N, a, rho, rho * (a + math.sqrt(N)), threshold_module._mckay(N, a, T, lead),
+                                threshold_module._sandwich_ok(N, a, rho, T, lead), y_function((a + 1) / math.sqrt(N)))
+                for (N, a, T, lead), rho in zip(rows, radii)]
+        calls, comb = [], math.comb
+        monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+        assert repr(threshold_scan(pairs)) == repr(want)
+        assert [n + 1 for n, _ in calls] == [1001, 1005, 1007, 7, 9, 11, 201, 201]
+
     @pytest.mark.parametrize("N", [5.5, 7.9, "7", math.nan])
     def test_rejects_non_integral_n(self, N, monkeypatch):
         # int() truncated 5.5 and 7.9 to the rows of N = 5 and 7
@@ -737,6 +754,15 @@ class TestTnRoot:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(v > 0 for v in vals)
         assert vals[-1] == pytest.approx(1 / 3, abs=2e-3)
+
+    @pytest.mark.parametrize("N", [*range(1, 40), 9973, 10**5, MAX_TN_N])
+    def test_row_equals_one_cosine_per_k(self, N, monkeypatch):
+        # one cosine per distinct floor(N/k), spread over its run of k: the row a cosine per k gives, bit for bit
+        rows, solve = [], threshold_module._one_radius
+        monkeypatch.setattr(threshold_module, "_one_radius", lambda logs, target: rows.append(logs) or solve(logs, target))
+        tn_lower_bound(N)
+        want = np.log([math.cos(math.pi / (N // k + 2)) for k in range(1, N + 1)])
+        assert rows[0].tobytes() == want.tobytes()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
